@@ -23,13 +23,12 @@ import sys
 from .contraction import (
     Schedule,
     contraction_report,
-    extract_sector,
     probe_divergence,
     schedule_digest,
     standard_schedule,
 )
 from .errors import GrammarError, JforgeError, ScheduleError
-from .grammar import parse, serialize
+from .grammar import parse
 from .hopf import (
     LAYOUT_Q,
     check_antipode_axiom,

@@ -6,6 +6,18 @@ coefficients with content 1 and a positive leading coefficient.  Structural
 equality of canonical forms therefore decides mathematical equality, which is
 what every verification step in this project ultimately relies on.
 
+Two paths reach that form, chosen inside poly by the number of terms in the
+denominator:
+
+* a single-term denominator c*x^e (the algebra-side case: coefficients live
+  in Q[m,n,k,p^±1]) runs no remainder sequence.  pgcd returns the monomial
+  shared with the numerator, pdiv_exact divides it out by exponent
+  subtraction and pint_normalize scales by 1/c, leaving x^e' with
+  coefficient 1;
+* a denominator with several terms (contraction lanes, Laurent expansion)
+  takes the general path: pgcd's remainder sequence, long division, then
+  content normalization in pint_normalize.
+
 No floating point appears anywhere; coefficients are Fractions of unbounded
 size.  Values are immutable and hashable.
 """
@@ -19,23 +31,13 @@ from . import poly as P
 from .errors import DivisionByZero, NotExpandable, PoleError, UnboundParameter
 
 
-@dataclass(frozen=True)
-class Param:
-    """A named formal parameter.  Names are plain identifiers like 'r'.
-
-    The name 'eps' is conventionally reserved for contraction limit
-    variables; nothing here enforces that, the contraction module does.
-    """
-
-    name: str
-
-    def __post_init__(self):
-        if not self.name.isidentifier():
-            raise ValueError(f"parameter name {self.name!r} is not an identifier")
-
-
-def _pname(p) -> str:
-    return p.name if isinstance(p, Param) else p
+def _unit_sign(f) -> int:
+    """1 or -1 when the RatFunc f is that constant, else 0."""
+    if len(f.num) == 1 and f.den == P.PONE:
+        c = f.num.get(P.MONO_ONE)
+        if c == 1 or c == -1:
+            return int(c)
+    return 0
 
 
 class RatFunc:
@@ -69,7 +71,7 @@ class RatFunc:
 
     @staticmethod
     def var(name) -> "RatFunc":
-        return RatFunc(P.pvar(_pname(name)), _reduced=True)
+        return RatFunc(P.pvar(name), _reduced=True)
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -132,14 +134,24 @@ class RatFunc:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RF_ZERO
-        # cross-cancel so the final gcd pass is trivial on reduced inputs
-        g1 = P.pgcd(self.num, other.den)
-        g2 = P.pgcd(other.num, self.den)
-        n1 = self.num if g1 == P.PONE else P.pdiv_exact(self.num, g1)
-        d2 = other.den if g1 == P.PONE else P.pdiv_exact(other.den, g1)
-        n2 = other.num if g2 == P.PONE else P.pdiv_exact(other.num, g2)
-        d1 = self.den if g2 == P.PONE else P.pdiv_exact(self.den, g2)
-        return RatFunc(P.pmul(n1, n2), P.pmul(d1, d2), _reduced=True)
+        sign = _unit_sign(self)
+        if sign:
+            return other if sign == 1 else -other
+        sign = _unit_sign(other)
+        if sign:
+            return self if sign == 1 else -self
+        sn, sd, on, od = self.num, self.den, other.num, other.den
+        # cross-cancel so the final gcd pass is trivial on reduced inputs;
+        # a denominator 1 has nothing to cancel against
+        if od != P.PONE:
+            g = P.pgcd(sn, od)
+            if g != P.PONE:
+                sn, od = P.pdiv_exact(sn, g), P.pdiv_exact(od, g)
+        if sd != P.PONE:
+            g = P.pgcd(on, sd)
+            if g != P.PONE:
+                on, sd = P.pdiv_exact(on, g), P.pdiv_exact(sd, g)
+        return RatFunc(P.pmul(sn, on), P.pmul(sd, od), _reduced=True)
 
     __rmul__ = __mul__
 
@@ -199,7 +211,7 @@ class RatFunc:
         Unbound parameters stay themselves.  Raises DivisionByZero when the
         denominator collapses to zero under the substitution.
         """
-        binds = {_pname(k): RatFunc._coerce(v) for k, v in bindings.items()}
+        binds = {k: RatFunc._coerce(v) for k, v in bindings.items()}
         if not (self.variables() & set(binds)):
             return self
         num = _poly_substitute(self.num, binds)
@@ -210,7 +222,7 @@ class RatFunc:
 
     def evaluate(self, values: dict) -> Fraction:
         """Evaluate at Fraction points; all parameters must be bound."""
-        vals = {_pname(k): Fraction(v) for k, v in values.items()}
+        vals = {k: Fraction(v) for k, v in values.items()}
         missing = self.variables() - set(vals)
         if missing:
             raise UnboundParameter(f"unbound parameters: {sorted(missing)}")
@@ -274,18 +286,17 @@ def laurent_expand(f: RatFunc, var, order: int = None) -> LaurentSeries:
     requested order cuts off below the valuation, the result is the empty
     series: exact through the truncation, no visible terms.
     """
-    v = _pname(var)
     if f.is_zero():
         o = 4 if order is None else order
-        return LaurentSeries(v, 0, (), o)
-    nu = P.as_univariate(f.num, v)
-    du = P.as_univariate(f.den, v)
+        return LaurentSeries(var, 0, (), o)
+    nu = P.as_univariate(f.num, var)
+    du = P.as_univariate(f.den, var)
     a, b = min(nu), min(du)
     val = a - b
     if order is None:
         order = max(0, -val) + 4
     if order < val:
-        return LaurentSeries(v, 0, (), order)
+        return LaurentSeries(var, 0, (), order)
     # power series coefficients of num/den after factoring out the valuation
     nn = {i - a: RatFunc(c, _reduced=False) for i, c in nu.items()}
     dd = {j - b: RatFunc(c, _reduced=False) for j, c in du.items()}
@@ -307,7 +318,7 @@ def laurent_expand(f: RatFunc, var, order: int = None) -> LaurentSeries:
             if i <= t:
                 acc = acc + ci * e[t - i]
         coeffs.append(acc)
-    return LaurentSeries(v, val, tuple(coeffs), order)
+    return LaurentSeries(var, val, tuple(coeffs), order)
 
 
 def limit_at_zero(f, var=None) -> RatFunc:

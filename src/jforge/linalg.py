@@ -11,7 +11,7 @@ nonzero.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, SingularMatrix
-from .field import RF_ONE, RF_ZERO, RatFunc
+from .field import RF_ONE, RF_ZERO
 
 
 def mat_identity(n: int) -> list:

@@ -200,11 +200,24 @@ def plt(p: Poly, varseq: tuple):
 
 
 def pdiv_exact(a: Poly, b: Poly) -> Poly:
-    """Exact quotient a/b; raises ValueError when b does not divide a."""
+    """Exact quotient a/b; raises ValueError when b does not divide a.
+
+    A one-term divisor c*x^e divides term by term: every monomial of a must
+    be a multiple of x^e.  Longer divisors run graded-lex long division.
+    """
     if not b:
         raise DivisionByZero("polynomial division by zero")
     if not a:
         return {}
+    if len(b) == 1:
+        (bm, bc), = b.items()
+        q = {}
+        for m, c in a.items():
+            qm = mono_div(m, bm)
+            if qm is None:
+                raise ValueError("inexact polynomial division")
+            q[qm] = c
+        return q if bc == 1 else pscale(q, F1 / bc)
     varseq = tuple(sorted(pvars(a) | pvars(b)))
     bm, bc = plt(b, varseq)
     q: Poly = {}
@@ -245,21 +258,30 @@ def pcommon_monomial(p: Poly) -> Monomial:
     return out
 
 
+def _content_scale(coeffs: Iterable) -> Fraction:
+    """Positive scale taking nonzero rationals to coprime integers."""
+    num_gcd = 0
+    den_lcm = 1
+    for c in coeffs:
+        num_gcd = int_gcd(num_gcd, c.numerator)
+        den_lcm = den_lcm // int_gcd(den_lcm, c.denominator) * c.denominator
+    return Fraction(den_lcm, num_gcd)
+
+
 def pint_normalize(p: Poly) -> tuple:
     """Scale p to integer coefficients with content 1 and positive lead.
 
     Returns (normalized, scale) with normalized == p * scale and scale > 0
     or scale < 0 when the sign flip is needed for a positive leading
-    coefficient.  The zero polynomial normalizes to itself with scale 1.
+    coefficient.  The zero polynomial normalizes to itself with scale 1; a
+    single term c*x^e normalizes to x^e with scale 1/c.
     """
     if not p:
         return {}, F1
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.values():
-        num_gcd = int_gcd(num_gcd, c.numerator)
-        den_lcm = den_lcm // int_gcd(den_lcm, c.denominator) * c.denominator
-    scale = Fraction(den_lcm, num_gcd)
+    if len(p) == 1:
+        (m, c), = p.items()
+        return {m: F1}, F1 / c
+    scale = _content_scale(p.values())
     varseq = tuple(sorted(pvars(p)))
     _, lead = plt(p, varseq)
     if lead < 0:
@@ -357,8 +379,12 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     while g:
         r = _uprem(f, g)
         if r:
+            # strip the polynomial and then the rational content; left in,
+            # the coefficients grow exponentially with the degree
             rc = _pgcd_list(r.values())
             r = {e: pdiv_exact(c, rc) for e, c in r.items()}
+            s = _content_scale(c for cc in r.values() for c in cc.values())
+            r = {e: pscale(c, s) for e, c in r.items()}
         f, g = g, r
     prim = from_univariate(f, v)
     out = pmul(cont, prim)

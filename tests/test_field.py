@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jforge import poly as P
 from jforge.errors import DivisionByZero, NotExpandable, PoleError
 from jforge.field import RF_ONE, RF_ZERO, RatFunc, laurent_expand, limit_at_zero
 from jforge.grammar import parse
@@ -92,3 +93,86 @@ def test_pole_cancellation_across_sum():
         {"eta": parse("1/eps"), "r": parse("1 - (m + n)/2*eps"),
          "s": parse("1 + (m - n)/2*eps")})
     assert limit_at_zero(f, "eps") == parse("-m")
+
+
+# -- differential tests of the canonical form --------------------------------
+# The reference is the general canonicalization, applied to every input:
+# pgcd cancellation, then pint_normalize of the denominator.
+
+def reference_canonical(num, den, reduced=False):
+    if P.pis_zero(num):
+        return {}, dict(P.PONE)
+    if not reduced:
+        g = P.pgcd(num, den)
+        num, den = P.pdiv_exact(num, g), P.pdiv_exact(den, g)
+    den, scale = P.pint_normalize(den)
+    return P.pscale(num, scale), den
+
+
+coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def monomial(draw, variables=("m", "p", "q"), max_exp=2):
+    exps = {v: draw(st.integers(min_value=0, max_value=max_exp)) for v in variables}
+    return tuple((v, e) for v, e in exps.items() if e)
+
+
+@st.composite
+def poly(draw, min_terms=0, max_terms=3, **mono):
+    out = {}
+    for _ in range(draw(st.integers(min_value=min_terms, max_value=max_terms))):
+        out = P.padd(out, P.pscale({draw(monomial(**mono)): P.F1}, draw(coeff)))
+    return out
+
+
+one_term = st.builds(lambda m, c: {m: c}, monomial(), coeff.filter(bool))
+# several-term denominators stay small: pgcd, a recursive remainder
+# sequence, takes tens of seconds on some three-variable inputs of degree 7
+several_terms = poly(min_terms=2, variables=("m", "p"), max_exp=1).filter(
+    lambda d: len(d) >= 2)
+denominator = st.one_of(one_term, several_terms)
+
+
+def as_pair(f):
+    return f.num, f.den
+
+
+@given(poly(), denominator)
+@settings(max_examples=150, deadline=None)
+def test_canonical_form_matches_general_reduction(time_limit, num, den):
+    with time_limit(10):
+        assert as_pair(RatFunc(num, den)) == reference_canonical(num, den)
+        if num:
+            # the same value with gcd 1 already, as the _reduced flag promises
+            g = P.pgcd(num, den)
+            num, den = P.pdiv_exact(num, g), P.pdiv_exact(den, g)
+            assert as_pair(RatFunc(num, den, _reduced=True)) == reference_canonical(num, den, True)
+
+
+@st.composite
+def ratfunc(draw):
+    num = draw(poly(max_terms=2))
+    return RatFunc(num, draw(denominator))
+
+
+units = st.sampled_from([RF_ZERO, RF_ONE, -RF_ONE])
+
+
+@given(ratfunc(), st.one_of(ratfunc(), units))
+@settings(max_examples=120, deadline=None)
+def test_products_and_sums_match_general_reduction(time_limit, a, b):
+    with time_limit(10):
+        for x, y in ((a, b), (b, a)):
+            prod = reference_canonical(P.pmul(x.num, y.num), P.pmul(x.den, y.den))
+            assert as_pair(x * y) == prod
+            total = reference_canonical(P.padd(P.pmul(x.num, y.den), P.pmul(y.num, x.den)),
+                                        P.pmul(x.den, y.den))
+            assert as_pair(x + y) == total
+            assert as_pair(x - y) == as_pair(x + (-y))
+
+
+def test_unit_products_short_circuit():
+    f = parse("(m + 1)/p^2")
+    assert f * RF_ONE is f and RF_ONE * f is f
+    assert f * -1 == -f and as_pair(-1 * f) == as_pair(-f)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jforge import poly as P
+from jforge.grammar import parse
 
 
 def build(terms):
@@ -78,6 +79,18 @@ def test_exact_division_inverts_multiplication(a, b):
         assert P.pdiv_exact(P.pmul(a, b), b) == a
 
 
+def test_gcd_keeps_coefficients_small(time_limit):
+    # without rational content stripping in the remainder sequence the
+    # integers here reach hundreds of thousands of bits and pgcd stalls
+    a = parse("-28/3*m^3*p^4 + 8*m^4*p^2 + 56*m^4*p - 28/3*m^3*p^2 + 16*m^2*p^3"
+              " - 10/3*m^2*p^2 - 56*m^2*p - 16*p^3 + 14/3*m^2").num
+    b = parse("2*m^4*p^3 + 14*m^4*p^2 + 4*m^2*p^4 - m^3*p - 7*m^3 - 2*m*p^2").num
+    h = parse("m - 2*p + 3").num
+    with time_limit(10):
+        assert P.pgcd(a, b) == P.PONE
+        assert P.pgcd(P.pmul(a, h), P.pmul(b, h)) == h
+
+
 def test_int_normalize_strips_content():
     p = P.pscale(build([(2, "x", 1), (4, "y", 1)]), Fraction(1, 6))
     q, scale = P.pint_normalize(p)
@@ -91,3 +104,33 @@ def test_univariate_roundtrip():
     u = P.as_univariate(p, "x")
     assert set(u) == {4, 1}
     assert P.from_univariate(u, "x") == p
+
+
+@st.composite
+def rand_monomial(draw):
+    exps = {v: draw(st.integers(min_value=0, max_value=2)) for v in ("x", "y", "z")}
+    return tuple((v, e) for v, e in exps.items() if e)
+
+
+nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+@st.composite
+def rand_mpoly(draw):
+    out = P.pzero()
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        out = P.padd(out, {draw(rand_monomial()): draw(nonzero)})
+    return out
+
+
+@given(rand_mpoly(), rand_monomial(), nonzero)
+@settings(max_examples=150, deadline=None)
+def test_one_term_division_is_exact_or_raises(a, bm, bc):
+    b = {bm: bc}
+    if all(P.mono_div(m, bm) is not None for m in a):
+        q = P.pdiv_exact(a, b)
+        assert P.pmul(q, b) == a
+        assert P.pdiv_exact(P.pmul(a, b), b) == a
+    else:
+        with pytest.raises(ValueError):
+            P.pdiv_exact(a, b)
