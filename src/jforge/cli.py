@@ -11,7 +11,8 @@ into one aggregated report.
 Reports render as deterministic JSON (sorted keys, schema_version field)
 or a text summary.  Exit codes: 0 all checks pass, 1 a verification
 failed, 2 bad usage or configuration.  The environment variable
-JFORGE_MAX_STEPS overrides the rewrite step bound.
+JFORGE_MAX_STEPS overrides the rewrite step bound (see freealg); a value
+that is not an integer of at least 1 exits with status 2.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .contraction import (
     schedule_digest,
     standard_schedule,
 )
-from .errors import GrammarError, JforgeError, ScheduleError
+from .errors import GrammarError, JforgeError, ScheduleError, UsageError
 from .grammar import parse
 from .hopf import (
     LAYOUT_Q,
@@ -69,10 +70,6 @@ HOPF_GROUPS = ("bialgebra", "hopf-ideal", "antipode", "qdet",
                "delta-centrality", "coaction")
 
 
-class UsageError(JforgeError):
-    """Configuration problem that should exit with status 2."""
-
-
 def _bindings(pairs) -> dict:
     out = {}
     for item in pairs or ():
@@ -84,16 +81,6 @@ def _bindings(pairs) -> dict:
         except GrammarError as exc:
             raise UsageError(f"--set {name}: {exc}") from exc
     return out
-
-
-def _max_steps():
-    raw = os.environ.get("JFORGE_MAX_STEPS")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"JFORGE_MAX_STEPS must be an integer, got {raw!r}") from exc
 
 
 def _load_schedule(path) -> tuple:
@@ -130,8 +117,7 @@ def _algebra(args, bindings) -> DerivedAlgebra:
     scores = None
     if convention == "auto":
         convention, scores = resolve_convention(bindings=bindings)
-    alg = DerivedAlgebra(convention=convention, bindings=bindings,
-                         max_steps=_max_steps())
+    alg = DerivedAlgebra(convention=convention, bindings=bindings)
     alg.resolution_scores = scores
     return alg
 

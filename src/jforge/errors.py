@@ -11,6 +11,10 @@ class JforgeError(Exception):
     """Base class for all library errors."""
 
 
+class UsageError(JforgeError):
+    """Configuration problem that should exit with status 2."""
+
+
 class DivisionByZero(JforgeError):
     """Division by a rational function that is identically zero."""
 

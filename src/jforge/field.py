@@ -247,6 +247,20 @@ RF_ZERO = RatFunc(P.pzero(), _reduced=True)
 RF_ONE = RatFunc(dict(P.PONE), _reduced=True)
 
 
+def add_into(out: dict, key, value: RatFunc) -> None:
+    """out[key] += value in a dict of nonzero coefficients.
+
+    The key is dropped when the sum is zero, so the dict keeps holding only
+    nonzero values; every sparse element (free-algebra polynomials, tensor
+    elements, elimination rows) is accumulated through here.
+    """
+    acc = out.get(key, RF_ZERO) + value
+    if acc.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
 @dataclass(frozen=True)
 class LaurentSeries:
     """Truncated Laurent expansion in one variable.

@@ -1,23 +1,31 @@
 """Free associative algebra with coefficient field, plus term rewriting.
 
-Elements are dicts mapping words (tuples of generator names) to RatFunc
-coefficients.  A RewriteSystem holds oriented rules lhs -> rhs where the lhs
-is a single word and every rhs word is strictly smaller in the graded
-lexicographic order induced by the generator sequence; that ordering is
-compatible with concatenation, so rewriting terminates and normal forms are
-well defined whenever the system is confluent.  Confluence itself is checked
-by resolving all critical pairs (overlap and inclusion ambiguities).
+Elements are dicts mapping words (tuples of generator names) to nonzero
+RatFunc coefficients.  Elements of the tensor square are the same kind of
+dict keyed by pairs of words, so nc_add, nc_scale, nc_zero and nc_is_zero
+serve them unchanged; only the operations that look inside a key (t_simple,
+t_mul, tensor_normal_form, t_str) are tensor-specific.  Every sum of
+coefficients goes through field.add_into, which drops keys whose
+coefficient cancels to zero.
+
+A RewriteSystem holds oriented rules lhs -> rhs where the lhs is a single
+word and every rhs word is strictly smaller in the graded lexicographic
+order induced by the generator sequence; that ordering is compatible with
+concatenation, so rewriting terminates and normal forms are well defined
+whenever the system is confluent.  Confluence itself is checked by
+resolving all critical pairs (overlap and inclusion ambiguities).
 
 A hard step budget (JFORGE_MAX_STEPS, default one million) backstops the
-termination argument against misbuilt rule sets.
+termination argument against misbuilt rule sets; a value that is not an
+integer of at least 1 is a UsageError.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import DegreeOverflow, NonTerminating, OrientationFailure
-from .field import RF_ONE, RF_ZERO, RatFunc
+from .errors import DegreeOverflow, NonTerminating, OrientationFailure, UsageError
+from .field import RF_ONE, RatFunc, add_into
 from .grammar import parse, serialize
 from .report import CheckReport
 
@@ -34,8 +42,10 @@ def _max_steps_default() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_MAX_STEPS
-    return value if value > 0 else DEFAULT_MAX_STEPS
+        value = 0
+    if value < 1:
+        raise UsageError(f"JFORGE_MAX_STEPS must be an integer >= 1, got {raw!r}")
+    return value
 
 
 # -- element helpers --------------------------------------------------------
@@ -63,11 +73,7 @@ def nc_is_zero(p: NCPoly) -> bool:
 def nc_add(a: NCPoly, b: NCPoly) -> NCPoly:
     out = dict(a)
     for w, c in b.items():
-        acc = out.get(w, RF_ZERO) + c
-        if acc.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = acc
+        add_into(out, w, c)
     return out
 
 
@@ -90,12 +96,7 @@ def nc_mul(a: NCPoly, b: NCPoly) -> NCPoly:
     out: NCPoly = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            w = wa + wb
-            acc = out.get(w, RF_ZERO) + ca * cb
-            if acc.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = acc
+            add_into(out, wa + wb, ca * cb)
     return out
 
 
@@ -181,9 +182,6 @@ class RewriteSystem:
     def word_smaller(self, a: Word, b: Word) -> bool:
         return self.word_key(a) < self.word_key(b)
 
-    def is_descending_pair(self, word: Word) -> bool:
-        return len(word) == 2 and self.index[word[0]] > self.index[word[1]]
-
     # -- rule management ----------------------------------------------------
     def add_rule(self, rule: RewriteRule):
         for g in rule.lhs:
@@ -248,11 +246,7 @@ class RewriteSystem:
                     )
                 piece = self._nf_word(head + rw + tail, budget)
                 for w, c in piece.items():
-                    total = acc.get(w, RF_ZERO) + c * rc
-                    if total.is_zero():
-                        acc.pop(w, None)
-                    else:
-                        acc[w] = total
+                    add_into(acc, w, c * rc)
             result = acc
         self._cache[word] = result
         return result
@@ -265,11 +259,7 @@ class RewriteSystem:
                 continue
             piece = self._nf_word(tuple(word), budget)
             for w, c in piece.items():
-                total = out.get(w, RF_ZERO) + c * coeff
-                if total.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = total
+                add_into(out, w, c * coeff)
         return out
 
     def reduces_to_zero(self, poly: NCPoly) -> bool:
@@ -371,59 +361,17 @@ class RewriteSystem:
         return out
 
 
-# -- functional forms of the main procedures ----------------------------------
-
-def normal_form(p: NCPoly, rs: RewriteSystem) -> NCPoly:
-    return rs.normal_form(p)
-
-
-def ideal_membership(p: NCPoly, rs: RewriteSystem) -> bool:
-    """Whether p lies in the two-sided ideal the rules present.
-
-    Sound whenever the system's critical pairs all resolve.
-    """
-    return rs.reduces_to_zero(p)
-
-
-def confluence_check(rs: RewriteSystem, max_deg: int = None) -> CheckReport:
-    return rs.confluence_report(max_deg)
-
-
 # -- tensor square --------------------------------------------------------------
-
-def t_zero() -> dict:
-    return {}
-
-
-def t_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, c in b.items():
-        acc = out.get(key, RF_ZERO) + c
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return out
-
-
-def t_scale(a: dict, c) -> dict:
-    c = c if isinstance(c, RatFunc) else RatFunc.const(c)
-    if c.is_zero():
-        return {}
-    return {key: v * c for key, v in a.items()}
-
+#
+# Tensor elements are dicts keyed by (left word, right word); add, scale,
+# zero and the zero test are the nc_* operations.
 
 def t_simple(left: NCPoly, right: NCPoly) -> dict:
     """The elementary tensor of two algebra elements, expanded bilinearly."""
     out: dict = {}
     for wl, cl in left.items():
         for wr, cr in right.items():
-            key = (wl, wr)
-            acc = out.get(key, RF_ZERO) + cl * cr
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            add_into(out, (wl, wr), cl * cr)
     return out
 
 
@@ -432,17 +380,8 @@ def t_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for (la, ra), ca in a.items():
         for (lb, rb), cb in b.items():
-            key = (la + lb, ra + rb)
-            acc = out.get(key, RF_ZERO) + ca * cb
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            add_into(out, (la + lb, ra + rb), ca * cb)
     return out
-
-
-def t_is_zero(a: dict) -> bool:
-    return not a
 
 
 def tensor_normal_form(elem: dict, system: RewriteSystem) -> dict:
@@ -453,12 +392,7 @@ def tensor_normal_form(elem: dict, system: RewriteSystem) -> dict:
         right = system.normal_form({tuple(wr): RF_ONE})
         for ll, cl in left.items():
             for rr, cr in right.items():
-                key = (ll, rr)
-                acc = out.get(key, RF_ZERO) + c * cl * cr
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                add_into(out, (ll, rr), c * cl * cr)
     return out
 
 

@@ -35,13 +35,9 @@ from .freealg import (
     nc_substitute_params,
     nc_word,
     nc_zero,
-    t_add,
-    t_is_zero,
     t_mul,
-    t_scale,
     t_simple,
     t_str,
-    t_zero,
     tensor_normal_form,
     word_touches,
 )
@@ -78,24 +74,24 @@ def _grid_position(g, layout):
 def coproduct(g: str, layout=LAYOUT_3) -> dict:
     """Matrix coproduct of one grid generator as a tensor element."""
     i, j = _grid_position(g, layout)
-    out = t_zero()
+    out = nc_zero()
     for k in range(len(layout)):
         left = layout[i][k]
         right = layout[k][j]
         if left is None or right is None:
             continue
-        out = t_add(out, t_simple(nc_gen(left), nc_gen(right)))
+        out = nc_add(out, t_simple(nc_gen(left), nc_gen(right)))
     return out
 
 
 def coproduct_poly(p: NCPoly, layout=LAYOUT_3) -> dict:
     """Multiplicative extension of the coproduct to a polynomial."""
-    out = t_zero()
+    out = nc_zero()
     for word, coeff in p.items():
         piece = t_simple(nc_one(), nc_one())
         for g in word:
             piece = t_mul(piece, coproduct(g, layout))
-        out = t_add(out, t_scale(piece, coeff))
+        out = nc_add(out, nc_scale(piece, coeff))
     return out
 
 
@@ -137,7 +133,7 @@ def check_bialgebra(system: RewriteSystem, layout=LAYOUT_3) -> CheckReport:
         checked += 1
         residual = nc_sub(nc_word(rule.lhs), rule.rhs)
         image = tensor_normal_form(coproduct_poly(residual, layout), system)
-        if not t_is_zero(image):
+        if not nc_is_zero(image):
             delta_bad.append({"rule": rule.tag,
                               "image": t_str(image, system.generators)})
         if not counit_poly(residual).is_zero():
@@ -349,15 +345,15 @@ def qdet_checks(q: QuotientAlgebra) -> CheckReport:
     D = q.determinant
 
     image = coproduct_poly(D, LAYOUT_Q)
-    diff = t_add(image, t_scale(t_simple(D, D), parse("-1")))
+    diff = nc_sub(image, t_simple(D, D))
     report.add("determinant-group-like",
-               t_is_zero(tensor_normal_form(diff, system)))
+               nc_is_zero(tensor_normal_form(diff, system)))
 
     delta = system.normal_form(q.delta)
     image = coproduct_poly(delta, LAYOUT_Q)
-    diff = t_add(image, t_scale(t_simple(delta, delta), parse("-1")))
+    diff = nc_sub(image, t_simple(delta, delta))
     report.add("block-determinant-group-like",
-               t_is_zero(tensor_normal_form(diff, system)))
+               nc_is_zero(tensor_normal_form(diff, system)))
 
     report.add("counit-of-determinant", counit_poly(D) == RF_ONE)
 
@@ -440,12 +436,12 @@ def coaction_covariance(q: QuotientAlgebra, braiding: bool = True) -> CheckRepor
     m = _rf("m", q.parent.bindings)
     xp = coproduct("x", LAYOUT_Q)
     yp = coproduct("y", LAYOUT_Q)
-    expr = t_add(t_add(t_mul(xp, yp), t_scale(t_mul(yp, xp), _rf("-1", {}))),
-                 t_scale(t_mul(xp, xp), m))
+    expr = nc_add(nc_sub(t_mul(xp, yp), t_mul(yp, xp)),
+                  nc_scale(t_mul(xp, xp), m))
     system = q.system if braiding else _unbraided(q.system)
     residual = tensor_normal_form(expr, system)
     report = CheckReport("coaction")
-    report.add("plane-relation-covariant", t_is_zero(residual),
+    report.add("plane-relation-covariant", nc_is_zero(residual),
                braiding=braiding,
                residual_terms=len(residual),
                residual=t_str(residual))

@@ -4,14 +4,17 @@ Two shapes of data move through here.  Dense matrices (lists of lists of
 RatFunc) support products, inverses and equality; they stay small, at most
 9x9.  Sparse rows (dicts keyed by arbitrary hashable column labels) feed the
 Gauss-Jordan reduction used to turn large relation sets into a canonical
-reduced basis.  Everything is exact; a pivot is whatever is structurally
-nonzero.
+reduced basis.
+
+rref_sparse is the one elimination routine: solve_dense reduces [A | b]
+and mat_inverse reduces [A | I] through it, with integer column labels.
+Everything is exact; a pivot is whatever is structurally nonzero.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch, SingularMatrix
-from .field import RF_ONE, RF_ZERO
+from .field import RF_ONE, RF_ZERO, add_into
 
 
 def mat_identity(n: int) -> list:
@@ -88,64 +91,37 @@ def kron(a: list, b: list) -> list:
 
 
 def mat_inverse(a: list) -> list:
-    """Gauss-Jordan inverse; raises SingularMatrix when rank drops."""
+    """Gauss-Jordan inverse of [A | I]; raises SingularMatrix when rank drops."""
     n, m = mat_shape(a)
     if n != m:
         raise DimensionMismatch("inverse of a non-square matrix")
-    work = [list(row) + ident_row for row, ident_row in zip(a, mat_identity(n))]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if not work[r][col].is_zero()), None
-        )
-        if pivot_row is None:
+    rows = [dict(enumerate([*row, *ident])) for row, ident in zip(a, mat_identity(n))]
+    reduced, pivots = rref_sparse(rows, list(range(2 * n)))
+    # [A | I] has rank n, so pivots has length n; the first column of A
+    # left without a pivot is where the rank of A drops
+    for col, pivot in enumerate(pivots):
+        if pivot != col:
             raise SingularMatrix(f"no pivot in column {col}")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col:
-                factor = work[r][col]
-                if not factor.is_zero():
-                    work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    return [[row.get(n + j, RF_ZERO) for j in range(n)] for row in reduced]
 
 
 def solve_dense(a: list, b: list):
     """One solution of A x = b, or None when inconsistent.
 
     Underdetermined systems get free variables set to zero, so the answer is
-    deterministic.  b is a flat list.
+    deterministic.  b is a flat list.  [A | b] is reduced by rref_sparse;
+    the system is inconsistent exactly when the column of b is a pivot.
     """
     n, m = mat_shape(a)
     if len(b) != n:
         raise DimensionMismatch("right-hand side length mismatch")
-    work = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        pivot_row = next(
-            (r for r in range(row, n) if not work[r][col].is_zero()), None
-        )
-        if pivot_row is None:
-            continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        inv = work[row][col].inverse()
-        work[row] = [x * inv for x in work[row]]
-        for r in range(n):
-            if r != row:
-                factor = work[r][col]
-                if not factor.is_zero():
-                    work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if not work[r][m].is_zero():
-            return None
+    rows = [dict(enumerate([*row, rhs])) for row, rhs in zip(a, b)]
+    reduced, pivots = rref_sparse(rows, list(range(m + 1)))
+    if pivots and pivots[-1] == m:
+        return None
     x = [RF_ZERO] * m
-    for r, col in enumerate(pivots):
-        x[col] = work[r][m]
+    for row, col in zip(reduced, pivots):
+        x[col] = row.get(m, RF_ZERO)
     return x
 
 
@@ -155,7 +131,8 @@ def rref_sparse(rows: list, column_order: list) -> tuple:
     rows are dicts {column_label: RatFunc}; column_order fixes which label
     counts as leading (earlier = more significant).  Returns (reduced, pivot
     labels), with reduced rows monic in their pivot, fully inter-reduced,
-    zero rows dropped, and ordered by pivot position.
+    zero rows dropped, and ordered by pivot position.  The result is unique
+    for a fixed column order.
     """
     col_index = {c: i for i, c in enumerate(column_order)}
     live = []
@@ -180,36 +157,13 @@ def rref_sparse(rows: list, column_order: list) -> tuple:
                 factor = row.get(col)
                 if factor is None:
                     continue
+                factor = -factor
                 new = dict(row)
                 for c, v in hit.items():
-                    acc = new.get(c, RF_ZERO) - factor * v
-                    if acc.is_zero():
-                        new.pop(c, None)
-                    else:
-                        new[c] = acc
+                    add_into(new, c, factor * v)
                 bucket[i] = new
         reduced.append(hit)
         pivot_cols.append(col)
         if not live:
             break
     return reduced, pivot_cols
-
-
-def row_span_contains(reduced: list, pivot_cols: list, row: dict, column_order: list) -> bool:
-    """Membership of a sparse row in the span of an rref basis."""
-    rem = {c: v for c, v in row.items() if not v.is_zero()}
-    pivot_of = dict(zip(pivot_cols, reduced))
-    for col in column_order:
-        if col not in rem:
-            continue
-        basis_row = pivot_of.get(col)
-        if basis_row is None:
-            return False
-        factor = rem[col]
-        for c, v in basis_row.items():
-            acc = rem.get(c, RF_ZERO) - factor * v
-            if acc.is_zero():
-                rem.pop(c, None)
-            else:
-                rem[c] = acc
-    return not rem

@@ -303,11 +303,3 @@ def qybe_check(rmat: TensorMat, name: str = "") -> CheckReport:
     report.add(label, not bad, ms=ms, dim=rmat.dim, nonzero_entries=bad)
     return report
 
-
-def first_nonzero(dense: list) -> tuple:
-    """(row, col, value) of the first structurally nonzero entry, or None."""
-    for i, row in enumerate(dense):
-        for j, v in enumerate(row):
-            if not v.is_zero():
-                return i, j, v
-    return None

@@ -25,7 +25,7 @@ residual, so a wrong sign in the recorded set is visible at a glance.
 from __future__ import annotations
 
 from .errors import MissingInverse, OrientationFailure
-from .field import RF_ONE, RF_ZERO
+from .field import RF_ONE, RF_ZERO, add_into
 from .freealg import (
     NCPoly,
     RewriteRule,
@@ -106,20 +106,10 @@ def rtt_entries(rmat: TensorMat, layout=LAYOUT_3, convention: str = "plain") -> 
             for (u, v) in basis:
                 c1 = coeff((i, j), (u, v))
                 if not c1.is_zero():
-                    w = (layout[u - 1][k - 1], layout[v - 1][l - 1])
-                    total = acc.get(w, RF_ZERO) + c1
-                    if total.is_zero():
-                        acc.pop(w, None)
-                    else:
-                        acc[w] = total
+                    add_into(acc, (layout[u - 1][k - 1], layout[v - 1][l - 1]), c1)
                 c2 = coeff((u, v), (k, l))
                 if not c2.is_zero():
-                    w = (layout[j - 1][v - 1], layout[i - 1][u - 1])
-                    total = acc.get(w, RF_ZERO) - c2
-                    if total.is_zero():
-                        acc.pop(w, None)
-                    else:
-                        acc[w] = total
+                    add_into(acc, (layout[j - 1][v - 1], layout[i - 1][u - 1]), -c2)
             out[((i, j), (k, l))] = acc
     return out
 
@@ -567,13 +557,11 @@ def reference_relations(bindings: dict = None):
     return rels
 
 
-def _flip_last_sign(tag: str, bindings: dict):
-    """The sign-flipped variant of the recorded f-y residual."""
-    def rf(text):
-        return _rf(text, bindings)
+def _flipped_f_y(bindings: dict) -> NCPoly:
+    """The recorded f-y entry with the sign of its k*x*f term flipped."""
     return nc_sub(
-        nc_sub(nc_word(("f", "y")), nc_word(("y", "f"), rf("p"))),
-        nc_word(("x", "f"), rf("k")))
+        nc_sub(nc_word(("f", "y")), nc_word(("y", "f"), _rf("p", bindings))),
+        nc_word(("x", "f"), _rf("k", bindings)))
 
 
 def verify_reference(alg: DerivedAlgebra) -> CheckReport:
@@ -595,7 +583,7 @@ def verify_reference(alg: DerivedAlgebra) -> CheckReport:
         if residual:
             details["residual"] = nc_str(residual, gens)
         if tag == "ref:f-y":
-            flipped = alg.normal_form(_flip_last_sign(tag, alg.bindings))
+            flipped = alg.normal_form(_flipped_f_y(alg.bindings))
             details["recorded_residual"] = nc_str(residual, gens)
             details["sign_flipped_residual"] = nc_str(flipped, gens)
         report.add(tag, not residual, **details)

@@ -25,11 +25,10 @@ from jforge.freealg import (
     nc_add,
     nc_gen,
     nc_mul,
+    nc_scale,
     nc_str,
     nc_sub,
     nc_word,
-    t_add,
-    t_scale,
     t_simple,
     t_str,
     tensor_normal_form,
@@ -184,13 +183,13 @@ def _quotient_coproduct(poly, system):
 def _hand_derivation_defect(s):
     """Delta(r_s) - r_s (x) f*f - (1+s)*k*[(a*f - f*d) (x) x*f + b*f (x) y*f],
     modulo r_s and the recorded f-x, c-f and d-f relations only."""
-    bracket = t_add(
+    bracket = nc_add(
         t_simple(nc_sub(nc_word(("a", "f")), nc_word(("f", "d"))),
                  nc_word(("x", "f"))),
         t_simple(nc_word(("b", "f")), nc_word(("y", "f"))))
-    claim = t_add(t_simple(_fy(s), nc_word(("f", "f"))),
-                  t_scale(bracket, parse("(1 + s)*k")))
-    defect = t_add(coproduct_poly(_fy(s), LAYOUT_Q), t_scale(claim, -1))
+    claim = nc_add(t_simple(_fy(s), nc_word(("f", "f"))),
+                   nc_scale(bracket, parse("(1 + s)*k")))
+    defect = nc_add(coproduct_poly(_fy(s), LAYOUT_Q), nc_scale(claim, -1))
     system = _record_system(s, HAND_DERIVATION_TAGS)
     return t_str(tensor_normal_form(defect, system), system.generators)
 

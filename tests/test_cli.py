@@ -98,6 +98,25 @@ def test_unparseable_set_is_usage_error(capsys):
     assert "--set m" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_max_steps_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("JFORGE_MAX_STEPS", value)
+    code, _, err = run(capsys, "relations")
+    assert code == 2
+    assert "JFORGE_MAX_STEPS" in err
+
+
+def test_max_steps_bound_is_honoured(capsys, monkeypatch):
+    monkeypatch.setenv("JFORGE_MAX_STEPS", "1000")
+    code, data, _ = run_json(capsys, "relations")
+    assert code == 1
+    assert [c["name"] for c in data["checks"] if not c["pass"]] == ["ref:f-y"]
+    monkeypatch.setenv("JFORGE_MAX_STEPS", "1")
+    code, _, err = run(capsys, "relations")
+    assert code == 1
+    assert "rewriting exceeded 1 steps" in err
+
+
 def test_max_degree_floor(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["relations", "--max-degree", "2"])

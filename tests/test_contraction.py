@@ -28,8 +28,10 @@ from jforge.rmat import (
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-REPO_SCHEDULE = os.path.join(os.path.dirname(__file__), "..", "schedules",
-                             "jordanian_gl3.schedule")
+# the committed file the README passes to `contract --schedule`; the
+# package data of an installed jforge is built from it
+REPO_SCHEDULE = os.path.join(os.path.dirname(__file__), "..", "src", "jforge",
+                             "data", "jordanian_gl3.schedule")
 
 
 def equal_matrices(a: TensorMat, b: TensorMat) -> bool:

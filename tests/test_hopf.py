@@ -1,11 +1,11 @@
 """Coalgebra structure, Hopf ideal, antipode, determinant, coaction."""
 
 from jforge.freealg import (
+    nc_add,
     nc_gen,
     nc_mul,
     nc_one,
     nc_sub,
-    t_add,
     t_simple,
 )
 from jforge.grammar import parse
@@ -27,9 +27,9 @@ from jforge.rtt import LAYOUT_3, DerivedAlgebra
 
 
 def test_coproduct_is_matrix_comultiplication():
-    expected = t_add(
-        t_add(t_simple(nc_gen("x"), nc_gen("f")),
-              t_simple(nc_gen("a"), nc_gen("x"))),
+    expected = nc_add(
+        nc_add(t_simple(nc_gen("x"), nc_gen("f")),
+               t_simple(nc_gen("a"), nc_gen("x"))),
         t_simple(nc_gen("b"), nc_gen("y")))
     assert coproduct("x", LAYOUT_Q) == expected
     assert coproduct("f", LAYOUT_Q) == t_simple(nc_gen("f"), nc_gen("f"))
