@@ -83,8 +83,13 @@ def _bindings(pairs) -> dict:
     return out
 
 
-def _load_schedule(path) -> tuple:
-    """(schedule, sha256 hex) from an explicit path or the bundled file."""
+def _load_schedule(path, bindings) -> tuple:
+    """(schedule, sha256 hex) from an explicit path or the bundled file.
+
+    The --set bindings are substituted into the schedule's expressions as
+    well as into the matrices, so a bound parameter is the same number on
+    both sides of the limit; the digest stays that of the file.
+    """
     if path is None:
         from importlib.resources import files
 
@@ -93,10 +98,20 @@ def _load_schedule(path) -> tuple:
             import hashlib
 
             digest = hashlib.sha256(fh.read()).hexdigest()
-        return standard_schedule(), digest
-    if not os.path.exists(path):
+        schedule = standard_schedule()
+    elif not os.path.exists(path):
         raise UsageError(f"schedule file not found: {path}")
-    return Schedule.load(path), schedule_digest(path)
+    else:
+        schedule, digest = Schedule.load(path), schedule_digest(path)
+    if bindings:
+        bound = {name: expr.substitute(bindings)
+                 for name, expr in schedule.bindings.items()}
+        try:
+            schedule = Schedule(schedule.limit_var, bound, schedule.description)
+        except ScheduleError as exc:
+            # e.g. --set m=r puts the schedule-bound r into r's own binding
+            raise UsageError(f"--set clashes with the schedule: {exc}") from exc
+    return schedule, digest
 
 
 def _emit(report: CheckReport, args) -> int:
@@ -136,7 +151,7 @@ def cmd_qybe(args) -> int:
 
 def cmd_contract(args) -> int:
     bindings = _bindings(args.set)
-    schedule, digest = _load_schedule(args.schedule)
+    schedule, digest = _load_schedule(args.schedule, bindings)
     source, twist, target = LANES[args.contraction_matrix]
     tm = source()
     if bindings:
@@ -221,7 +236,7 @@ def cmd_all(args) -> int:
 
     # contract stage failures must not block the later stages
     try:
-        schedule, digest = _load_schedule(args.schedule)
+        schedule, digest = _load_schedule(args.schedule, bindings)
         source, twist, target = LANES[args.contraction_matrix]
         tm = source()
         if bindings:

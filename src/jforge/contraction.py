@@ -97,10 +97,6 @@ class Schedule:
             raise ScheduleError(f"cannot read schedule {path}: {exc}") from exc
         return cls.from_dict(data)
 
-    def save(self, path: str):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-
 
 def schedule_digest(path: str) -> str:
     with open(path, "rb") as fh:

@@ -6,17 +6,22 @@ coefficients with content 1 and a positive leading coefficient.  Structural
 equality of canonical forms therefore decides mathematical equality, which is
 what every verification step in this project ultimately relies on.
 
-Two paths reach that form, chosen inside poly by the number of terms in the
-denominator:
+Two paths reach that form:
 
-* a single-term denominator c*x^e (the algebra-side case: coefficients live
-  in Q[m,n,k,p^±1]) runs no remainder sequence.  pgcd returns the monomial
-  shared with the numerator, pdiv_exact divides it out by exponent
-  subtraction and pint_normalize scales by 1/c, leaving x^e' with
-  coefficient 1;
-* a denominator with several terms (contraction lanes, Laurent expansion)
-  takes the general path: pgcd's remainder sequence, long division, then
-  content normalization in pint_normalize.
+* the field operations' own path, for the algebra-side case where
+  coefficients live in Q[m,n,k,p^±1].  A one-term denominator is canonical
+  as x^e with coefficient 1, so when both operands of *, + or - have one,
+  the numerators are multiplied or combined over the product or lcm
+  monomial and the monomial they share with it is cancelled
+  (_over_monomial).  No pgcd, pdiv_exact, pint_normalize or __init__ call
+  runs;
+* poly's path, taken by the constructors (negation and inverse included)
+  and by every operation with a denominator of several terms (contraction
+  lanes, Laurent expansion): pgcd, pdiv_exact, then pint_normalize.  For
+  a one-term operand these run no remainder sequence (pgcd returns the
+  shared monomial, pdiv_exact subtracts exponents, pint_normalize scales
+  by 1/c); several-term ones run pgcd's remainder sequence, long division
+  and the content pass.
 
 No floating point appears anywhere; coefficients are Fractions of unbounded
 size.  Values are immutable and hashable.
@@ -75,13 +80,7 @@ class RatFunc:
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
-        return P.pis_zero(self.num)
-
-    def is_one(self) -> bool:
-        return self.num == P.PONE and self.den == P.PONE
-
-    def is_const(self) -> bool:
-        return P.pis_const(self.num) and P.pis_const(self.den)
+        return not self.num
 
     def const_value(self) -> Fraction:
         return P.pconst_value(self.num) / P.pconst_value(self.den)
@@ -106,6 +105,8 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
+        if len(self.den) == 1 and len(other.den) == 1:
+            return _monomial_sum(self, other, P.padd)
         if self.den == other.den:
             return RatFunc(P.padd(self.num, other.num), dict(self.den))
         num = P.padd(P.pmul(self.num, other.den), P.pmul(other.num, self.den))
@@ -120,13 +121,19 @@ class RatFunc:
         other = RatFunc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other
+        if len(self.den) == 1 and len(other.den) == 1:
+            return _monomial_sum(self, other, P.psub)
         return self + (-other)
 
     def __rsub__(self, other):
         other = RatFunc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = RatFunc._coerce(other)
@@ -141,6 +148,9 @@ class RatFunc:
         if sign:
             return self if sign == 1 else -self
         sn, sd, on, od = self.num, self.den, other.num, other.den
+        if len(sd) == 1 and len(od) == 1:
+            (d1,), (d2,) = sd, od
+            return _over_monomial(P.pmul(sn, on), P.mono_mul(d1, d2))
         # cross-cancel so the final gcd pass is trivial on reduced inputs;
         # a denominator 1 has nothing to cancel against
         if od != P.PONE:
@@ -230,6 +240,48 @@ class RatFunc:
         if den == 0:
             raise DivisionByZero("evaluation point is a pole")
         return P.peval(self.num, vals) / den
+
+
+def _over_monomial(num: P.Poly, mono: P.Monomial) -> RatFunc:
+    """The canonical RatFunc num / x^mono, with no gcd or normalization pass.
+
+    A one-term denominator is already canonical as x^e with coefficient 1,
+    and its gcd with num is the monomial num shares with it, so cancelling
+    that monomial is the whole reduction.
+    """
+    if not num:
+        return RF_ZERO
+    if mono:
+        g = P.mono_gcd(mono, P.pcommon_monomial(num))
+        if g:
+            num = {P.mono_div(m, g): c for m, c in num.items()}
+            mono = P.mono_div(mono, g)
+    out = object.__new__(RatFunc)
+    out.num = num
+    out.den = {mono: P.F1}
+    out._hash = None
+    return out
+
+
+def _monomial_sum(x: RatFunc, y: RatFunc, combine) -> RatFunc:
+    """x ± y (combine is padd or psub) when both denominators are monomials.
+
+    Equal denominators combine the numerators directly; otherwise each
+    numerator is shifted up to the lcm of the two monomials.
+    """
+    (d1,), (d2,) = x.den, y.den
+    if d1 == d2:
+        return _over_monomial(combine(x.num, y.num), d1)
+    lcm = P.mono_div(P.mono_mul(d1, d2), P.mono_gcd(d1, d2))
+    return _over_monomial(combine(_shift(x.num, P.mono_div(lcm, d1)),
+                                  _shift(y.num, P.mono_div(lcm, d2))), lcm)
+
+
+def _shift(p: P.Poly, mono: P.Monomial) -> P.Poly:
+    """p * x^mono."""
+    if not mono:
+        return p
+    return {P.mono_mul(m, mono): c for m, c in p.items()}
 
 
 def _poly_substitute(p: P.Poly, binds: dict) -> RatFunc:

@@ -13,7 +13,8 @@ word and every rhs word is strictly smaller in the graded lexicographic
 order induced by the generator sequence; that ordering is compatible with
 concatenation, so rewriting terminates and normal forms are well defined
 whenever the system is confluent.  Confluence itself is checked by
-resolving all critical pairs (overlap and inclusion ambiguities).
+resolving all critical pairs (overlap and inclusion ambiguities); the
+report is memoized per degree bound until the next add_rule.
 
 A hard step budget (JFORGE_MAX_STEPS, default one million) backstops the
 termination argument against misbuilt rule sets; a value that is not an
@@ -22,6 +23,7 @@ integer of at least 1 is a UsageError.
 
 from __future__ import annotations
 
+import copy
 import os
 
 from .errors import DegreeOverflow, NonTerminating, OrientationFailure, UsageError
@@ -174,6 +176,7 @@ class RewriteSystem:
         self.rules: dict = {}
         self._lhs_lengths: tuple = ()
         self._cache: dict = {}
+        self._confluence: dict = {}
 
     # -- word order ------------------------------------------------------
     def word_key(self, word: Word) -> tuple:
@@ -200,6 +203,7 @@ class RewriteSystem:
         self.rules[rule.lhs] = rule
         self._lhs_lengths = tuple(sorted({len(l) for l in self.rules}, reverse=True))
         self._cache = {}
+        self._confluence = {}
 
     def rule_list(self) -> list:
         return [self.rules[lhs] for lhs in sorted(self.rules, key=self.word_key)]
@@ -297,6 +301,17 @@ class RewriteSystem:
                             yield l1, 0, r1, pos, r2
 
     def confluence_report(self, max_degree: int = None) -> CheckReport:
+        """Resolve every critical pair whose word has at most max_degree letters.
+
+        The report is computed once per max_degree and rule set; callers get
+        a copy, so the memoized one cannot be changed from outside.
+        """
+        report = self._confluence.get(max_degree)
+        if report is None:
+            report = self._confluence[max_degree] = self._resolve_pairs(max_degree)
+        return copy.deepcopy(report)
+
+    def _resolve_pairs(self, max_degree) -> CheckReport:
         report = CheckReport("confluence")
         candidates = 0
         failures = []

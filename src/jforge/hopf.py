@@ -290,17 +290,6 @@ def antipode(g: str, alg) -> NCPoly:
     raise ValueError(f"{g!r} is not a grid generator")
 
 
-def antipode_poly(p: NCPoly, alg) -> NCPoly:
-    """Anti-multiplicative extension of the antipode to a polynomial."""
-    out = nc_zero()
-    for word, coeff in p.items():
-        piece = nc_one()
-        for g in reversed(word):
-            piece = nc_mul(piece, antipode(g, alg))
-        out = nc_add(out, nc_scale(piece, coeff))
-    return out
-
-
 def check_antipode_axiom(alg) -> CheckReport:
     """S convolved with the identity gives the counit at every position."""
     quotient = isinstance(alg, QuotientAlgebra)

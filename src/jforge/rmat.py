@@ -83,9 +83,6 @@ class TensorMat:
         rows = [[dense[i][j] for j in pos] for i in pos]
         return cls(dim, basis, rows)
 
-    def reorder(self, basis: tuple) -> "TensorMat":
-        return TensorMat.from_kron_order(self.dim, self.in_kron_order(), basis)
-
     # -- maps ----------------------------------------------------------------
     def map_entries(self, fn) -> "TensorMat":
         return TensorMat(self.dim, self.basis, L.mat_map(self.rows, fn))

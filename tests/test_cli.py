@@ -199,3 +199,36 @@ def test_all_default_run(capsys):
     failing = [c["name"] for c in data["checks"] if not c["pass"]]
     assert failing == ["relations:ref:f-y"]
     assert data["metadata"]["schedule_sha256"].startswith("a2051b1ba8981de7")
+
+
+@pytest.mark.parametrize("lane", ["g", "bigg"])
+def test_contract_set_binds_the_schedule_too(capsys, lane):
+    # q = p + k*eps in the schedule must read q = 2 + k*eps once p = 2
+    code, data, _ = run_json(capsys, "contract", "--contraction-matrix", lane,
+                             "--set", "p=2")
+    assert code == 0
+    assert [c["pass"] for c in data["checks"]] == [True, True, True]
+    if lane == "bigg":
+        assert data["checks"][1]["details"]["parameters"] == ["k", "m", "n"]
+
+
+def test_set_clashing_with_the_schedule_is_usage_error(capsys):
+    # r is bound by the schedule, so m=r would leave r inside r's binding
+    code, _, err = run(capsys, "contract", "--set", "m=r")
+    assert code == 2
+    assert "--set clashes with the schedule" in err
+
+
+@pytest.mark.parametrize("binding, failing", [
+    ("p=2", ["relations:ref:f-y"]),
+    # with m bound, the m = n centrality check has no m left to set equal
+    ("m=3", ["relations:ref:f-y", "hopf:central-at-m-equals-n"]),
+])
+def test_all_set_passes_the_contraction_stage(capsys, binding, failing):
+    code, data, _ = run_json(capsys, "all", "--set", binding)
+    assert code == 1
+    names = [c["name"] for c in data["checks"]]
+    assert [n for n in names if n.startswith("contract:")] == [
+        "contract:finite-limit", "contract:surviving-parameters",
+        "contract:matches-target"]
+    assert [c["name"] for c in data["checks"] if not c["pass"]] == failing

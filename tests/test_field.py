@@ -176,3 +176,56 @@ def test_unit_products_short_circuit():
     f = parse("(m + 1)/p^2")
     assert f * RF_ONE is f and RF_ONE * f is f
     assert f * -1 == -f and as_pair(-1 * f) == as_pair(-f)
+
+
+# -- one-term denominators: the gcd-free path of products and sums -----------
+
+over_monomial = st.builds(
+    lambda num, m, c: RatFunc(num, {m: c}),
+    poly(max_terms=3, max_exp=3), monomial(max_exp=3), coeff.filter(bool))
+
+
+@st.composite
+def monomial_pair(draw):
+    """Two values over one-term denominators, built to reach every branch."""
+    x = draw(over_monomial)
+    kind = draw(st.sampled_from(("free", "negation", "same", "cancel", "const")))
+    if kind == "free":
+        y = draw(over_monomial)  # distinct monomials: the lcm shift
+    elif kind == "negation":
+        y = -x  # x + y is zero
+    elif kind == "same":
+        y = x  # x - y is zero
+    elif kind == "cancel":
+        # y carries x's denominator as its numerator: x * y is over 1
+        y = RatFunc(dict(x.den), {draw(monomial(max_exp=3)): P.F1}) * draw(coeff.filter(bool))
+    else:
+        y = draw(st.one_of(st.integers(min_value=-3, max_value=3), coeff))
+    return x, y
+
+
+@given(monomial_pair())
+@settings(max_examples=200, deadline=None)
+def test_one_term_denominators_match_general_reduction(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x)):
+        ra, rb = RatFunc._coerce(a), RatFunc._coerce(b)
+        cross = P.pmul(ra.den, rb.den)
+        assert as_pair(a * b) == reference_canonical(P.pmul(ra.num, rb.num), cross)
+        left, right = P.pmul(ra.num, rb.den), P.pmul(rb.num, ra.den)
+        assert as_pair(a + b) == reference_canonical(P.padd(left, right), cross)
+        assert as_pair(a - b) == reference_canonical(P.psub(left, right), cross)
+
+
+def test_one_term_denominators_reach_each_branch():
+    # lcm shift: m*p^2 and p^3*q share p^2
+    assert parse("1/(m*p^2) + 1/(p^3*q)") == parse("(p*q + m)/(m*p^3*q)")
+    assert parse("1/(m*p^2) - 1/(p^3*q)") == parse("(p*q - m)/(m*p^3*q)")
+    # full cancellation to denominator 1
+    assert as_pair(parse("2*m/p") * parse("p^2/m")) == ({(("p", 1),): 2}, P.PONE)
+    assert as_pair(parse("(m + p)/q") - parse("m/q")) == ({(("p", 1),): 1}, {(("q", 1),): 1})
+    # sums to zero and constants
+    assert parse("k/p") + parse("-k/p") is RF_ZERO
+    assert parse("k/p") - parse("k/p") is RF_ZERO
+    assert as_pair(parse("3/p") * parse("p/6")) == as_pair(RatFunc.const(Fraction(1, 2)))
+    assert as_pair(1 - parse("1/p")) == as_pair(parse("(p - 1)/p"))

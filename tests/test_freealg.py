@@ -123,6 +123,72 @@ def test_non_confluent_system_is_detected():
     assert report.checks[0].details["unresolved"]
 
 
+def commuting_xyz() -> RewriteSystem:
+    rs = RewriteSystem(("x", "y", "z", "w"))
+    rs.add_rule(RewriteRule(("y", "x"), nc_word(("x", "y")), "t1"))
+    rs.add_rule(RewriteRule(("z", "x"), nc_word(("x", "z")), "t2"))
+    rs.add_rule(RewriteRule(("z", "y"), nc_word(("y", "z")), "t3"))
+    return rs
+
+
+@pytest.fixture
+def nf_calls(monkeypatch):
+    """Counts RewriteSystem.normal_form calls made while the test runs."""
+    calls = [0]
+    original = RewriteSystem.normal_form
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RewriteSystem, "normal_form", counting)
+    return calls
+
+
+def test_repeated_confluence_report_is_memoized(nf_calls):
+    rs = commuting_xyz()
+    first = rs.confluence_report(max_degree=3)
+    assert nf_calls[0] == 2  # one critical pair, both sides normalized
+    first.checks[0].details["unresolved"].append("mutated by the caller")
+    first.add("extra", False)
+    second = rs.confluence_report(max_degree=3)
+    assert nf_calls[0] == 2
+    assert second.passed and len(second.checks) == 1
+    assert second.checks[0].details == {"candidates": 1, "max_degree": 3, "unresolved": []}
+
+
+def test_add_rule_clears_the_confluence_memo(nf_calls):
+    rs = commuting_xyz()
+    before = rs.confluence_report(max_degree=3)
+    assert before.passed
+    # w z -> x x breaks the overlaps w z x and w z y: x x x against the
+    # stuck w x z, and x x y against the stuck w y z
+    rs.add_rule(RewriteRule(("w", "z"), nc_word(("x", "x")), "t4"))
+    after = rs.confluence_report(max_degree=3)
+    assert not after.passed
+    assert after.checks[0].details["candidates"] > before.checks[0].details["candidates"]
+    unresolved = [u["word"] for u in after.checks[0].details["unresolved"]]
+    assert sorted(unresolved) == [["w", "z", "x"], ["w", "z", "y"]]
+
+
+def test_confluence_memo_is_kept_per_degree(nf_calls):
+    # x x -> x overlaps itself at degree 3, and y y x at degree 4
+    rs = RewriteSystem(("x", "y"))
+    rs.add_rule(RewriteRule(("y", "y", "x"), nc_word(("x", "y", "y")), "r1"))
+    rs.add_rule(RewriteRule(("x", "x"), nc_word(("x",)), "r2"))
+    three = rs.confluence_report(max_degree=3)
+    after_three = nf_calls[0]
+    four = rs.confluence_report(max_degree=4)
+    assert nf_calls[0] > after_three
+    after_four = nf_calls[0]
+    assert rs.confluence_report(max_degree=3).checks[0].details == three.checks[0].details
+    assert rs.confluence_report(max_degree=4).checks[0].details == four.checks[0].details
+    assert nf_calls[0] == after_four
+    assert three.checks[0].details["candidates"] == 1
+    assert four.checks[0].details["candidates"] == 2
+    assert three.passed and four.passed
+
+
 def test_step_budget_is_enforced():
     rs = weyl_like()
     deep = nc_word(tuple("yx" * 12))
