@@ -6,15 +6,21 @@ coefficients with content 1 and a positive leading coefficient.  Structural
 equality of canonical forms therefore decides mathematical equality, which is
 what every verification step in this project ultimately relies on.
 
-Two paths reach that form:
+RatFunc is the top of a two-type numeric tower: the algebra side of the
+rewriting computes with laurent.Laurent values (packed Laurent polynomials
+in Q[m,n,k,p^±1]), and RatFunc holds everything that leaves that ring (the
+R-matrices, contraction lanes, Laurent expansion, the exchange identities,
+several-term denominators).  _coerce accepts a Laurent through its cached
+to_rf(), so mixed operations land here.  add_into accumulates either type.
 
-* the field operations' own path, for the algebra-side case where
-  coefficients live in Q[m,n,k,p^±1].  A one-term denominator is canonical
-  as x^e with coefficient 1, so when both operands of *, + or - have one,
-  the numerators are multiplied or combined over the product or lcm
-  monomial and the monomial they share with it is cancelled
-  (_over_monomial).  No pgcd, pdiv_exact, pint_normalize or __init__ call
-  runs;
+Two paths reach the canonical form:
+
+* the field operations' own path, for operands over one-term
+  denominators.  A one-term denominator is canonical as x^e with
+  coefficient 1, so when both operands of *, + or - have one, the
+  numerators are multiplied or combined over the product or lcm monomial
+  and the monomial they share with it is cancelled (_over_monomial).  No
+  pgcd, pdiv_exact, pint_normalize or __init__ call runs;
 * poly's path, taken by the constructors (negation and inverse included)
   and by every operation with a denominator of several terms (contraction
   lanes, Laurent expansion): pgcd, pdiv_exact, then pint_normalize.  For
@@ -95,7 +101,9 @@ class RatFunc:
             return x
         if isinstance(x, (int, Fraction)):
             return RatFunc.const(x)
-        return NotImplemented
+        # a Laurent (see laurent.py) converts through its cached RatFunc form
+        to_rf = getattr(x, "to_rf", None)
+        return NotImplemented if to_rf is None else to_rf()
 
     def __add__(self, other):
         other = RatFunc._coerce(other)
@@ -299,16 +307,23 @@ RF_ZERO = RatFunc(P.pzero(), _reduced=True)
 RF_ONE = RatFunc(dict(P.PONE), _reduced=True)
 
 
-def add_into(out: dict, key, value: RatFunc) -> None:
+def add_into(out: dict, key, value) -> None:
     """out[key] += value in a dict of nonzero coefficients.
 
     The key is dropped when the sum is zero, so the dict keeps holding only
     nonzero values; every sparse element (free-algebra polynomials, tensor
-    elements, elimination rows) is accumulated through here.
+    elements, elimination rows) is accumulated through here.  Any
+    coefficient type of the tower works: a missing key stores the value
+    itself, so its type is kept.
     """
-    acc = out.get(key, RF_ZERO) + value
+    old = out.get(key)
+    if old is None:
+        if not value.is_zero():
+            out[key] = value
+        return
+    acc = old + value
     if acc.is_zero():
-        out.pop(key, None)
+        del out[key]
     else:
         out[key] = acc
 

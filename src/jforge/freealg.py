@@ -1,7 +1,11 @@
 """Free associative algebra with coefficient field, plus term rewriting.
 
 Elements are dicts mapping words (tuples of generator names) to nonzero
-RatFunc coefficients.  Elements of the tensor square are the same kind of
+coefficients of the numeric tower in laurent.py: Laurent values in
+Q[m,n,k,p^±1], or RatFunc values where a coefficient leaves that ring.
+The entry points (nc_gen, nc_word, nc_scale, RewriteRule,
+RewriteSystem.from_dict and normal_form's input) pass coefficients
+through laurent.coerce.  Elements of the tensor square are the same kind of
 dict keyed by pairs of words, so nc_add, nc_scale, nc_zero and nc_is_zero
 serve them unchanged; only the operations that look inside a key (t_simple,
 t_mul, tensor_normal_form, t_str) are tensor-specific.  Every sum of
@@ -27,8 +31,9 @@ import copy
 import os
 
 from .errors import DegreeOverflow, NonTerminating, OrientationFailure, UsageError
-from .field import RF_ONE, RatFunc, add_into
+from .field import add_into
 from .grammar import parse, serialize
+from .laurent import L_ONE, coerce
 from .report import CheckReport
 
 Word = tuple
@@ -57,15 +62,15 @@ def nc_zero() -> NCPoly:
 
 
 def nc_one() -> NCPoly:
-    return {(): RF_ONE}
+    return {(): L_ONE}
 
 
 def nc_gen(name: str, coeff=None) -> NCPoly:
-    return {(name,): RF_ONE if coeff is None else coeff}
+    return {(name,): L_ONE if coeff is None else coerce(coeff)}
 
 
 def nc_word(word, coeff=None) -> NCPoly:
-    return {tuple(word): RF_ONE if coeff is None else coeff}
+    return {tuple(word): L_ONE if coeff is None else coerce(coeff)}
 
 
 def nc_is_zero(p: NCPoly) -> bool:
@@ -88,7 +93,7 @@ def nc_sub(a: NCPoly, b: NCPoly) -> NCPoly:
 
 
 def nc_scale(a: NCPoly, c) -> NCPoly:
-    c = c if isinstance(c, RatFunc) else RatFunc.const(c)
+    c = coerce(c)
     if c.is_zero():
         return {}
     return {w: v * c for w, v in a.items()}
@@ -152,7 +157,7 @@ class RewriteRule:
 
     def __init__(self, lhs, rhs: NCPoly, tag: str = ""):
         self.lhs = tuple(lhs)
-        self.rhs = {tuple(w): c for w, c in rhs.items() if not c.is_zero()}
+        self.rhs = {tuple(w): coerce(c) for w, c in rhs.items() if not c.is_zero()}
         self.tag = tag
 
     def __repr__(self):
@@ -236,7 +241,7 @@ class RewriteSystem:
             )
         hit = self.find_redex(word)
         if hit is None:
-            result = {word: RF_ONE}
+            result = {word: L_ONE}
         else:
             pos, rule = hit
             head = word[:pos]
@@ -261,7 +266,15 @@ class RewriteSystem:
         for word, coeff in poly.items():
             if coeff.is_zero():
                 continue
-            piece = self._nf_word(tuple(word), budget)
+            coeff = coerce(coeff)
+            try:
+                piece = self._nf_word(tuple(word), budget)
+            except RecursionError:
+                # _nf_word recurses once per rewrite along a word; _cache
+                # only holds finished words, so nothing half-built remains
+                raise DegreeOverflow(
+                    f"word of length {len(word)} is too deep to rewrite"
+                ) from None
             for w, c in piece.items():
                 add_into(out, w, c * coeff)
         return out
@@ -369,7 +382,7 @@ class RewriteSystem:
         out = cls(tuple(data["order"]), max_steps)
         for entry in data["rules"]:
             rhs = {
-                tuple(t["word"]): parse(t["coeff"])
+                tuple(t["word"]): coerce(parse(t["coeff"]))
                 for t in entry["rhs"]
             }
             out.add_rule(RewriteRule(tuple(entry["lhs"]), rhs, entry.get("tag", "")))
@@ -403,8 +416,8 @@ def tensor_normal_form(elem: dict, system: RewriteSystem) -> dict:
     """Normal form on both tensor legs, expanded bilinearly."""
     out: dict = {}
     for (wl, wr), c in elem.items():
-        left = system.normal_form({tuple(wl): RF_ONE})
-        right = system.normal_form({tuple(wr): RF_ONE})
+        left = system.normal_form({tuple(wl): L_ONE})
+        right = system.normal_form({tuple(wr): L_ONE})
         for ll, cl in left.items():
             for rr, cr in right.items():
                 add_into(out, (ll, rr), c * cl * cr)

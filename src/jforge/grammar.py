@@ -20,6 +20,7 @@ import re
 from . import poly as P
 from .errors import GrammarError
 from .field import RatFunc
+from .laurent import Laurent
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<INT>\d+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)"
@@ -163,8 +164,14 @@ def _is_bare_var(p: P.Poly) -> bool:
     return c == 1 and len(m) == 1 and m[0][1] == 1
 
 
-def serialize(f: RatFunc) -> str:
-    """Canonical text for f; parse(serialize(f)) == f."""
+def serialize(f) -> str:
+    """Canonical text for f; parse(serialize(f)) == f.
+
+    A Laurent prints through its RatFunc form, so both types of the tower
+    give the same text for the same value.
+    """
+    if isinstance(f, Laurent):
+        f = f.to_rf()
     if f.is_zero():
         return "0"
     num_txt = P.pstr(f.num)

@@ -18,7 +18,6 @@ on generators, which hold by the shape of the matrix coproduct.
 from __future__ import annotations
 
 from .errors import MissingInverse
-from .field import RF_ONE, RF_ZERO
 from .freealg import (
     NCPoly,
     RewriteRule,
@@ -42,6 +41,7 @@ from .freealg import (
     word_touches,
 )
 from .grammar import parse
+from .laurent import L_ONE, L_ZERO
 from .report import CheckReport
 from .rtt import (
     BLOCK,
@@ -96,12 +96,12 @@ def coproduct_poly(p: NCPoly, layout=LAYOUT_3) -> dict:
 
 
 def counit(g: str):
-    return RF_ONE if g in _EPS_ONE else RF_ZERO
+    return L_ONE if g in _EPS_ONE else L_ZERO
 
 
 def counit_poly(p: NCPoly):
     """Multiplicative extension of the counit to a polynomial."""
-    total = RF_ZERO
+    total = L_ZERO
     for word, coeff in p.items():
         if all(g in _EPS_ONE for g in word):
             total = total + coeff
@@ -344,7 +344,7 @@ def qdet_checks(q: QuotientAlgebra) -> CheckReport:
     report.add("block-determinant-group-like",
                nc_is_zero(tensor_normal_form(diff, system)))
 
-    report.add("counit-of-determinant", counit_poly(D) == RF_ONE)
+    report.add("counit-of-determinant", counit_poly(D) == L_ONE)
 
     p = _rf("p", q.parent.bindings)
     graded = nc_sub(nc_word(("f", "x")), nc_word(("x", "f"), p))
@@ -377,7 +377,7 @@ def delta_centrality(alg: DerivedAlgebra) -> CheckReport:
         "b": nc_zero(),
         "c": nc_scale(nc_sub(nc_mul(delta, nc_gen("d")),
                              nc_mul(nc_gen("a"), delta)), mn),
-        "d": nc_scale(nc_mul(delta, nc_gen("b")), RF_ZERO - mn),
+        "d": nc_scale(nc_mul(delta, nc_gen("b")), -mn),
     }
     report = CheckReport("delta-centrality")
     for u, rhs in targets.items():

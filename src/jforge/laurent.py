@@ -1,0 +1,323 @@
+"""Laurent polynomials over Q on packed exponent vectors.
+
+Every coefficient on the algebra side of the rewriting lives in
+Q[m,n,k,p^±1].  A Laurent value holds one as a dict from a packed monomial
+to a nonzero coefficient:
+
+* the packed monomial is one int, sum of e_v * 2^(SLOT_BITS * slot(v)),
+  with signed exponents e_v in [-2^(SLOT_BITS-2), 2^(SLOT_BITS-2)); slots
+  come from a process-wide registry in first-use order, so a product of
+  monomials is one integer addition and no gcd is ever needed;
+* a coefficient is an int when it is integral and a Fraction otherwise.
+
+Overflow guard (Monagan and Pearce, "Sparse polynomial division using a
+heap", JSC 2011): adding the registered bias 2^(SLOT_BITS-2) to every
+slot maps an in-range exponent into [0, 2^(SLOT_BITS-1)), so the top bit
+of every slot is clear; the lowest slot that left the range, by a product
+or an inverse, has its top bit set.  One mask test after each monomial
+operation therefore decides the range exactly, and DegreeOverflow is
+raised instead of wrapping.
+
+Laurent and RatFunc form one numeric tower, as int and Fraction do:
+Laurent op Laurent stays Laurent (+, -, *, negation, inverse of a single
+term); the inverse of several terms, and every operation that mixes in a
+RatFunc, goes through the cached to_rf() and returns a RatFunc.  Equality
+crosses the two types and hash(x) == hash(x.to_rf()).  coerce() is the
+one conversion at the algebra's entry points: a RatFunc with a one-term
+denominator becomes Laurent, any other stays a RatFunc.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .errors import DegreeOverflow, DivisionByZero
+from .field import RatFunc, _over_monomial
+
+SLOT_BITS = 16
+_HALF = 1 << (SLOT_BITS - 2)
+_MASK = (1 << SLOT_BITS) - 1
+
+_NAMES: list = []   # slot -> variable name
+_SLOTS: dict = {}   # variable name -> slot
+_BIAS = 0           # _HALF in every registered slot
+_GUARD = 0          # the top bit of every registered slot
+
+
+def _slot(name: str) -> int:
+    global _BIAS, _GUARD
+    i = _SLOTS.get(name)
+    if i is None:
+        i = _SLOTS[name] = len(_NAMES)
+        _NAMES.append(name)
+        _BIAS |= _HALF << (SLOT_BITS * i)
+        _GUARD |= (1 << (SLOT_BITS - 1)) << (SLOT_BITS * i)
+    return i
+
+
+def _overflow():
+    raise DegreeOverflow(
+        f"Laurent exponent outside the packed range [-{_HALF}, {_HALF})")
+
+
+def _pack(exps) -> int:
+    """The packed monomial of (name, exponent) pairs."""
+    m = 0
+    for v, e in exps:
+        if not -_HALF <= e < _HALF:
+            _overflow()
+        m += e << (SLOT_BITS * _slot(v))
+    return m
+
+
+def _unpack(m: int) -> dict:
+    """{name: exponent} of a packed monomial, zero exponents left out."""
+    out = {}
+    i = 0
+    while m:
+        e = m & _MASK
+        if e >= 1 << (SLOT_BITS - 1):
+            e -= 1 << SLOT_BITS
+        if e:
+            out[_NAMES[i]] = e
+        m = (m - e) >> SLOT_BITS
+        i += 1
+    return out
+
+
+def _coef(c):
+    """A rational coefficient in canonical form: int when integral."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+class Laurent:
+    """Immutable Laurent polynomial: {packed monomial: nonzero coefficient}."""
+
+    __slots__ = ("terms", "_rf")
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+        self._rf = None
+
+    @staticmethod
+    def const(c) -> "Laurent":
+        c = _coef(c)
+        return Laurent({0: c}) if c else L_ZERO
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def to_rf(self) -> RatFunc:
+        """The same value as a canonical RatFunc (computed once)."""
+        rf = self._rf
+        if rf is None:
+            terms = [(_unpack(m), c) for m, c in self.terms.items()]
+            names = {v for exps, _ in terms for v in exps}
+            shift = {}
+            for v in names:
+                low = min(exps.get(v, 0) for exps, _ in terms)
+                if low < 0:
+                    shift[v] = -low
+            num = {}
+            for exps, c in terms:
+                for v, s in shift.items():
+                    exps[v] = exps.get(v, 0) + s
+                num[tuple(sorted((v, e) for v, e in exps.items() if e))] = Fraction(c)
+            rf = self._rf = _over_monomial(num, tuple(sorted(shift.items())))
+        return rf
+
+    # -- arithmetic -------------------------------------------------------
+    def __add__(self, other):
+        if type(other) is not Laurent:
+            if isinstance(other, RatFunc):
+                return self.to_rf() + other
+            other = _const(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for m, c in b.items():
+            old = out.get(m)
+            if old is None:
+                out[m] = c
+            else:
+                c = old + c
+                if c:
+                    out[m] = _coef(c)
+                else:
+                    del out[m]
+        return Laurent(out) if out else L_ZERO
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Laurent({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not Laurent:
+            if isinstance(other, RatFunc):
+                return self.to_rf() - other
+            other = _const(other)
+            if other is NotImplemented:
+                return NotImplemented
+        b = other.terms
+        if not b:
+            return self
+        if not self.terms:
+            return -other
+        out = dict(self.terms)
+        for m, c in b.items():
+            old = out.get(m)
+            if old is None:
+                out[m] = -c
+            else:
+                c = old - c
+                if c:
+                    out[m] = _coef(c)
+                else:
+                    del out[m]
+        return Laurent(out) if out else L_ZERO
+
+    def __rsub__(self, other):
+        other = _const(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        if type(other) is not Laurent:
+            if isinstance(other, RatFunc):
+                return self.to_rf() * other
+            other = _const(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return L_ZERO
+        if len(a) > len(b):
+            a, b = b, a
+        bias, guard = _BIAS, _GUARD
+        if len(a) == 1:
+            # one term times b: the monomials stay distinct, nothing cancels
+            (ma, ca), = a.items()
+            if ma == 0 and ca == 1:
+                return self if b is self.terms else other
+            out = {}
+            for mb, cb in b.items():
+                m = ma + mb
+                if (m + bias) & guard:
+                    _overflow()
+                c = ca * cb
+                out[m] = c if type(c) is int else _coef(c)
+            return Laurent(out)
+        out = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                if (m + bias) & guard:
+                    _overflow()
+                c = ca * cb
+                old = out.get(m)
+                if old is not None:
+                    c = old + c
+                    if not c:
+                        del out[m]
+                        continue
+                out[m] = c if type(c) is int else _coef(c)
+        return Laurent(out) if out else L_ZERO
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        """1/self: Laurent for a single term, RatFunc for several."""
+        terms = self.terms
+        if not terms:
+            raise DivisionByZero("inverse of zero")
+        if len(terms) > 1:
+            return self.to_rf().inverse()
+        (m, c), = terms.items()
+        m = -m
+        if (m + _BIAS) & _GUARD:
+            _overflow()
+        return Laurent({m: c if c == 1 or c == -1 else _coef(1 / Fraction(c))})
+
+    def __truediv__(self, other):
+        if isinstance(other, RatFunc):
+            return self.to_rf() / other
+        other = other if type(other) is Laurent else _const(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    # -- structure --------------------------------------------------------
+    def __eq__(self, other):
+        if type(other) is Laurent:
+            return self.terms == other.terms
+        if isinstance(other, RatFunc):
+            return self.to_rf() == other
+        other = _const(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.to_rf())
+
+    def __repr__(self):
+        return f"Laurent({self})"
+
+    def __str__(self):
+        return str(self.to_rf())
+
+    # -- maps ---------------------------------------------------------------
+    def substitute(self, bindings: dict):
+        """Substitution of parameters, back through coerce."""
+        return coerce(self.to_rf().substitute(bindings))
+
+
+def _const(x):
+    """int or Fraction as a Laurent constant; NotImplemented otherwise."""
+    if isinstance(x, (int, Fraction)):
+        return Laurent.const(x)
+    return NotImplemented
+
+
+L_ZERO = Laurent({})
+L_ONE = Laurent({0: 1})
+
+
+def coerce(x):
+    """x as a Laurent where it is one, else as a RatFunc.
+
+    Laurent values pass through; ints and Fractions become constants; a
+    RatFunc becomes Laurent exactly when its denominator is one term, and
+    any other RatFunc is returned unchanged.
+    """
+    if type(x) is Laurent:
+        return x
+    if isinstance(x, RatFunc):
+        if len(x.den) != 1:
+            return x
+        (dm, dc), = x.den.items()
+        inv = {v: -e for v, e in dm}
+        out = {}
+        for nm, c in x.num.items():
+            exps = dict(inv)
+            for v, e in nm:
+                exps[v] = exps.get(v, 0) + e
+            out[_pack(exps.items())] = _coef(c / dc)
+        return Laurent(out) if out else L_ZERO
+    if isinstance(x, (int, Fraction)):
+        return Laurent.const(x)
+    raise TypeError(f"cannot use {type(x).__name__} as a coefficient")

@@ -30,25 +30,21 @@ def mat_shape(a: list) -> tuple:
 
 
 def mat_mul(a: list, b: list) -> list:
+    """a * b, skipping zero entries: each row of b is scanned once."""
     n, k = mat_shape(a)
     k2, m = mat_shape(b)
     if k != k2:
         raise DimensionMismatch(f"cannot multiply {n}x{k} by {k2}x{m}")
+    b_rows = [[(j, v) for j, v in enumerate(row) if not v.is_zero()] for row in b]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = RF_ZERO
-            for t in range(k):
-                aij = a[i][t]
-                if aij.is_zero():
-                    continue
-                btj = b[t][j]
-                if btj.is_zero():
-                    continue
-                acc = acc + aij * btj
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        acc = {}
+        for ait, b_row in zip(row, b_rows):
+            if ait.is_zero():
+                continue
+            for j, btj in b_row:
+                add_into(acc, j, ait * btj)
+        out.append([acc.get(j, RF_ZERO) for j in range(m)])
     return out
 
 

@@ -25,7 +25,7 @@ residual, so a wrong sign in the recorded set is visible at a glance.
 from __future__ import annotations
 
 from .errors import MissingInverse, OrientationFailure
-from .field import RF_ONE, RF_ZERO, add_into
+from .field import add_into
 from .freealg import (
     NCPoly,
     RewriteRule,
@@ -43,6 +43,7 @@ from .freealg import (
     nc_zero,
 )
 from .grammar import parse, serialize
+from .laurent import L_ONE, L_ZERO, coerce
 from .linalg import rref_sparse, solve_dense
 from .report import CheckReport
 from .rmat import TensorMat, jordanian_r3
@@ -79,7 +80,7 @@ _GEN_INDEX = {g: i for i, g in enumerate(GEN_ORDER)}
 
 def _rf(text: str, bindings: dict = None):
     value = parse(text)
-    return value.substitute(bindings) if bindings else value
+    return coerce(value.substitute(bindings) if bindings else value)
 
 
 # -- the exchange identity -----------------------------------------------------
@@ -159,8 +160,8 @@ def _solve_in_span(target: NCPoly, images: dict):
     for img in images.values():
         words |= set(img)
     words = sorted(words)
-    a = [[images[g].get(w, RF_ZERO) for g in keys] for w in words]
-    b = [target.get(w, RF_ZERO) for w in words]
+    a = [[images[g].get(w, L_ZERO) for g in keys] for w in words]
+    b = [target.get(w, L_ZERO) for w in words]
     sol = solve_dense(a, b)
     if sol is None:
         return None
@@ -304,9 +305,9 @@ def solve_block_inverse(system: RewriteSystem, block=BLOCK,
         b = []
         for i in (0, 1):
             for word in words:
-                rows.append([images[(i, k, w)].get(word, RF_ZERO)
+                rows.append([images[(i, k, w)].get(word, L_ZERO)
                              for (k, w) in unknowns])
-                want = RF_ONE if (i == j and word == ()) else RF_ZERO
+                want = L_ONE if (i == j and word == ()) else L_ZERO
                 b.append(want)
         sol = solve_dense(rows, b)
         if sol is None:

@@ -1,10 +1,18 @@
 """Command line driver: exit codes, report schema, output modes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from jforge.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import report_diff  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -232,3 +240,45 @@ def test_all_set_passes_the_contraction_stage(capsys, binding, failing):
         "contract:finite-limit", "contract:surviving-parameters",
         "contract:matches-target"]
     assert [c["name"] for c in data["checks"] if not c["pass"]] == failing
+
+
+def test_set_promotes_coefficients_past_laurent(capsys):
+    # p = 1 + m puts 1/(m + 1) into the table: those coefficients stay
+    # RatFunc while the rest of the algebra computes with Laurent values
+    code, data, _ = run_json(capsys, "relations", "--set", "p=1+m")
+    assert code == 1
+    assert [c["name"] for c in data["checks"] if not c["pass"]] == ["ref:f-y"]
+    coeffs = [t["coeff"] for rule in data["metadata"]["table"]["rules"]
+              for t in rule["rhs"]]
+    assert "1/(m + 1)" in coeffs
+    assert "-k/(m^2 + 2*m + 1)" in coeffs
+
+
+_REGISTRY_RUN = """
+import json, sys
+from jforge import laurent
+from jforge.cli import main
+from jforge.grammar import parse
+if sys.argv[1] == "qybe-first":
+    main(["qybe", "--matrix", "rq3", "--format", "json"])
+    # register the algebra's own parameters in the reverse order as well
+    laurent.coerce(parse("eps*s*r*q*p*n*m*k"))
+main(["relations", "--format", "json", "--output", sys.argv[2]])
+print(json.dumps(laurent._NAMES))
+"""
+
+
+def test_relations_do_not_depend_on_the_slot_registry(tmp_path):
+    # the slot registry is process-global and filled in first-use order;
+    # the report must not change with that order
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = {}
+    for mode in ("fresh", "qybe-first"):
+        out = tmp_path / f"{mode}.json"
+        proc = subprocess.run([sys.executable, "-c", _REGISTRY_RUN, mode, str(out)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, check=True)
+        names = json.loads(proc.stdout.splitlines()[-1])
+        runs[mode] = names, str(out)
+    assert runs["fresh"][0][:4] != runs["qybe-first"][0][:4]
+    assert report_diff.main([runs["fresh"][1], runs["qybe-first"][1]]) == 0

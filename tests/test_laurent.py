@@ -1,0 +1,174 @@
+"""Packed Laurent coefficients and their tower with RatFunc.
+
+Every Laurent result is checked against RatFunc arithmetic on the same
+values (to_rf), which runs through poly's canonical form, and a few
+products against sympy.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jforge.errors import DegreeOverflow, DivisionByZero
+from jforge.field import RatFunc
+from jforge.grammar import parse, serialize
+from jforge.laurent import SLOT_BITS, L_ONE, L_ZERO, Laurent, coerce
+
+VARS = ("m", "n", "k", "p")
+LIMIT = 1 << (SLOT_BITS - 2)
+
+
+@st.composite
+def laurent_text(draw, min_terms=0, max_terms=3):
+    """Text of a sum of terms c * m^a * n^b * k^c * p^d, exponents -3..3."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=min_terms, max_value=max_terms))):
+        num = draw(st.integers(min_value=-6, max_value=6).filter(bool))
+        den = draw(st.integers(min_value=1, max_value=4))
+        factors = [f"({num}/{den})"]
+        for v in VARS:
+            e = draw(st.integers(min_value=-3, max_value=3))
+            if e:
+                factors.append(f"{v}^({e})")
+        terms.append("*".join(factors))
+    return " + ".join(terms) or "0"
+
+
+@st.composite
+def laurent_pair(draw):
+    """(Laurent, RatFunc) holding the same value."""
+    r = parse(draw(laurent_text()))
+    return coerce(r), r
+
+
+@st.composite
+def single_term(draw):
+    r = parse(draw(laurent_text(min_terms=1, max_terms=1)))
+    return coerce(r), r
+
+
+def test_coerce_keeps_types_apart():
+    assert isinstance(coerce(parse("k/p + m")), Laurent)
+    assert isinstance(coerce(parse("2*k/(p*m^2)")), Laurent)
+    assert isinstance(coerce(parse("1/(1 + m)")), RatFunc)
+    assert coerce(3) == Laurent.const(3) == parse("3")
+    assert coerce(Fraction(1, 2)).terms == {0: Fraction(1, 2)}
+    assert coerce(Fraction(4, 2)).terms == {0: 2}
+    assert type(coerce(Fraction(4, 2)).terms[0]) is int
+    assert coerce(parse("0")) is L_ZERO
+
+
+@given(laurent_pair())
+@settings(max_examples=80, deadline=None)
+def test_coerce_roundtrips_through_to_rf(pair):
+    x, r = pair
+    assert isinstance(x, Laurent)
+    back = x.to_rf()
+    assert back.num == r.num and back.den == r.den
+    assert serialize(x) == serialize(r)
+
+
+@given(laurent_pair(), laurent_pair())
+@settings(max_examples=120, deadline=None)
+def test_ring_operations_match_ratfunc(left, right):
+    (a, ra), (b, rb) = left, right
+    for got, want in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                      (-a, -ra), (b - a, rb - ra)):
+        assert isinstance(got, Laurent)
+        assert got.to_rf() == want
+        # every stored coefficient is canonical: int when integral
+        assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
+@given(single_term(), laurent_pair())
+@settings(max_examples=80, deadline=None)
+def test_single_term_inverse_stays_laurent(term, other):
+    (t, rt), (b, rb) = term, other
+    inv = t.inverse()
+    assert isinstance(inv, Laurent)
+    assert inv.to_rf() == rt.inverse()
+    assert (b / t).to_rf() == rb / rt
+    assert t * inv == L_ONE
+
+
+@given(laurent_pair())
+@settings(max_examples=80, deadline=None)
+def test_equality_and_hash_cross_the_tower(pair):
+    x, r = pair
+    assert x == r and r == x
+    assert not (x != r)
+    assert hash(x) == hash(r)
+    assert hash(x) == hash(x.to_rf())
+    assert x == coerce(parse(serialize(x)))
+    assert (x == L_ZERO) == r.is_zero()
+    assert serialize(x) == serialize(x.to_rf())
+
+
+def test_constants_compare_with_numbers():
+    assert L_ONE == 1 and L_ZERO == 0 and 1 == L_ONE
+    assert coerce(parse("-3/2")) == Fraction(-3, 2)
+    assert coerce(parse("p")) != 1
+    assert hash(L_ONE) == hash(parse("1"))
+
+
+def test_multi_term_inverse_returns_ratfunc():
+    x = coerce(parse("k/p + m"))
+    inv = x.inverse()
+    assert isinstance(inv, RatFunc)
+    assert inv == parse("k/p + m").inverse() == parse("p/(k + m*p)")
+    with pytest.raises(DivisionByZero):
+        L_ZERO.inverse()
+
+
+def test_mixing_in_a_ratfunc_promotes():
+    x = coerce(parse("2*k/p - m^2"))
+    r = parse("(k + n)/(1 + m*p)")
+    for got, want in ((x * r, parse("2*k/p - m^2") * r),
+                      (r * x, r * parse("2*k/p - m^2")),
+                      (x + r, parse("2*k/p - m^2") + r),
+                      (r - x, r - parse("2*k/p - m^2")),
+                      (x / r, parse("2*k/p - m^2") / r)):
+        assert isinstance(got, RatFunc)
+        assert got.num == want.num and got.den == want.den
+
+
+def test_products_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    syms = {v: sympy.Symbol(v) for v in VARS}
+
+    def sym(x):
+        return sympy.sympify(serialize(x), locals=syms)
+
+    cases = [("2*k/p - m", "p^2*n + 1/(3*k)"),
+             ("m/n + n/m", "m/n - n/m"),
+             ("(1/2)*p^(-3) + k", "4*p^3 - 2*k*p^2 + m"),
+             ("k^2/(m*p) - 7", "k^2/(m*p) + 7")]
+    for left, right in cases:
+        a, b = coerce(parse(left)), coerce(parse(right))
+        assert sympy.simplify(sym(a * b) - sym(a) * sym(b)) == 0
+        assert sympy.simplify(sym(a + b) - sym(a) - sym(b)) == 0
+
+
+def test_exponent_past_the_guard_raises():
+    top = coerce(parse(f"p^{LIMIT - 1}"))
+    bottom = coerce(parse(f"1/p^{LIMIT}"))
+    # the edges of the range are fine
+    assert (top * coerce(parse("1/p"))).to_rf() == parse(f"p^{LIMIT - 2}")
+    assert (bottom * coerce(parse("m^3"))).to_rf() == parse(f"m^3/p^{LIMIT}")
+    with pytest.raises(DegreeOverflow):
+        top * coerce(parse("p"))
+    with pytest.raises(DegreeOverflow):
+        bottom * coerce(parse("1/p"))
+    with pytest.raises(DegreeOverflow):
+        bottom.inverse()
+    with pytest.raises(DegreeOverflow):
+        coerce(parse(f"p^{LIMIT}"))
+    # an overflow in one slot is caught whatever the other slots hold
+    low = coerce(parse(f"n^(-3)/m^{LIMIT}"))
+    with pytest.raises(DegreeOverflow):
+        low * coerce(parse("k^2/m"))
+    high = coerce(parse(f"k^{LIMIT - 1}*n^(-2) + 1"))
+    with pytest.raises(DegreeOverflow):
+        high * coerce(parse("k/n + m"))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from jforge.errors import OrientationFailure
+from jforge.errors import DegreeOverflow, OrientationFailure
 from jforge.freealg import (
     nc_add,
     nc_gen,
@@ -178,3 +178,12 @@ def test_classical_bindings_give_commutative_table():
             diff = nc_sub(nc_mul(nc_gen(u), nc_gen(v)),
                           nc_mul(nc_gen(v), nc_gen(u)))
             assert alg.reduces_to_zero(diff), (u, v)
+
+
+def test_deep_word_fails_with_a_jforge_error():
+    # rewriting x^N f moves f left one letter per recursive step
+    alg = DerivedAlgebra(extend=False)
+    shallow = alg.normal_form(nc_word(("x",) * 500 + ("f",)))
+    assert nc_str(shallow) == "1/(p^500)*" + "*".join(("f",) + ("x",) * 500)
+    with pytest.raises(DegreeOverflow, match="word of length 1101"):
+        alg.normal_form(nc_word(("x",) * 1100 + ("f",)))
