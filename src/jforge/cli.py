@@ -28,7 +28,7 @@ from .contraction import (
     schedule_digest,
     standard_schedule,
 )
-from .errors import GrammarError, JforgeError, ScheduleError, UsageError
+from .errors import DivisionByZero, GrammarError, JforgeError, ScheduleError, UsageError
 from .grammar import parse
 from .hopf import (
     LAYOUT_Q,
@@ -78,7 +78,9 @@ def _bindings(pairs) -> dict:
             raise UsageError(f"--set expects NAME=EXPR, got {item!r}")
         try:
             out[name] = parse(expr)
-        except GrammarError as exc:
+        except (GrammarError, DivisionByZero) as exc:
+            # a literal like 1/0 is bad usage; a pole met later under
+            # substitution (--set p=0) is not, and keeps its own exit
             raise UsageError(f"--set {name}: {exc}") from exc
     return out
 

@@ -413,14 +413,23 @@ def t_mul(a: dict, b: dict) -> dict:
 
 
 def tensor_normal_form(elem: dict, system: RewriteSystem) -> dict:
-    """Normal form on both tensor legs, expanded bilinearly."""
-    out: dict = {}
+    """Normal form on both tensor legs, expanded bilinearly.
+
+    Terms are grouped by their left word: each distinct left word is
+    reduced once, the right legs sharing it are reduced together as one
+    polynomial carrying their coefficients, and each (left, right) pair of
+    normal words costs one product.
+    """
+    groups: dict = {}
     for (wl, wr), c in elem.items():
-        left = system.normal_form({tuple(wl): L_ONE})
-        right = system.normal_form({tuple(wr): L_ONE})
+        groups.setdefault(tuple(wl), {})[tuple(wr)] = c
+    out: dict = {}
+    for wl, rights in groups.items():
+        left = system.normal_form({wl: L_ONE})
+        right = system.normal_form(rights)
         for ll, cl in left.items():
             for rr, cr in right.items():
-                add_into(out, (ll, rr), c * cl * cr)
+                add_into(out, (ll, rr), cl * cr)
     return out
 
 

@@ -211,8 +211,14 @@ class Laurent:
         if len(a) == 1:
             # one term times b: the monomials stay distinct, nothing cancels
             (ma, ca), = a.items()
-            if ma == 0 and ca == 1:
+            # the unit's coefficient is the int 1 (coefficients are int
+            # when integral), so no Fraction comparison runs here
+            if ma == 0 and type(ca) is int and ca == 1:
                 return self if b is self.terms else other
+            if len(b) == 1:
+                (mb, cb), = b.items()
+                if mb == 0 and type(cb) is int and cb == 1:
+                    return self if a is self.terms else other
             out = {}
             for mb, cb in b.items():
                 m = ma + mb

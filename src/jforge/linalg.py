@@ -1,13 +1,17 @@
 """Exact linear algebra over the rational-function field.
 
 Two shapes of data move through here.  Dense matrices (lists of lists of
-RatFunc) support products, inverses and equality; they stay small, at most
-9x9.  Sparse rows (dicts keyed by arbitrary hashable column labels) feed the
-Gauss-Jordan reduction used to turn large relation sets into a canonical
-reduced basis.
+field values) support products, inverses and equality; they stay small,
+at most 9x9.  Sparse rows (dicts keyed by arbitrary hashable column
+labels) feed the Gauss-Jordan reduction used to turn large relation sets
+into a canonical reduced basis.  Entries are RatFunc or Laurent values
+(laurent.py): the routines only use is_zero, inverse, products and sums,
+so either type, or a mix, passes through.
 
 rref_sparse is the one elimination routine: solve_dense reduces [A | b]
-and mat_inverse reduces [A | I] through it, with integer column labels.
+and mat_inverse reduces [A | I] through it, with integer column labels,
+and rtt builds its own sparse rows for the relation table and for the
+adjoined inverses (rtt._solve_in_span, [A | b_1 ... b_k] in one call).
 Everything is exact; a pivot is whatever is structurally nonzero.
 """
 

@@ -153,19 +153,41 @@ def derive_relation_table(rmat: TensorMat, layout=LAYOUT_3,
 
 # -- adjoined inverses ---------------------------------------------------------
 
-def _solve_in_span(target: NCPoly, images: dict):
-    """Coefficients u with target = sum u_g * images[g], or None."""
+def _solve_in_span(targets: list, images: dict) -> list:
+    """For each target, the coefficients u with target = sum u_g * images[g].
+
+    One elimination serves every target: the sparse rows [A | b_1 ... b_k],
+    one per word, with A's columns (images in sorted key order) first, are
+    reduced by rref_sparse.  A solution is read off the rows whose pivot is
+    an A column, free variables set to zero, so by uniqueness of the
+    reduced form it equals what solve_dense gives for that target alone.
+    Target j is inconsistent, and gets None, exactly when some row whose
+    pivot is a target column has a nonzero entry in column j; whether
+    column j is itself a pivot does not decide it, because an earlier
+    inconsistent target may already have taken the pivot j would need.
+    """
     keys = sorted(images)
-    words = set(target)
-    for img in images.values():
-        words |= set(img)
-    words = sorted(words)
-    a = [[images[g].get(w, L_ZERO) for g in keys] for w in words]
-    b = [target.get(w, L_ZERO) for w in words]
-    sol = solve_dense(a, b)
-    if sol is None:
-        return None
-    return {g: sol[i] for i, g in enumerate(keys) if not sol[i].is_zero()}
+    m = len(keys)
+    rows: dict = {}
+    for col, g in enumerate(keys):
+        for w, c in images[g].items():
+            rows.setdefault(w, {})[col] = c
+    for j, target in enumerate(targets):
+        for w, c in target.items():
+            rows.setdefault(w, {})[m + j] = c
+    reduced, pivots = rref_sparse([rows[w] for w in sorted(rows)],
+                                  list(range(m + len(targets))))
+    out = [{} for _ in targets]
+    # pivots are in column order, so every A row comes before a target row
+    for row, pivot in zip(reduced, pivots):
+        for col, v in row.items():
+            if col < m:
+                continue
+            if pivot < m:
+                out[col - m][keys[pivot]] = v
+            else:
+                out[col - m] = None
+    return out
 
 
 def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
@@ -176,12 +198,14 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
     For every mover h the commutation of the new inverse past h is derived
     by solving h*element = sum u_g element*g (resp. element*h = sum u_g
     g*element when h sorts above the inverse) inside the algebra, then
-    sandwiching with the inverse.  A collapse rule oriented at the largest
-    word of element * inverse closes the system.  The record's "verified"
-    flag certifies the two unit identities element*inverse -> 1 and
-    inverse*element -> 1; per-mover roundtrips are kept alongside as
-    diagnostics.  With require_all set, nothing is added unless every
-    mover solves.
+    sandwiching with the inverse.  The movers on each side of the inverse
+    share one image matrix, so each side is one elimination through
+    _solve_in_span with all of its movers as targets.  A collapse rule
+    oriented at the largest word of element * inverse closes the system.
+    The record's "verified" flag certifies the two unit identities
+    element*inverse -> 1 and inverse*element -> 1; per-mover roundtrips are
+    kept alongside as diagnostics.  With require_all set, nothing is added
+    unless every mover solves.
     """
     tag_prefix = tag_prefix or f"inv:{inv_name}"
     elem = system.normal_form(element)
@@ -197,36 +221,30 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
         "added": False,
         "verified": False,
     }
-    right_images = None
-    left_images = None
     pending = []
-    for h in movers:
-        if idx[h] < idx[inv_name]:
-            if right_images is None:
-                right_images = {
-                    g: system.normal_form(nc_mul(elem, nc_gen(g))) for g in movers
-                }
-            target = system.normal_form(nc_mul(nc_gen(h), elem))
-            sol = _solve_in_span(target, right_images)
-            if sol is None:
-                record["unsolved"].append(h)
-                continue
-            lhs = (inv_name, h)
-            rhs = {(g, inv_name): u for g, u in sol.items()}
+    # movers sorting below the inverse first, as in the sorted movers
+    for above in (False, True):
+        side = [h for h in movers if (idx[h] >= idx[inv_name]) == above]
+        if not side:
+            continue
+        if above:
+            images = {g: system.normal_form(nc_mul(nc_gen(g), elem)) for g in movers}
+            targets = [system.normal_form(nc_mul(elem, nc_gen(h))) for h in side]
         else:
-            if left_images is None:
-                left_images = {
-                    g: system.normal_form(nc_mul(nc_gen(g), elem)) for g in movers
-                }
-            target = system.normal_form(nc_mul(elem, nc_gen(h)))
-            sol = _solve_in_span(target, left_images)
+            images = {g: system.normal_form(nc_mul(elem, nc_gen(g))) for g in movers}
+            targets = [system.normal_form(nc_mul(nc_gen(h), elem)) for h in side]
+        for h, sol in zip(side, _solve_in_span(targets, images)):
             if sol is None:
                 record["unsolved"].append(h)
                 continue
-            lhs = (h, inv_name)
-            rhs = {(inv_name, g): u for g, u in sol.items()}
-        record["solved"][h] = {g: serialize(u) for g, u in sorted(sol.items())}
-        pending.append(RewriteRule(lhs, rhs, f"{tag_prefix}:{h}"))
+            if above:
+                lhs = (h, inv_name)
+                rhs = {(inv_name, g): u for g, u in sol.items()}
+            else:
+                lhs = (inv_name, h)
+                rhs = {(g, inv_name): u for g, u in sol.items()}
+            record["solved"][h] = {g: serialize(u) for g, u in sorted(sol.items())}
+            pending.append(RewriteRule(lhs, rhs, f"{tag_prefix}:{h}"))
     if record["unsolved"] and require_all:
         return record
     for rule in pending:

@@ -106,6 +106,19 @@ def test_unparseable_set_is_usage_error(capsys):
     assert "--set m" in err
 
 
+@pytest.mark.parametrize("command", ["qybe", "relations"])
+def test_division_by_zero_in_set_is_usage_error(capsys, command):
+    code, _, err = run(capsys, command, "--set", "m=1/0")
+    assert code == 2
+    assert "jforge: --set m: inverse of zero" in err
+
+
+def test_pole_under_substitution_keeps_exit_1(capsys):
+    code, _, err = run(capsys, "qybe", "--set", "p=0")
+    assert code == 1
+    assert "--set" not in err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
 def test_bad_max_steps_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("JFORGE_MAX_STEPS", value)

@@ -26,6 +26,9 @@ from jforge.freealg import (
     word_touches,
 )
 from jforge.grammar import parse
+from jforge.hopf import LAYOUT_Q, coproduct_poly
+from jforge.laurent import L_ONE, L_ZERO
+from jforge.rtt import LAYOUT_3
 
 
 def weyl_like() -> RewriteSystem:
@@ -237,6 +240,43 @@ def test_tensor_normal_form_reduces_each_leg():
     yx = nc_word(("y", "x"))
     nf = tensor_normal_form(t_simple(yx, yx), rs)
     assert nf == t_simple(rs.normal_form(yx), rs.normal_form(yx))
+
+
+def _naive_tensor_normal_form(elem, system):
+    """Each term's legs reduced on their own, every product taken."""
+    out = {}
+    for (wl, wr), c in elem.items():
+        left = system.normal_form({wl: L_ONE})
+        right = system.normal_form({wr: L_ONE})
+        for ll, cl in left.items():
+            for rr, cr in right.items():
+                value = out.pop((ll, rr), L_ZERO) + c * cl * cr
+                if not value.is_zero():
+                    out[(ll, rr)] = value
+    return out
+
+
+def _grid_rules(system, layout):
+    letters = {g for row in layout for g in row if g is not None}
+    for rule in system.rule_list():
+        support = set(rule.lhs).union(*map(set, rule.rhs))
+        if support <= letters:
+            yield rule
+
+
+def test_tensor_normal_form_matches_naive_expansion(alg, quotient):
+    # coproduct images of both sides of every grid rule, in the full
+    # system and in the quotient; the residuals vanish, the sides do not
+    checked = 0
+    for system, layout in ((alg.system, LAYOUT_3), (quotient.system, LAYOUT_Q)):
+        for rule in _grid_rules(system, layout):
+            for side in (nc_word(rule.lhs), rule.rhs,
+                         nc_sub(nc_word(rule.lhs), rule.rhs)):
+                image = coproduct_poly(side, layout)
+                assert tensor_normal_form(image, system) == \
+                    _naive_tensor_normal_form(image, system)
+                checked += 1
+    assert checked == 3 * (36 + 21)
 
 
 def test_nc_str_orders_terms_deterministically():

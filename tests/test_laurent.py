@@ -113,6 +113,17 @@ def test_constants_compare_with_numbers():
     assert hash(L_ONE) == hash(parse("1"))
 
 
+@pytest.mark.parametrize("text", ["3/7", "(2/3)*m*p^(-2)", "m/2 + 3*p^(-1) - 5*k*n"])
+def test_unit_product_returns_the_other_operand(text):
+    x = coerce(parse(text))
+    types = {mono: type(c) for mono, c in x.terms.items()}
+    for product in (x * L_ONE, L_ONE * x, x * Laurent.const(1)):
+        # on either side the unit returns x itself, with no product taken
+        assert product is x
+        assert product.terms == x.terms
+        assert {mono: type(c) for mono, c in product.terms.items()} == types
+
+
 def test_multi_term_inverse_returns_ratfunc():
     x = coerce(parse("k/p + m"))
     inv = x.inverse()

@@ -1,9 +1,12 @@
 """Exchange-identity derivation: table, inverses, reference cross-check."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jforge.errors import DegreeOverflow, OrientationFailure
 from jforge.freealg import (
@@ -17,10 +20,13 @@ from jforge.freealg import (
     nc_word,
 )
 from jforge.grammar import parse
-from jforge.rmat import jordanian_r3
+from jforge.laurent import coerce
+from jforge.linalg import solve_dense
+from jforge.rmat import four_param_deformed_r3, jordanian_r3
 from jforge.rtt import (
     GEN_ORDER,
     DerivedAlgebra,
+    _solve_in_span,
     block_determinant,
     reference_relations,
     resolve_convention,
@@ -187,3 +193,92 @@ def test_deep_word_fails_with_a_jforge_error():
     assert nc_str(shallow) == "1/(p^500)*" + "*".join(("f",) + ("x",) * 500)
     with pytest.raises(DegreeOverflow, match="word of length 1101"):
         alg.normal_form(nc_word(("x",) * 1100 + ("f",)))
+
+
+# -- one elimination per side: the multi-target solve --------------------------
+
+small = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def span_system(draw):
+    """Images of m keys over n words, and k targets.
+
+    A target is random (often outside the span), inside the span, or a
+    span element plus a multiple of an earlier target, so two targets can
+    be inconsistent on the same missing direction; the later one then has
+    no pivot column of its own.
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    a = [[draw(small) for _ in range(m)] for _ in range(n)]
+    targets = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("random", "span", "echo")))
+        if kind == "random":
+            b = [draw(small) for _ in range(n)]
+        else:
+            x = [draw(small) for _ in range(m)]
+            b = [sum(row[i] * x[i] for i in range(m)) for row in a]
+            if kind == "echo" and targets:
+                prev = targets[draw(st.integers(0, len(targets) - 1))]
+                c = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+                b = [u + c * v for u, v in zip(b, prev)]
+        targets.append(b)
+    return a, targets
+
+
+def _as_poly(column):
+    return {(f"w{i}",): coerce(v) for i, v in enumerate(column) if v}
+
+
+@given(span_system())
+@settings(max_examples=200, deadline=None)
+def test_multi_target_solve_matches_one_target_at_a_time(system):
+    a, targets = system
+    keys = [f"g{i}" for i in range(len(a[0]))]
+    images = {g: _as_poly([row[i] for row in a]) for i, g in enumerate(keys)}
+    got = _solve_in_span([_as_poly(b) for b in targets], images)
+    assert len(got) == len(targets)
+    dense = [[coerce(v) for v in row] for row in a]
+    for b, sol in zip(targets, got):
+        want = solve_dense(dense, [coerce(v) for v in b])
+        if want is None:
+            assert sol is None
+            continue
+        assert sol == {g: want[i] for i, g in enumerate(keys)
+                       if not want[i].is_zero()}
+
+
+def test_second_inconsistent_target_without_a_pivot_is_unsolved():
+    # span of w0; targets w1 (takes the pivot), 2*w1 (no pivot of its own)
+    # and w0 (solvable after both)
+    images = {"g": {("w0",): coerce(1)}}
+    targets = [{("w1",): coerce(1)}, {("w1",): coerce(2)},
+               {("w0",): coerce(3)}]
+    assert _solve_in_span(targets, images) == [None, None, {"g": coerce(3)}]
+
+
+RQ3_UNSOLVED = [
+    ["b", "a", "d", "c"],
+    ["f", "f_inv", "x", "y", "phi", "theta", "b", "a", "d", "c"],
+]
+RQ3_SOLVED = {
+    "plain": {"f": {"f": "1"}, "phi": {"phi": "r/q"}, "theta": {"theta": "r/p"},
+              "x": {"x": "p*r"}, "y": {"y": "q*r"}},
+    "transposed": {"f": {"f": "1"}, "phi": {"phi": "1/(q*r)"},
+                   "theta": {"theta": "1/(p*r)"}, "x": {"x": "p/r"},
+                   "y": {"y": "q/r"}},
+}
+
+
+@pytest.mark.parametrize("convention", ["plain", "transposed"])
+def test_four_param_derivation_records(convention):
+    # f_inv solves f, x, y, theta and phi but not the block letters, and
+    # nothing solves for delta_inv, so both sides mix solved and unsolved
+    alg = DerivedAlgebra(four_param_deformed_r3(), convention=convention)
+    assert [rec["inverse"] for rec in alg.records] == ["f_inv", "delta_inv"]
+    assert [rec["unsolved"] for rec in alg.records] == RQ3_UNSOLVED
+    assert alg.records[0]["solved"] == RQ3_SOLVED[convention]
+    assert alg.records[1]["solved"] == {}
+    assert not any(rec["added"] or rec["verified"] for rec in alg.records)
