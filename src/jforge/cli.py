@@ -23,10 +23,10 @@ import sys
 
 from .contraction import (
     Schedule,
+    bundled_schedule,
     contraction_report,
     probe_divergence,
     schedule_digest,
-    standard_schedule,
 )
 from .errors import DivisionByZero, GrammarError, JforgeError, ScheduleError, UsageError
 from .grammar import parse
@@ -93,14 +93,7 @@ def _load_schedule(path, bindings) -> tuple:
     both sides of the limit; the digest stays that of the file.
     """
     if path is None:
-        from importlib.resources import files
-
-        resource = files("jforge").joinpath("data/jordanian_gl3.schedule")
-        with resource.open("rb") as fh:
-            import hashlib
-
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        schedule = standard_schedule()
+        schedule, digest = bundled_schedule()
     elif not os.path.exists(path):
         raise UsageError(f"schedule file not found: {path}")
     else:
@@ -151,8 +144,12 @@ def cmd_qybe(args) -> int:
     return _emit(report, args)
 
 
-def cmd_contract(args) -> int:
-    bindings = _bindings(args.set)
+def _contract_stage(args, bindings) -> tuple:
+    """(limit matrix or None, report) of the --contraction-matrix lane.
+
+    The one contraction stage of ``contract`` and ``all``; the report's
+    metadata carries the schedule digest.
+    """
     schedule, digest = _load_schedule(args.schedule, bindings)
     source, twist, target = LANES[args.contraction_matrix]
     tm = source()
@@ -160,7 +157,7 @@ def cmd_contract(args) -> int:
         tm = tm.substitute(bindings)
     if target is None:
         # exploratory lane: record the limit behaviour, assert nothing
-        report = CheckReport("contract")
+        result, report = None, CheckReport("contract")
         records = probe_divergence(tm, twist(), schedule)
         report.add("probe-recorded", True, note="no target asserted",
                    records=records)
@@ -169,10 +166,21 @@ def cmd_contract(args) -> int:
         if bindings:
             goal = goal.substitute(bindings)
         result, report = contraction_report(tm, twist(), schedule, goal)
-        if result is not None:
-            report.metadata["result_matrix"] = result.to_dict()
-    report.metadata["lane"] = args.contraction_matrix
     report.metadata["schedule_sha256"] = digest
+    return result, report
+
+
+def _absorb(report: CheckReport, prefix: str, stage: CheckReport) -> None:
+    """Append the checks of stage to report, each name under prefix."""
+    for c in stage.checks:
+        report.add(prefix + c.name, c.passed, ms=c.ms, **c.details)
+
+
+def cmd_contract(args) -> int:
+    result, report = _contract_stage(args, _bindings(args.set))
+    if result is not None:
+        report.metadata["result_matrix"] = result.to_dict()
+    report.metadata["lane"] = args.contraction_matrix
     return _emit(report, args)
 
 
@@ -195,9 +203,7 @@ def _hopf_report(alg: DerivedAlgebra, groups, braiding: bool) -> CheckReport:
     q = alg.quotient()
     report = CheckReport("hopf")
     if "bialgebra" in groups:
-        full = check_bialgebra(alg.system, LAYOUT_3)
-        for c in full.checks:
-            report.add("full:" + c.name, c.passed, ms=c.ms, **c.details)
+        _absorb(report, "full:", check_bialgebra(alg.system, LAYOUT_3))
         report.extend(check_bialgebra(q.system, LAYOUT_Q))
     if "hopf-ideal" in groups:
         report.extend(hopf_ideal_check(alg))
@@ -238,36 +244,21 @@ def cmd_all(args) -> int:
 
     # contract stage failures must not block the later stages
     try:
-        schedule, digest = _load_schedule(args.schedule, bindings)
-        source, twist, target = LANES[args.contraction_matrix]
-        tm = source()
-        if bindings:
-            tm = tm.substitute(bindings)
-        if target is None:
-            records = probe_divergence(tm, twist(), schedule)
-            report.add("contract:probe-recorded", True,
-                       note="no target asserted", records=records)
-        else:
-            goal = target()
-            if bindings:
-                goal = goal.substitute(bindings)
-            _result, stage = contraction_report(tm, twist(), schedule, goal)
-            for c in stage.checks:
-                report.add("contract:" + c.name, c.passed, ms=c.ms, **c.details)
-        report.metadata["schedule_sha256"] = digest
+        _result, stage = _contract_stage(args, bindings)
     except (UsageError, ScheduleError) as exc:
         report.add("contract:schedule-loads", False, error=str(exc))
+    else:
+        _absorb(report, "contract:", stage)
+        report.metadata["schedule_sha256"] = stage.metadata["schedule_sha256"]
 
     alg = _algebra(args, bindings)
     for stage in (verify_reference(alg), rtt_zero_report(alg),
                   alg.confluence(args.max_degree)):
-        for c in stage.checks:
-            report.add("relations:" + c.name, c.passed, ms=c.ms, **c.details)
+        _absorb(report, "relations:", stage)
     report.metadata["convention"] = alg.convention
 
-    stage = _hopf_report(alg, HOPF_GROUPS, braiding=not args.no_braiding)
-    for c in stage.checks:
-        report.add("hopf:" + c.name, c.passed, ms=c.ms, **c.details)
+    _absorb(report, "hopf:",
+            _hopf_report(alg, HOPF_GROUPS, braiding=not args.no_braiding))
     return _emit(report, args)
 
 

@@ -8,6 +8,12 @@ entry by entry exactly when the twist is placed correctly, which is the
 whole point: contract() either returns the finite limit matrix or raises
 PoleError carrying the entries that blew up and their lowest Laurent
 coefficients.
+
+Each entry is Laurent-expanded only as far as its reader looks (the
+series is exact through the order passed, see field.laurent_expand):
+contract() expands with order 0, because the limit reads the pole terms
+for its diagnostics and the constant term for the value, and
+probe_divergence() with order -1, because a record holds only pole terms.
 """
 
 from __future__ import annotations
@@ -103,20 +109,25 @@ def schedule_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def bundled_schedule() -> tuple:
+    """(standard_schedule(), sha256 hex digest of its file), from one read."""
+    from importlib.resources import files
+
+    raw = files("jforge").joinpath("data/jordanian_gl3.schedule").read_bytes()
+    return Schedule.from_dict(json.loads(raw)), hashlib.sha256(raw).hexdigest()
+
+
 def standard_schedule() -> Schedule:
     """The bundled schedule contracting the deformed family to the
     triangular one: eta = 1/eps, r and s collapse to 1 with slopes set by
     the target parameters m and n, and q approaches p with slope k."""
-    from importlib.resources import files
-
-    text = files("jforge").joinpath("data/jordanian_gl3.schedule").read_text("utf-8")
-    return Schedule.from_dict(json.loads(text))
+    return bundled_schedule()[0]
 
 
 def _limit_entry(value: RatFunc, limit_var: str):
     """(finite limit, None) or (None, diagnostics list) for one entry."""
     try:
-        series = laurent_expand(value, limit_var)
+        series = laurent_expand(value, limit_var, 0)
         return limit_at_zero(series), None
     except PoleError as exc:
         return None, exc.diagnostics
@@ -169,7 +180,7 @@ def probe_divergence(tm: TensorMat, twist: list, schedule: Schedule, max_records
             if value.is_zero():
                 continue
             try:
-                series = laurent_expand(value, schedule.limit_var)
+                series = laurent_expand(value, schedule.limit_var, -1)
             except DivisionByZero as exc:
                 records.append({
                     "row": list(subbed.basis[i]), "col": list(subbed.basis[j]),

@@ -334,8 +334,12 @@ class LaurentSeries:
 
     coeffs[i] is the coefficient of variable**(min_degree + i); coefficients
     are RatFunc values free of the expansion variable.  The series is exact
-    through degree truncation_order inclusive.  For a nonzero series
-    coeffs[0] is nonzero; the zero series has empty coeffs.
+    through degree truncation_order inclusive and says nothing above it:
+    every coefficient of degree at most truncation_order equals that of the
+    full expansion, and coefficient() refuses any higher degree.  For a
+    nonzero series coeffs[0] is nonzero; the zero series has empty coeffs
+    and min_degree 0, also when the truncation cuts off below the
+    valuation.
     """
 
     variable: str
@@ -361,11 +365,17 @@ class LaurentSeries:
 
 
 def laurent_expand(f: RatFunc, var, order: int = None) -> LaurentSeries:
-    """Expand f as a Laurent series in var around 0.
+    """Expand f as a Laurent series in var around 0, exact through order.
 
-    With order None the expansion runs through pole_order + 4.  When the
-    requested order cuts off below the valuation, the result is the empty
-    series: exact through the truncation, no visible terms.
+    Only the numerator and denominator coefficients that reach degree
+    order are built, and the recurrence for 1/den runs only that far, so
+    a caller pays for exactly the degrees it reads.  With order None the
+    expansion runs through pole_order + 4.  When order cuts off below the
+    valuation, the result is the empty series: exact through the
+    truncation, no visible terms.  The callers in contraction pass order 0
+    (the limit reads the pole terms and the constant term) and order -1
+    (the divergence probe reads only the pole terms); limit_at_zero on a
+    RatFunc passes order 0.
     """
     if f.is_zero():
         o = 4 if order is None else order
@@ -378,10 +388,11 @@ def laurent_expand(f: RatFunc, var, order: int = None) -> LaurentSeries:
         order = max(0, -val) + 4
     if order < val:
         return LaurentSeries(var, 0, (), order)
-    # power series coefficients of num/den after factoring out the valuation
-    nn = {i - a: RatFunc(c, _reduced=False) for i, c in nu.items()}
-    dd = {j - b: RatFunc(c, _reduced=False) for j, c in du.items()}
+    # power series coefficients of num/den after factoring out the valuation;
+    # those of degree above terms cannot reach the truncation order
     terms = order - val
+    nn = {i - a: RatFunc(c, _reduced=False) for i, c in nu.items() if i - a <= terms}
+    dd = {j - b: RatFunc(c, _reduced=False) for j, c in du.items() if j - b <= terms}
     inv0 = dd[0].inverse()
     e: list = [None] * (terms + 1)
     e[0] = inv0
@@ -405,15 +416,20 @@ def laurent_expand(f: RatFunc, var, order: int = None) -> LaurentSeries:
 def limit_at_zero(f, var=None) -> RatFunc:
     """Limit of f as the variable goes to 0.
 
-    Accepts a LaurentSeries, or a RatFunc together with the variable name.
+    Accepts a LaurentSeries exact through degree 0 or beyond, or a RatFunc
+    together with the variable name, which is expanded with order 0.
     Raises PoleError (with the lowest coefficients as diagnostics) when
-    negative powers survive.
+    negative powers survive, and NotExpandable for a series truncated
+    below degree 0, whose constant term is unknown.
     """
     if isinstance(f, RatFunc):
         if var is None:
             raise NotExpandable("limit of a RatFunc needs the variable")
-        f = laurent_expand(f, var)
+        f = laurent_expand(f, var, 0)
     series: LaurentSeries = f
+    if series.truncation_order < 0:
+        raise NotExpandable(
+            f"limit needs the series through degree 0, not {series.truncation_order}")
     if series.is_zero():
         return RF_ZERO
     if series.min_degree < 0:
@@ -429,4 +445,4 @@ def limit_at_zero(f, var=None) -> RatFunc:
                 f"pole of order {-series.min_degree} in {series.variable}",
                 diagnostics=diags,
             )
-    return series.coefficient(0) if series.truncation_order >= 0 else RF_ZERO
+    return series.coefficient(0)

@@ -5,8 +5,11 @@ import os
 
 import pytest
 
+from jforge import contraction
+from jforge.cli import LANES
 from jforge.contraction import (
     Schedule,
+    bundled_schedule,
     contract,
     contraction_report,
     extract_sector,
@@ -15,6 +18,7 @@ from jforge.contraction import (
     standard_schedule,
 )
 from jforge.errors import PoleError, ScheduleError
+from jforge.field import laurent_expand
 from jforge.grammar import parse
 from jforge.rmat import (
     TensorMat,
@@ -59,6 +63,8 @@ def test_schedule_roundtrip_and_digest():
 
 def test_repo_and_packaged_schedules_agree():
     assert Schedule.load(REPO_SCHEDULE).bindings == standard_schedule().bindings
+    # the digest contract reports carry is that of the file's bytes
+    assert bundled_schedule()[1] == schedule_digest(REPO_SCHEDULE)
 
 
 def test_contraction_hits_triangular_target_exactly():
@@ -117,3 +123,33 @@ def test_report_carries_reproducibility_metadata():
     assert report.passed
     assert report.metadata["limit_var"] == "eps"
     assert set(report.metadata["bindings"]) == {"eta", "q", "r", "s"}
+
+
+def rescaled(schedule: Schedule, c: str) -> Schedule:
+    """The schedule with eps -> c*eps in every binding."""
+    eps = parse(f"({c})*eps")
+    return schedule.override({k: v.substitute({"eps": eps})
+                              for k, v in schedule.bindings.items()})
+
+
+def lane_outcome(lane: str, schedule: Schedule) -> tuple:
+    """(limit matrix or PoleError diagnostics, probe records) of one lane."""
+    source, twist, _target = LANES[lane]
+    try:
+        limit = contract(source(), twist(), schedule).to_dict()
+    except PoleError as exc:
+        limit = exc.diagnostics
+    return limit, probe_divergence(source(), twist(), schedule)
+
+
+@pytest.mark.parametrize("c", [None, "7/3", "-2/5"])
+@pytest.mark.parametrize("lane", sorted(LANES))
+def test_truncated_expansions_match_untruncated_reference(monkeypatch, lane, c):
+    schedule = standard_schedule() if c is None else rescaled(standard_schedule(), c)
+    got = lane_outcome(lane, schedule)
+    # the reference: the same stages, every entry expanded through pole + 4
+    monkeypatch.setattr(contraction, "laurent_expand",
+                        lambda f, var, order=None: laurent_expand(f, var))
+    want = lane_outcome(lane, schedule)
+    assert got == want
+    assert bool(want[1]) == (lane == "gprime")  # only the probe twist diverges

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jforge import poly as P
@@ -85,6 +85,13 @@ def test_limit_finite_and_divergent():
         limit_at_zero(parse("m/eps"), "eps")
     with pytest.raises(NotExpandable):
         limit_at_zero(parse("m"))
+
+
+@pytest.mark.parametrize("text, order", [("3 + m/eps", -2), ("3 + m/eps", -1), ("3", -1)])
+def test_limit_of_series_truncated_below_degree_zero_is_refused(text, order):
+    # the constant term, and so the limit, lies beyond the truncation
+    with pytest.raises(NotExpandable):
+        limit_at_zero(laurent_expand(parse(text), "eps", order))
 
 
 def test_pole_cancellation_across_sum():
@@ -229,3 +236,38 @@ def test_one_term_denominators_reach_each_branch():
     assert parse("k/p") - parse("k/p") is RF_ZERO
     assert as_pair(parse("3/p") * parse("p/6")) == as_pair(RatFunc.const(Fraction(1, 2)))
     assert as_pair(1 - parse("1/p")) == as_pair(parse("(p - 1)/p"))
+
+
+# -- truncated Laurent expansion: the default expansion is the reference -----
+# eps-degrees stay at most 3, so the valuation is at most 3 and the default
+# expansion (through pole order + 4) always reaches it
+
+eps_monomial = monomial(variables=("eps", "m"), max_exp=3)
+eps_denominator = st.one_of(
+    st.builds(lambda m, c: {m: c}, eps_monomial, coeff.filter(bool)),
+    # several terms, kept small as above, times a power of eps for poles
+    st.builds(lambda d, k: P.pmul(d, P.pvar("eps", k)),
+              poly(min_terms=2, variables=("eps", "m"), max_exp=1).filter(
+                  lambda d: len(d) >= 2),
+              st.integers(min_value=0, max_value=2)))
+
+
+@given(poly(min_terms=1, variables=("eps", "m"), max_exp=3), eps_denominator)
+@settings(max_examples=120, deadline=None)
+def test_truncated_expansion_matches_default(time_limit, num, den):
+    with time_limit(10):
+        f = RatFunc(num, den)
+        assume(not f.is_zero())
+        full = laurent_expand(f, "eps")
+        val, pole = full.min_degree, full.pole_order()
+        for order in range(val - 1, pole + 5):
+            cut = laurent_expand(f, "eps", order)
+            assert cut.truncation_order == order
+            if order < val:
+                assert cut.is_zero()  # no term at or below the order
+            else:
+                assert (cut.min_degree, cut.pole_order()) == (val, pole)
+            for k in range(val - 1, order + 1):
+                assert cut.coefficient(k) == full.coefficient(k)
+            with pytest.raises(NotExpandable):
+                cut.coefficient(order + 1)

@@ -6,8 +6,14 @@ runs in a fresh interpreter against the ``src`` of either tree.  A pair
 matches when the exit codes agree and the two JSON reports are equal with
 every ``ms`` key removed (the comparison of ``tools/report_diff.py``); a
 command whose stdout is not JSON is compared byte for byte, with stderr.
-Prints one line per command and exits 1 on any difference, else 0.  Run
-from anywhere inside the repository:
+Commands that name a schedule as ``{rescaled}``, ``{wrong-slope}`` or
+``{misplaced-pole}`` get one file derived from this tree's bundled
+schedule, written once to the temporary directory and passed to both
+trees: eps -> (7/3)*eps in every binding, r with the sign of its slope
+flipped (the limit exists and misses the target), and eta = 1/eps^2 (the
+twist pole is of the wrong order, so entries diverge).  Prints one line per
+command and exits 1 on any difference, else 0.  Run from anywhere inside
+the repository:
 
     python3 tools/diff_against.py HEAD~1
 """
@@ -16,6 +22,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -29,12 +36,14 @@ from report_diff import first_difference, strip_ms  # noqa: E402
 
 POINT = ["--set", "m=3/2", "--set", "n=-2/3", "--set", "k=5", "--set", "p=7/4"]
 PR7_POINT = ["--set", "m=2", "--set", "n=1/3", "--set", "k=-5", "--set", "p=7/2"]
+CONTRACT_POINT = ["--set", "m=3", "--set", "n=1/2", "--set", "k=-5", "--set", "p=7/2"]
 
 COMMANDS = (
     ["all"],
     ["all", "--set", "p=1+m"],
     ["all", "--set", "m=n+1"],
     ["all", "--set", "p=2"],
+    ["all", "--contraction-matrix", "gprime"],
     ["relations"],
     ["relations", "--max-degree", "4"],
     ["relations", "--set", "p=1+m"],
@@ -47,6 +56,14 @@ COMMANDS = (
     ["contract", "--contraction-matrix", "g"],
     ["contract", "--contraction-matrix", "bigg"],
     ["contract", "--contraction-matrix", "gprime"],
+    ["contract", *CONTRACT_POINT],
+    ["contract", "--schedule", "{rescaled}", "--contraction-matrix", "g"],
+    ["contract", "--schedule", "{rescaled}", "--contraction-matrix", "bigg"],
+    ["contract", "--schedule", "{rescaled}", "--contraction-matrix", "gprime"],
+    ["contract", "--schedule", "{wrong-slope}", "--contraction-matrix", "g"],
+    ["contract", "--schedule", "{wrong-slope}", "--contraction-matrix", "bigg"],
+    ["contract", "--schedule", "{misplaced-pole}", "--contraction-matrix", "g"],
+    ["contract", "--schedule", "{misplaced-pole}", "--contraction-matrix", "bigg"],
     ["qybe", "--matrix", "rq2"],
     ["qybe", "--matrix", "rq3"],
     ["qybe", "--matrix", "rj2"],
@@ -54,6 +71,27 @@ COMMANDS = (
 )
 
 RUN_MAIN = "import sys; from jforge.cli import main; sys.exit(main(sys.argv[1:]))"
+BUNDLED_SCHEDULE = ROOT / "src" / "jforge" / "data" / "jordanian_gl3.schedule"
+EPS = re.compile(r"\beps\b")
+
+
+def write_schedules(dest: Path) -> dict:
+    """{placeholder name: path} of the derived schedules, written under dest."""
+    base = json.loads(BUNDLED_SCHEDULE.read_text(encoding="utf-8"))
+    bindings = base["bindings"]
+    variants = {
+        "rescaled": {k: EPS.sub("((7/3)*eps)", v) for k, v in bindings.items()},
+        "wrong-slope": dict(bindings, r="1 + (m + n)/2*eps"),
+        "misplaced-pole": dict(bindings, eta="1/eps^2"),
+    }
+    dest.mkdir()
+    paths = {}
+    for name, variant in variants.items():
+        path = dest / f"{name}.schedule"
+        path.write_text(json.dumps(dict(base, bindings=variant), indent=2, sort_keys=True)
+                        + "\n", encoding="utf-8")
+        paths[name] = str(path)
+    return paths
 
 
 def extract(ref: str, dest: Path) -> None:
@@ -92,10 +130,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     failures = 0
     with tempfile.TemporaryDirectory(prefix="jforge-ref-") as tmp:
-        ref_tree = Path(tmp)
+        ref_tree = Path(tmp) / "ref"
         extract(args.ref, ref_tree)
+        schedules = write_schedules(Path(tmp) / "schedules")
         for argv_ in COMMANDS:
-            ref_run, new_run = run(ref_tree, argv_), run(ROOT, argv_)
+            concrete = [a.format_map(schedules) for a in argv_]
+            ref_run, new_run = run(ref_tree, concrete), run(ROOT, concrete)
             problem = compare(ref_run, new_run)
             status = "identical" if problem is None else problem
             failures += problem is not None
