@@ -26,7 +26,7 @@ from .contraction import (
     bundled_schedule,
     contraction_report,
     probe_divergence,
-    schedule_digest,
+    read_schedule,
 )
 from .errors import DivisionByZero, GrammarError, JforgeError, ScheduleError, UsageError
 from .grammar import parse
@@ -97,7 +97,7 @@ def _load_schedule(path, bindings) -> tuple:
     elif not os.path.exists(path):
         raise UsageError(f"schedule file not found: {path}")
     else:
-        schedule, digest = Schedule.load(path), schedule_digest(path)
+        schedule, digest = read_schedule(path)
     if bindings:
         bound = {name: expr.substitute(bindings)
                  for name, expr in schedule.bindings.items()}
@@ -124,10 +124,13 @@ def _emit(report: CheckReport, args) -> int:
 
 def _algebra(args, bindings) -> DerivedAlgebra:
     convention = args.convention
-    scores = None
+    scores = alg = None
     if convention == "auto":
-        convention, scores = resolve_convention(bindings=bindings)
-    alg = DerivedAlgebra(convention=convention, bindings=bindings)
+        convention, scores, alg = resolve_convention(bindings=bindings)
+    if alg is None:
+        alg = DerivedAlgebra(convention=convention, bindings=bindings)
+    else:
+        alg.extend()
     alg.resolution_scores = scores
     return alg
 

@@ -82,10 +82,12 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
+        if not isinstance(data, dict):
+            raise ScheduleError("schedule must be a JSON object")
         try:
             limit_var = data["limit_var"]
             bindings = data["bindings"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ScheduleError(f"schedule is missing {exc}") from exc
         if not isinstance(bindings, dict):
             raise ScheduleError("bindings must be an object")
@@ -96,12 +98,22 @@ class Schedule:
 
     @classmethod
     def load(cls, path: str) -> "Schedule":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ScheduleError(f"cannot read schedule {path}: {exc}") from exc
-        return cls.from_dict(data)
+        return read_schedule(path)[0]
+
+
+def read_schedule(path: str) -> tuple:
+    """(schedule, sha256 hex of the file), from one read of path.
+
+    The bytes are hashed as read and decoded as UTF-8; a file that cannot
+    be read, decoded or parsed is a ScheduleError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        data = json.loads(raw.decode("utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ScheduleError(f"cannot read schedule {path}: {exc}") from exc
+    return Schedule.from_dict(data), hashlib.sha256(raw).hexdigest()
 
 
 def schedule_digest(path: str) -> str:

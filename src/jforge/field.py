@@ -9,8 +9,8 @@ what every verification step in this project ultimately relies on.
 RatFunc is the top of a two-type numeric tower: the algebra side of the
 rewriting computes with laurent.Laurent values (packed Laurent polynomials
 in Q[m,n,k,p^±1]), and RatFunc holds everything that leaves that ring (the
-R-matrices, contraction lanes, Laurent expansion, the exchange identities,
-several-term denominators).  _coerce accepts a Laurent through its cached
+R-matrices, contraction lanes, Laurent expansion, several-term
+denominators).  _coerce accepts a Laurent through its cached
 to_rf(), so mixed operations land here.  add_into accumulates either type.
 
 Two paths reach the canonical form:

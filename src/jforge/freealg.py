@@ -17,8 +17,9 @@ word and every rhs word is strictly smaller in the graded lexicographic
 order induced by the generator sequence; that ordering is compatible with
 concatenation, so rewriting terminates and normal forms are well defined
 whenever the system is confluent.  Confluence itself is checked by
-resolving all critical pairs (overlap and inclusion ambiguities); the
-report is memoized per degree bound until the next add_rule.
+resolving all critical pairs (overlap and inclusion ambiguities); each
+pair's verdict, and the report per degree bound, is memoized until the
+next add_rule.
 
 A hard step budget (JFORGE_MAX_STEPS, default one million) backstops the
 termination argument against misbuilt rule sets; a value that is not an
@@ -164,6 +165,20 @@ class RewriteRule:
         return f"RewriteRule({'*'.join(self.lhs)} -> {nc_str(self.rhs)})"
 
 
+def _ambiguities(r1: RewriteRule, r2: RewriteRule):
+    """The critical pairs of r1 at position 0 and r2 inside or after it."""
+    l1, l2 = r1.lhs, r2.lhs
+    # proper overlap: suffix of l1 equals prefix of l2
+    for k in range(1, min(len(l1), len(l2))):
+        if l1[len(l1) - k:] == l2[:k]:
+            yield l1 + l2[k:], 0, r1, len(l1) - k, r2
+    # inclusion: l2 strictly inside l1
+    if len(l2) < len(l1):
+        for pos in range(len(l1) - len(l2) + 1):
+            if l1[pos:pos + len(l2)] == l2:
+                yield l1, 0, r1, pos, r2
+
+
 class RewriteSystem:
     """Oriented rules over an ordered generator alphabet.
 
@@ -182,6 +197,7 @@ class RewriteSystem:
         self._lhs_lengths: tuple = ()
         self._cache: dict = {}
         self._confluence: dict = {}
+        self._verdicts: dict = {}
 
     # -- word order ------------------------------------------------------
     def word_key(self, word: Word) -> tuple:
@@ -209,6 +225,7 @@ class RewriteSystem:
         self._lhs_lengths = tuple(sorted({len(l) for l in self.rules}, reverse=True))
         self._cache = {}
         self._confluence = {}
+        self._verdicts = {}
 
     def rule_list(self) -> list:
         return [self.rules[lhs] for lhs in sorted(self.rules, key=self.word_key)]
@@ -298,26 +315,46 @@ class RewriteSystem:
         """
         rules = self.rule_list()
         for r1 in rules:
-            l1 = r1.lhs
             for r2 in rules:
-                l2 = r2.lhs
-                # proper overlap: suffix of l1 equals prefix of l2
-                top = min(len(l1), len(l2))
-                for k in range(1, top):
-                    if l1[len(l1) - k:] == l2[:k]:
-                        word = l1 + l2[k:]
-                        yield word, 0, r1, len(l1) - k, r2
-                # inclusion: l2 strictly inside l1
-                if len(l2) < len(l1):
-                    for pos in range(len(l1) - len(l2) + 1):
-                        if l1[pos:pos + len(l2)] == l2:
-                            yield l1, 0, r1, pos, r2
+                yield from _ambiguities(r1, r2)
+
+    def new_pairs_resolve(self, rules, max_degree: int = None) -> bool:
+        """Whether every critical pair involving one of rules resolves.
+
+        Only the pairs (r1, r2) with r1 or r2 among these rules of the
+        system are enumerated, up to max_degree letters.  The other pairs
+        are not checked, so this stands for confluence_report only where
+        the caller knows their verdicts cannot have changed (see
+        DerivedAlgebra._still_confluent).  The verdicts are memoized.
+        """
+        new = {r.lhs for r in rules}
+        every = self.rule_list()
+        verdicts = [self._verdict(*pair)
+                    for r1 in every
+                    for r2 in (every if r1.lhs in new else rules)
+                    for pair in _ambiguities(r1, r2)
+                    if max_degree is None or len(pair[0]) <= max_degree]
+        return all(v is None for v in verdicts)
+
+    def _verdict(self, word, p1, r1, p2, r2):
+        """None if the pair resolves, else its failure record (memoized)."""
+        key = (word, p1, r1.lhs, p2, r2.lhs)
+        if key not in self._verdicts:
+            nf1 = self.normal_form(self.apply_at(word, p1, r1))
+            nf2 = self.normal_form(self.apply_at(word, p2, r2))
+            self._verdicts[key] = None if nf1 == nf2 else {
+                "word": list(word),
+                "first": nc_str(nf1, self.generators),
+                "second": nc_str(nf2, self.generators),
+            }
+        return self._verdicts[key]
 
     def confluence_report(self, max_degree: int = None) -> CheckReport:
         """Resolve every critical pair whose word has at most max_degree letters.
 
-        The report is computed once per max_degree and rule set; callers get
-        a copy, so the memoized one cannot be changed from outside.
+        The report is computed once per max_degree and rule set, each pair's
+        verdict once per rule set (shared with new_pairs_resolve); callers
+        get a copy, so the memoized report cannot be changed from outside.
         """
         report = self._confluence.get(max_degree)
         if report is None:
@@ -328,18 +365,13 @@ class RewriteSystem:
         report = CheckReport("confluence")
         candidates = 0
         failures = []
-        for word, p1, r1, p2, r2 in self.critical_pairs():
-            if max_degree is not None and len(word) > max_degree:
+        for pair in self.critical_pairs():
+            if max_degree is not None and len(pair[0]) > max_degree:
                 continue
             candidates += 1
-            nf1 = self.normal_form(self.apply_at(word, p1, r1))
-            nf2 = self.normal_form(self.apply_at(word, p2, r2))
-            if nf1 != nf2:
-                failures.append({
-                    "word": list(word),
-                    "first": nc_str(nf1, self.generators),
-                    "second": nc_str(nf2, self.generators),
-                })
+            failure = self._verdict(*pair)
+            if failure is not None:
+                failures.append(failure)
         report.add(
             "critical-pairs-resolve",
             not failures,

@@ -92,13 +92,20 @@ def rtt_entries(rmat: TensorMat, layout=LAYOUT_3, convention: str = "plain") -> 
     free algebra supported on two-letter words.  With convention
     "transposed" the transpose of R is used instead, which is the competing
     reading of the identity resolved empirically by resolve_convention.
+    Each R entry goes through coerce once, when first read, so the words'
+    coefficients are Laurent unless an entry has a several-term denominator.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     basis = rmat.basis
+    seen = {}
 
     def coeff(rp, cp):
-        return rmat.entry(rp, cp) if convention == "plain" else rmat.entry(cp, rp)
+        key = (rp, cp) if convention == "plain" else (cp, rp)
+        c = seen.get(key)
+        if c is None:
+            c = seen[key] = coerce(rmat.entry(*key))
+        return c
 
     out = {}
     for (i, j) in basis:
@@ -391,9 +398,11 @@ class DerivedAlgebra:
         self.schur = None
         self.schur_inv_record = None
         if extend:
-            self._extend()
+            self.extend()
 
-    def _extend(self):
+    def extend(self):
+        """Adjoin the inverses of f, the block determinant and the Schur
+        complement to the graded table, in place."""
         rec = append_inverse(self.system, "f_inv", nc_gen("f"), LETTERS)
         self.records.append(rec)
         movers = ("f", "f_inv", "x", "y", "theta", "phi", "a", "b", "c", "d")
@@ -412,7 +421,15 @@ class DerivedAlgebra:
                 rec["rolled_back"] = "critical pairs stopped resolving"
 
     def _still_confluent(self) -> bool:
-        return self.system.confluence_report(max_degree=3).passed
+        """Whether the degree-3 critical pairs of the inv:e rules resolve.
+
+        Every lhs containing e is an inv:e rule, and a rule whose rhs
+        contains e has e in its lhs, so a word without e rewrites only by
+        rules without e, to words without e.  The other pairs have words
+        without e and keep the verdict they had before e was adjoined.
+        """
+        inv_e = [r for r in self.system.rule_list() if r.tag.startswith("inv:e")]
+        return self.system.new_pairs_resolve(inv_e, max_degree=3)
 
     def _drop_rules(self, tag_prefix: str):
         fresh = RewriteSystem(self.system.generators, self.system.max_steps,
@@ -627,10 +644,13 @@ def resolve_convention(rmat: TensorMat = None, bindings: dict = None,
     """Pick the exchange-identity reading that reproduces the record.
 
     Derives the table under both conventions and counts how many recorded
-    relations reduce to zero; the winner is returned with the counts.  A
-    convention whose identities fail to normal-order the grid scores -1.
+    relations reduce to zero.  Returns (winner, scores, graded): graded is
+    the winner's extend=False algebra, to be extended rather than derived
+    again, or None if the winner's derivation raised.  A convention whose
+    identities fail to normal-order the grid scores -1.
     """
     scores = {}
+    graded = {}
     for conv in CONVENTIONS:
         try:
             alg = DerivedAlgebra(rmat, conv, bindings, layout, extend=False)
@@ -642,5 +662,6 @@ def resolve_convention(rmat: TensorMat = None, bindings: dict = None,
             if alg.reduces_to_zero(poly):
                 count += 1
         scores[conv] = {"score": count}
+        graded[conv] = alg
     winner = max(CONVENTIONS, key=lambda c: scores[c]["score"])
-    return winner, scores
+    return winner, scores, graded.get(winner)

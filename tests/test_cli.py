@@ -1,5 +1,7 @@
 """Command line driver: exit codes, report schema, output modes."""
 
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from jforge import cli, contraction
 from jforge.cli import main
+from jforge.rtt import DerivedAlgebra
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -94,6 +98,56 @@ def test_missing_schedule_is_usage_error(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    # a UTF-16 byte-order mark: decoded as UTF-8, not sniffed as UTF-16
+    (b"\xff\xfe{\x00}\x00",
+     "cannot read schedule {path}: 'utf-8' codec can't decode byte 0xff"),
+    (b"this is not json", "cannot read schedule {path}: Expecting value"),
+    (b"[1, 2]", "schedule must be a JSON object\n"),
+], ids=["utf-16-bom", "not-json", "not-an-object"])
+def test_unreadable_schedule_is_a_schedule_error(capsys, tmp_path, payload, message):
+    path = tmp_path / "bad.schedule"
+    path.write_bytes(payload)
+    code, out, err = run(capsys, "contract", "--schedule", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("jforge: " + message.format(path=path))
+
+
+def test_schedule_that_is_a_directory_is_a_schedule_error(capsys, tmp_path):
+    code, _, err = run(capsys, "contract", "--schedule", str(tmp_path))
+    assert code == 2
+    assert f"jforge: cannot read schedule {tmp_path}: " in err
+
+
+def test_all_reports_an_undecodable_schedule(capsys, tmp_path):
+    path = tmp_path / "bad.schedule"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, data, _ = run_json(capsys, "all", "--schedule", str(path))
+    assert code == 1
+    check = next(c for c in data["checks"] if c["name"] == "contract:schedule-loads")
+    assert check["pass"] is False
+    assert check["details"]["error"].startswith(f"cannot read schedule {path}: ")
+
+
+def test_schedule_file_is_read_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "copy.schedule"
+    path.write_bytes((ROOT / "src" / "jforge" / "data" / "jordanian_gl3.schedule").read_bytes())
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(contraction, "open", counting_open, raising=False)
+    code, data, _ = run_json(capsys, "contract", "--schedule", str(path),
+                             "--contraction-matrix", "g")
+    assert code == 0
+    assert opened == [str(path)]
+    assert data["metadata"]["schedule_sha256"] == hashlib.sha256(
+        path.read_bytes()).hexdigest()
+
+
 def test_malformed_set_is_usage_error(capsys):
     code, _, err = run(capsys, "qybe", "--set", "oops")
     assert code == 2
@@ -162,6 +216,22 @@ def test_relations_auto_convention_records_scores(capsys):
     assert data["metadata"]["convention"] == "plain"
     assert data["metadata"]["convention_scores"] == {"plain": 26,
                                                      "transposed": -1}
+
+
+@pytest.mark.parametrize("pairs, transposed_score", [
+    ([], -1),
+    (["m=3/2", "n=-2/3", "k=5", "p=7/4"], -1),
+    # at m = n = 0 the transposed reading orients too, and loses
+    (["m=0", "n=0"], 13),
+], ids=["symbolic", "point", "m-n-zero"])
+def test_auto_extends_the_winning_graded_table(pairs, transposed_score):
+    bindings = cli._bindings(pairs)
+    got = cli._algebra(argparse.Namespace(convention="auto"), bindings)
+    want = DerivedAlgebra(convention="plain", bindings=bindings)
+    assert got.convention == "plain"
+    assert got.resolution_scores["transposed"]["score"] == transposed_score
+    assert got.to_dict() == want.to_dict()
+    assert got.confluence().to_dict() == want.confluence().to_dict()
 
 
 def test_relations_transposed_convention_fails_cleanly(capsys):

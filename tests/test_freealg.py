@@ -192,6 +192,66 @@ def test_confluence_memo_is_kept_per_degree(nf_calls):
     assert three.passed and four.passed
 
 
+def _rule(lhs, rhs, tag):
+    return RewriteRule(tuple(lhs), nc_word(tuple(rhs)), tag)
+
+
+def _xyzw(rules) -> RewriteSystem:
+    rs = RewriteSystem(("x", "y", "z", "w"))
+    for rule in rules:
+        rs.add_rule(rule)
+    return rs
+
+
+# (old rules, new rules, full check, new-pairs check) on x < y < z < w
+NEW_PAIRS_CASES = {
+    # z y x: x y y by z y first, x x y by the new y x first; the new rule
+    # is only the second rule of that pair
+    "new-rule-breaks": ([_rule("zx", "xx", "t2"), _rule("zy", "yy", "t3")],
+                        [_rule("yx", "xy", "t1")], False, False),
+    "new-rule-keeps": ([_rule("zx", "xz", "t2"), _rule("zy", "yz", "t3")],
+                       [_rule("yx", "xy", "t1")], True, True),
+    # z y x fails before w comes in; w's own pairs all resolve
+    "already-broken": ([_rule("yx", "xy", "t1"), _rule("zx", "xx", "t2"),
+                        _rule("zy", "yy", "t3")],
+                       [_rule("wx", "xw", "t4"), _rule("wy", "yw", "t5"),
+                        _rule("wz", "zw", "t6")], False, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEW_PAIRS_CASES))
+def test_new_pairs_check_against_the_full_check(case):
+    old, new, full, incremental = NEW_PAIRS_CASES[case]
+    rs = _xyzw(old + new)
+    assert rs.new_pairs_resolve(new, max_degree=3) is incremental
+    assert rs.confluence_report(max_degree=3).passed is full
+
+
+@pytest.mark.parametrize("case", sorted(NEW_PAIRS_CASES))
+def test_report_after_new_pairs_check_matches_a_fresh_system(nf_calls, case):
+    old, new, _full, _incremental = NEW_PAIRS_CASES[case]
+    rs = _xyzw(old + new)
+    rs.new_pairs_resolve(new, max_degree=3)
+    report = rs.confluence_report(max_degree=3)
+    # the full report reuses the new pairs' verdicts: each pair once
+    assert nf_calls[0] == 2 * report.checks[0].details["candidates"]
+    assert report.to_dict() == _xyzw(old + new).confluence_report(max_degree=3).to_dict()
+
+
+def test_add_rule_clears_the_pair_verdicts():
+    old, new, _full, _incremental = NEW_PAIRS_CASES["new-rule-breaks"]
+    rs = _xyzw(old + new)
+    assert not rs.new_pairs_resolve(new, max_degree=3)
+    # x y y -> x x y joins the two sides of z y x
+    joining = _rule("xyy", "xxy", "t7")
+    rs.add_rule(joining)
+    assert rs.new_pairs_resolve([joining], max_degree=3)
+    report = rs.confluence_report(max_degree=3)
+    assert report.passed
+    assert report.to_dict() == _xyzw(old + new + [joining]).confluence_report(
+        max_degree=3).to_dict()
+
+
 def test_step_budget_is_enforced():
     rs = weyl_like()
     deep = nc_word(tuple("yx" * 12))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jforge import rtt
 from jforge.errors import DegreeOverflow, OrientationFailure
 from jforge.freealg import (
     nc_add,
@@ -20,14 +21,16 @@ from jforge.freealg import (
     nc_word,
 )
 from jforge.grammar import parse
-from jforge.laurent import coerce
+from jforge.laurent import Laurent, coerce
 from jforge.linalg import solve_dense
 from jforge.rmat import four_param_deformed_r3, jordanian_r3
 from jforge.rtt import (
     GEN_ORDER,
+    LAYOUT_3,
     DerivedAlgebra,
     _solve_in_span,
     block_determinant,
+    derive_relation_table,
     reference_relations,
     resolve_convention,
     rtt_entries,
@@ -43,7 +46,7 @@ def load(name):
 
 
 def test_convention_resolution_prefers_plain():
-    winner, scores = resolve_convention()
+    winner, scores, _graded = resolve_convention()
     assert winner == "plain"
     assert scores["plain"]["score"] == 26
     assert scores["transposed"]["score"] == -1
@@ -52,7 +55,7 @@ def test_convention_resolution_prefers_plain():
 
 def test_convention_resolution_matches_fixture():
     fixture = load("convention_resolution.json")
-    winner, scores = resolve_convention()
+    winner, scores, _graded = resolve_convention()
     assert winner == fixture["winner"]
     assert {c: s["score"] for c, s in scores.items()} == {
         c: s["score"] for c, s in fixture["scores"].items()
@@ -282,3 +285,62 @@ def test_four_param_derivation_records(convention):
     assert alg.records[0]["solved"] == RQ3_SOLVED[convention]
     assert alg.records[1]["solved"] == {}
     assert not any(rec["added"] or rec["verified"] for rec in alg.records)
+
+
+def _table_or_error(rmat, convention):
+    try:
+        system, _rules = derive_relation_table(rmat, LAYOUT_3, convention)
+    except OrientationFailure as exc:
+        return "error", str(exc)
+    return "table", system.to_dict()
+
+
+@pytest.mark.parametrize("matrix, convention, point", [
+    (jordanian_r3, "plain", {}),
+    (jordanian_r3, "plain", {"m": "3/2", "n": "-2/3", "k": "5", "p": "7/4"}),
+    (jordanian_r3, "plain", {"m": "2", "n": "1/3", "k": "-5", "p": "7/2"}),
+    (jordanian_r3, "plain", {"p": "1+m"}),
+    (jordanian_r3, "transposed", {}),
+    (four_param_deformed_r3, "plain", {}),
+    (four_param_deformed_r3, "transposed", {}),
+    (four_param_deformed_r3, "plain", {"r": "2", "s": "-3/2", "p": "5", "q": "7/3"}),
+    (four_param_deformed_r3, "transposed", {"r": "2", "s": "-3/2", "p": "5", "q": "7/3"}),
+])
+def test_table_over_laurent_matches_the_ratfunc_reference(monkeypatch, matrix,
+                                                          convention, point):
+    # the reference row-reduces the same exchange rows with every
+    # coefficient converted to RatFunc; rules (lhs, rhs, tag) and
+    # OrientationFailure messages must agree
+    rmat = matrix()
+    if point:
+        rmat = rmat.substitute({v: parse(e) for v, e in point.items()})
+    coeffs = [c for e in rtt_entries(rmat, LAYOUT_3, convention).values()
+              for c in e.values()]
+    several_term = [c for c in coeffs if not isinstance(c, Laurent)]
+    assert (point == {"p": "1+m"}) == bool(several_term)
+    assert len(several_term) < len(coeffs)
+    got = _table_or_error(rmat, convention)
+    laurent_entries = rtt.rtt_entries
+
+    def ratfunc_entries(*args):
+        return {pos: {w: c.to_rf() if isinstance(c, Laurent) else c
+                      for w, c in e.items()}
+                for pos, e in laurent_entries(*args).items()}
+
+    monkeypatch.setattr(rtt, "rtt_entries", ratfunc_entries)
+    assert _table_or_error(rmat, convention) == got
+
+
+def test_inv_e_rules_own_every_pair_whose_word_contains_e(alg):
+    # the facts DerivedAlgebra._still_confluent rests on, on the symbolic system
+    assert alg.schur_inv_record["added"]
+    rules = alg.system.rule_list()
+    assert all(r.tag.startswith("inv:e") for r in rules if "e" in r.lhs)
+    assert all("e" in r.lhs for r in rules if any("e" in w for w in r.rhs))
+    pairs = [p for p in alg.system.critical_pairs() if len(p[0]) <= 3]
+    involve = [p for p in pairs
+               if p[2].tag.startswith("inv:e") or p[4].tag.startswith("inv:e")]
+    assert (len(pairs), len(involve)) == (232, 56)
+    assert involve == [p for p in pairs if "e" in p[0]]
+    inv_e = [r for r in rules if r.tag.startswith("inv:e")]
+    assert alg.system.new_pairs_resolve(inv_e, max_degree=3)

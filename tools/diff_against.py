@@ -51,6 +51,11 @@ COMMANDS = (
     ["hopf", "--convention", "auto", *PR7_POINT],
     ["relations", "--convention", "auto", *POINT],
     ["hopf", "--convention", "auto", *POINT],
+    ["relations", "--convention", "auto"],
+    ["hopf", "--convention", "auto"],
+    ["relations", "--convention", "auto", "--set", "m=0", "--set", "n=0"],
+    ["relations", "--convention", "auto", "--set", "p=1+m"],
+    ["relations", "--convention", "transposed"],
     ["hopf", "--no-braiding"],
     ["hopf", "--set", "m=n+1"],
     ["contract", "--contraction-matrix", "g"],

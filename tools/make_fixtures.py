@@ -75,7 +75,7 @@ def main(argv=None):
         "record": alg.block_inv_record,
     })
 
-    winner, scores = resolve_convention()
+    winner, scores, _graded = resolve_convention()
     dump(out, "convention_resolution.json", {"winner": winner, "scores": scores})
 
 
