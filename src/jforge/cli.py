@@ -51,6 +51,7 @@ from .rmat import (
     two_param_deformed_r2,
 )
 from .rtt import LAYOUT_3, DerivedAlgebra, resolve_convention, rtt_zero_report, verify_reference
+from .specialize import derive
 
 MATRICES = {
     "rq2": two_param_deformed_r2,
@@ -123,14 +124,16 @@ def _emit(report: CheckReport, args) -> int:
 
 
 def _algebra(args, bindings) -> DerivedAlgebra:
+    """The algebra under bindings; a rational point is read off the
+    symbolic derivation where that is exact (specialize.derive)."""
     convention = args.convention
     scores = alg = None
     if convention == "auto":
-        convention, scores, alg = resolve_convention(bindings=bindings)
+        convention, scores, alg = resolve_convention(bindings=bindings, derive=derive)
     if alg is None:
-        alg = DerivedAlgebra(convention=convention, bindings=bindings)
+        alg = derive(convention=convention, bindings=bindings)
     else:
-        alg.extend()
+        alg = alg.extended()
     alg.resolution_scores = scores
     return alg
 

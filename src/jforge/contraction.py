@@ -96,10 +96,6 @@ class Schedule:
         except GrammarError as exc:
             raise ScheduleError(f"unparseable binding: {exc}") from exc
 
-    @classmethod
-    def load(cls, path: str) -> "Schedule":
-        return read_schedule(path)[0]
-
 
 def read_schedule(path: str) -> tuple:
     """(schedule, sha256 hex of the file), from one read of path.
@@ -114,11 +110,6 @@ def read_schedule(path: str) -> tuple:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScheduleError(f"cannot read schedule {path}: {exc}") from exc
     return Schedule.from_dict(data), hashlib.sha256(raw).hexdigest()
-
-
-def schedule_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def bundled_schedule() -> tuple:

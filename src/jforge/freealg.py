@@ -21,6 +21,10 @@ resolving all critical pairs (overlap and inclusion ambiguities); each
 pair's verdict, and the report per degree bound, is memoized until the
 next add_rule.
 
+evaluate, value, reducer and like are the hooks by which
+specialize.SpecializedSystem reads a symbolic system at a rational point;
+here they are identities.
+
 A hard step budget (JFORGE_MAX_STEPS, default one million) backstops the
 termination argument against misbuilt rule sets; a value that is not an
 integer of at least 1 is a UsageError.
@@ -327,26 +331,27 @@ class RewriteSystem:
         the caller knows their verdicts cannot have changed (see
         DerivedAlgebra._still_confluent).  The verdicts are memoized.
         """
+        return not self.new_pairs_unresolved(rules, max_degree)
+
+    def new_pairs_unresolved(self, rules, max_degree: int = None) -> list:
+        """The (nf1, nf2) splits of the pairs new_pairs_resolve checks that
+        do not resolve."""
         new = {r.lhs for r in rules}
         every = self.rule_list()
-        verdicts = [self._verdict(*pair)
-                    for r1 in every
-                    for r2 in (every if r1.lhs in new else rules)
-                    for pair in _ambiguities(r1, r2)
-                    if max_degree is None or len(pair[0]) <= max_degree]
-        return all(v is None for v in verdicts)
+        splits = [self._verdict(*pair)
+                  for r1 in every
+                  for r2 in (every if r1.lhs in new else rules)
+                  for pair in _ambiguities(r1, r2)
+                  if max_degree is None or len(pair[0]) <= max_degree]
+        return [split for split in splits if split is not None]
 
     def _verdict(self, word, p1, r1, p2, r2):
-        """None if the pair resolves, else its failure record (memoized)."""
+        """None if the pair resolves, else its two normal forms (memoized)."""
         key = (word, p1, r1.lhs, p2, r2.lhs)
         if key not in self._verdicts:
             nf1 = self.normal_form(self.apply_at(word, p1, r1))
             nf2 = self.normal_form(self.apply_at(word, p2, r2))
-            self._verdicts[key] = None if nf1 == nf2 else {
-                "word": list(word),
-                "first": nc_str(nf1, self.generators),
-                "second": nc_str(nf2, self.generators),
-            }
+            self._verdicts[key] = None if nf1 == nf2 else (nf1, nf2)
         return self._verdicts[key]
 
     def confluence_report(self, max_degree: int = None) -> CheckReport:
@@ -369,9 +374,13 @@ class RewriteSystem:
             if max_degree is not None and len(pair[0]) > max_degree:
                 continue
             candidates += 1
-            failure = self._verdict(*pair)
-            if failure is not None:
-                failures.append(failure)
+            split = self._verdict(*pair)
+            if split is not None:
+                failures.append({
+                    "word": list(pair[0]),
+                    "first": nc_str(split[0], self.generators),
+                    "second": nc_str(split[1], self.generators),
+                })
         report.add(
             "critical-pairs-resolve",
             not failures,
@@ -398,13 +407,33 @@ class RewriteSystem:
             out.add_rule(RewriteRule(rule.lhs, rhs, rule.tag))
         return out
 
+    # -- reading at a point -----------------------------------------------------
+    def evaluate(self, elem: dict) -> dict:
+        """elem, an algebra or tensor element, read at this system's point:
+        elem itself here."""
+        return elem
+
+    def value(self, c):
+        """One coefficient read at this system's point: c itself here."""
+        return c
+
+    def reducer(self) -> "RewriteSystem":
+        """The system whose rules rewrite: this one here."""
+        return self
+
+    def like(self, other: "RewriteSystem") -> "RewriteSystem":
+        """other, a system built from this one's rules, read at this
+        system's point: other itself here."""
+        return other
+
     # -- serialization ----------------------------------------------------------
     def to_dict(self) -> dict:
         rules = []
         for rule in self.rule_list():
             rhs = [
                 {"word": list(w), "coeff": serialize(c)}
-                for w, c in sorted(rule.rhs.items(), key=lambda kv: self.word_key(kv[0]))
+                for w, c in sorted(self.evaluate(rule.rhs).items(),
+                                   key=lambda kv: self.word_key(kv[0]))
             ]
             rules.append({"lhs": list(rule.lhs), "rhs": rhs, "tag": rule.tag})
         return {"order": list(self.generators), "rules": rules}
@@ -450,19 +479,21 @@ def tensor_normal_form(elem: dict, system: RewriteSystem) -> dict:
     Terms are grouped by their left word: each distinct left word is
     reduced once, the right legs sharing it are reduced together as one
     polynomial carrying their coefficients, and each (left, right) pair of
-    normal words costs one product.
+    normal words costs one product.  The legs are reduced by the system's
+    reducer() and the sum is read at its point once, at the end.
     """
+    reduce = system.reducer().normal_form
     groups: dict = {}
     for (wl, wr), c in elem.items():
         groups.setdefault(tuple(wl), {})[tuple(wr)] = c
     out: dict = {}
     for wl, rights in groups.items():
-        left = system.normal_form({wl: L_ONE})
-        right = system.normal_form(rights)
+        left = reduce({wl: L_ONE})
+        right = reduce(rights)
         for ll, cl in left.items():
             for rr, cr in right.items():
                 add_into(out, (ll, rr), cl * cr)
-    return out
+    return system.evaluate(out)
 
 
 def t_str(a: dict, generators: tuple = ()) -> str:

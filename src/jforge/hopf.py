@@ -136,7 +136,7 @@ def check_bialgebra(system: RewriteSystem, layout=LAYOUT_3) -> CheckReport:
         if not nc_is_zero(image):
             delta_bad.append({"rule": rule.tag,
                               "image": t_str(image, system.generators)})
-        if not counit_poly(residual).is_zero():
+        if not system.value(counit_poly(residual)).is_zero():
             eps_bad.append({"rule": rule.tag})
     report.add("coproduct-is-algebra-map", not delta_bad,
                relations=checked, failures=delta_bad[:5])
@@ -344,7 +344,7 @@ def qdet_checks(q: QuotientAlgebra) -> CheckReport:
     report.add("block-determinant-group-like",
                nc_is_zero(tensor_normal_form(diff, system)))
 
-    report.add("counit-of-determinant", counit_poly(D) == L_ONE)
+    report.add("counit-of-determinant", system.value(counit_poly(D)) == L_ONE)
 
     p = _rf("p", q.parent.bindings)
     graded = nc_sub(nc_word(("f", "x")), nc_word(("x", "f"), p))
@@ -407,7 +407,7 @@ def _unbraided(system: RewriteSystem) -> RewriteSystem:
             out.add_rule(RewriteRule(rule.lhs, nc_word((v, u)), rule.tag))
         else:
             out.add_rule(rule)
-    return out
+    return system.like(out)
 
 
 def coaction_covariance(q: QuotientAlgebra, braiding: bool = True) -> CheckReport:

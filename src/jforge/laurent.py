@@ -288,7 +288,15 @@ class Laurent:
 
     # -- maps ---------------------------------------------------------------
     def substitute(self, bindings: dict):
-        """Substitution of parameters, back through coerce."""
+        """Substitution of parameters.
+
+        int and Fraction values are put into the packed monomials directly
+        (see Substitution); any other binding goes through to_rf() and back
+        through coerce.  Either way a value of 0 for a parameter with a
+        negative exponent raises DivisionByZero.
+        """
+        if all(isinstance(v, (int, Fraction)) for v in bindings.values()):
+            return Substitution(bindings)(self)
         return coerce(self.to_rf().substitute(bindings))
 
 
@@ -301,6 +309,61 @@ def _const(x):
 
 L_ZERO = Laurent({})
 L_ONE = Laurent({0: 1})
+
+
+class Substitution:
+    """Rational values put in for some parameters, as a map on the tower.
+
+    A Laurent value is evaluated monomial by monomial: each packed monomial
+    splits, once per Substitution, into the product of its bound factors
+    and the packed monomial of its unbound exponents, and equal remainders
+    are summed.  A RatFunc goes through RatFunc.substitute and coerce.
+    """
+
+    def __init__(self, bindings: dict):
+        self.bindings = {name: Fraction(v) for name, v in bindings.items()}
+        self._slots = [(SLOT_BITS * _slot(name), v) for name, v in self.bindings.items()]
+        self._split = {}
+
+    def _monomial(self, m: int) -> tuple:
+        """(product of the bound factors, packed unbound rest) of m."""
+        hit = self._split.get(m)
+        if hit is None:
+            factor, rest, biased = Fraction(1), m, m + _BIAS
+            for shift, value in self._slots:
+                e = ((biased >> shift) & _MASK) - _HALF
+                if e:
+                    if e < 0 and not value:
+                        raise DivisionByZero("substitution sends denominator to zero")
+                    factor *= value ** e
+                    rest -= e << shift
+            hit = self._split[m] = (_coef(factor), rest)
+        return hit
+
+    def __call__(self, x):
+        if type(x) is not Laurent:
+            return coerce(x.substitute(self.bindings))
+        out = {}
+        changed = False
+        for m, c in x.terms.items():
+            factor, rest = self._monomial(m)
+            if rest != m or factor != 1:
+                changed = True
+                if not factor:
+                    continue
+                c = _coef(c * factor)
+            old = out.get(rest)
+            if old is None:
+                out[rest] = c
+            else:
+                c += old
+                if c:
+                    out[rest] = _coef(c)
+                else:
+                    del out[rest]
+        if not changed:
+            return x
+        return Laurent(out) if out else L_ZERO
 
 
 def coerce(x):

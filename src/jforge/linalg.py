@@ -105,18 +105,19 @@ def mat_inverse(a: list) -> list:
     return [[row.get(n + j, RF_ZERO) for j in range(n)] for row in reduced]
 
 
-def solve_dense(a: list, b: list):
+def solve_dense(a: list, b: list, locus: list = None):
     """One solution of A x = b, or None when inconsistent.
 
     Underdetermined systems get free variables set to zero, so the answer is
-    deterministic.  b is a flat list.  [A | b] is reduced by rref_sparse;
-    the system is inconsistent exactly when the column of b is a pivot.
+    deterministic.  b is a flat list.  [A | b] is reduced by rref_sparse
+    (which appends its pivots to locus, if given); the system is
+    inconsistent exactly when the column of b is a pivot.
     """
     n, m = mat_shape(a)
     if len(b) != n:
         raise DimensionMismatch("right-hand side length mismatch")
     rows = [dict(enumerate([*row, rhs])) for row, rhs in zip(a, b)]
-    reduced, pivots = rref_sparse(rows, list(range(m + 1)))
+    reduced, pivots = rref_sparse(rows, list(range(m + 1)), locus)
     if pivots and pivots[-1] == m:
         return None
     x = [RF_ZERO] * m
@@ -125,14 +126,18 @@ def solve_dense(a: list, b: list):
     return x
 
 
-def rref_sparse(rows: list, column_order: list) -> tuple:
+def rref_sparse(rows: list, column_order: list, locus: list = None) -> tuple:
     """Reduced row echelon form of sparse rows.
 
     rows are dicts {column_label: RatFunc}; column_order fixes which label
     counts as leading (earlier = more significant).  Returns (reduced, pivot
     labels), with reduced rows monic in their pivot, fully inter-reduced,
     zero rows dropped, and ordered by pivot position.  The result is unique
-    for a fixed column order.
+    for a fixed column order.  With locus given, each pivot value is
+    appended to it as a one-value tuple before it is inverted: wherever
+    every entry is defined and every such value nonzero, the same steps
+    reduce the specialized rows, so the reduced form specializes (see
+    jforge.specialize).
     """
     col_index = {c: i for i, c in enumerate(column_order)}
     live = []
@@ -150,6 +155,8 @@ def rref_sparse(rows: list, column_order: list) -> tuple:
         if hit is None:
             continue
         live.remove(hit)
+        if locus is not None:
+            locus.append((hit[col],))
         inv = hit[col].inverse()
         hit = {c: v * inv for c, v in hit.items()}
         for bucket in (live, reduced):

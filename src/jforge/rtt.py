@@ -16,6 +16,11 @@ transcribed by hand.  A quotient construction kills the upper-row
 generators and adjoins the inverse of the total determinant, giving the
 inhomogeneous algebra that the coaction checks run against.
 
+Every elimination pivot, collapse coefficient and branch-deciding value
+of a derivation goes to its degeneracy locus; off that locus the algebra
+derived at a rational point is the symbolic one evaluated, which is how
+specialize.derive reads points off the symbolic derivation.
+
 The derived table is cross-checked against an independently recorded
 set of 27 commutation relations (reference_relations); the verifier
 reports any mismatch together with a sign-flipped variant of the
@@ -25,7 +30,7 @@ residual, so a wrong sign in the recorded set is visible at a glance.
 from __future__ import annotations
 
 from .errors import MissingInverse, OrientationFailure
-from .field import add_into
+from .field import RF_ONE, RatFunc, add_into
 from .freealg import (
     NCPoly,
     RewriteRule,
@@ -123,22 +128,29 @@ def rtt_entries(rmat: TensorMat, layout=LAYOUT_3, convention: str = "plain") -> 
 
 
 def derive_relation_table(rmat: TensorMat, layout=LAYOUT_3,
-                          convention: str = "plain", max_steps: int = None):
+                          convention: str = "plain", max_steps: int = None,
+                          locus: list = None, entries: dict = None):
     """Row-reduce the exchange identities into an oriented rewrite table.
 
     Returns (system, rules).  The system lives on the full GEN_ORDER
     alphabet; the rules normal-order every descending pair of grid
     generators.  OrientationFailure if the reduced pivots are not exactly
     the descending pairs, which would mean the identities do not present a
-    normal-ordering system for this matrix and convention.
+    normal-ordering system for this matrix and convention.  entries are
+    rtt_entries(rmat, layout, convention) when the caller has built them.
+    With locus given, the denominators of rmat and the pivots are appended
+    to it, also when OrientationFailure is raised.
     """
-    entries = rtt_entries(rmat, layout, convention)
+    if entries is None:
+        entries = rtt_entries(rmat, layout, convention)
+    if locus is not None:
+        locus.extend(_denominators(rmat))
     letters = tuple(sorted({g for row in layout for g in row if g},
                            key=_GEN_INDEX.__getitem__))
     columns = [(u, v) for u in letters for v in letters]
     columns.sort(key=lambda w: tuple(_GEN_INDEX[g] for g in w), reverse=True)
     rows = [e for e in entries.values() if e]
-    reduced, pivots = rref_sparse(rows, columns)
+    reduced, pivots = rref_sparse(rows, columns, locus)
     expected = {(u, v) for u in letters for v in letters
                 if _GEN_INDEX[u] > _GEN_INDEX[v]}
     got = set(pivots)
@@ -158,9 +170,21 @@ def derive_relation_table(rmat: TensorMat, layout=LAYOUT_3,
     return system, rules
 
 
+def _denominators(rmat: TensorMat) -> list:
+    """The distinct nonconstant denominators of rmat's entries, each a
+    RatFunc polynomial in a locus entry of its own."""
+    seen = {}
+    for row in rmat.rows:
+        for x in row:
+            if x.den != RF_ONE.num:
+                seen.setdefault(tuple(sorted(x.den.items())),
+                                (RatFunc(dict(x.den), _reduced=True),))
+    return list(seen.values())
+
+
 # -- adjoined inverses ---------------------------------------------------------
 
-def _solve_in_span(targets: list, images: dict) -> list:
+def _solve_in_span(targets: list, images: dict, locus: list = None) -> list:
     """For each target, the coefficients u with target = sum u_g * images[g].
 
     One elimination serves every target: the sparse rows [A | b_1 ... b_k],
@@ -172,6 +196,9 @@ def _solve_in_span(targets: list, images: dict) -> list:
     pivot is a target column has a nonzero entry in column j; whether
     column j is itself a pivot does not decide it, because an earlier
     inconsistent target may already have taken the pivot j would need.
+    With locus given, the pivots go to it, and for each inconsistent
+    target the entries that make it so, as one tuple: j stays inconsistent
+    wherever one of them is nonzero.
     """
     keys = sorted(images)
     m = len(keys)
@@ -183,8 +210,9 @@ def _solve_in_span(targets: list, images: dict) -> list:
         for w, c in target.items():
             rows.setdefault(w, {})[m + j] = c
     reduced, pivots = rref_sparse([rows[w] for w in sorted(rows)],
-                                  list(range(m + len(targets))))
+                                  list(range(m + len(targets))), locus)
     out = [{} for _ in targets]
+    witnesses = {}
     # pivots are in column order, so every A row comes before a target row
     for row, pivot in zip(reduced, pivots):
         for col, v in row.items():
@@ -194,12 +222,15 @@ def _solve_in_span(targets: list, images: dict) -> list:
                 out[col - m][keys[pivot]] = v
             else:
                 out[col - m] = None
+                witnesses.setdefault(col, []).append(v)
+    if locus is not None:
+        locus.extend(tuple(vs) for vs in witnesses.values())
     return out
 
 
 def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
                    movers, tag_prefix: str = None,
-                   require_all: bool = True) -> dict:
+                   require_all: bool = True, locus: list = None) -> dict:
     """Adjoin a two-sided inverse of element to the presented algebra.
 
     For every mover h the commutation of the new inverse past h is derived
@@ -209,10 +240,14 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
     share one image matrix, so each side is one elimination through
     _solve_in_span with all of its movers as targets.  A collapse rule
     oriented at the largest word of element * inverse closes the system.
-    The record's "verified" flag certifies the two unit identities
-    element*inverse -> 1 and inverse*element -> 1; per-mover roundtrips are
-    kept alongside as diagnostics.  With require_all set, nothing is added
-    unless every mover solves.
+    With require_all set, nothing is added unless every mover solves.
+
+    Returns the derivation, which inverse_record renders: the element's
+    normal form, the solved coefficients, the unsolved movers, whether the
+    rules were added and, if so, the residuals of the two unit identities
+    element*inverse -> 1 and inverse*element -> 1 and of the per-mover
+    roundtrips.  With locus given, the eliminations' pivots, the entries
+    that leave a mover unsolved and the collapse coefficient go to it.
     """
     tag_prefix = tag_prefix or f"inv:{inv_name}"
     elem = system.normal_form(element)
@@ -220,14 +255,8 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
         raise MissingInverse(f"cannot invert zero element for {inv_name}")
     idx = system.index
     movers = tuple(sorted(movers, key=idx.__getitem__))
-    record = {
-        "inverse": inv_name,
-        "element": nc_str(elem, system.generators),
-        "solved": {},
-        "unsolved": [],
-        "added": False,
-        "verified": False,
-    }
+    derivation = {"inverse": inv_name, "element": elem, "solved": {},
+                  "unsolved": [], "added": False}
     pending = []
     # movers sorting below the inverse first, as in the sorted movers
     for above in (False, True):
@@ -240,9 +269,9 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
         else:
             images = {g: system.normal_form(nc_mul(elem, nc_gen(g))) for g in movers}
             targets = [system.normal_form(nc_mul(nc_gen(h), elem)) for h in side]
-        for h, sol in zip(side, _solve_in_span(targets, images)):
+        for h, sol in zip(side, _solve_in_span(targets, images, locus)):
             if sol is None:
-                record["unsolved"].append(h)
+                derivation["unsolved"].append(h)
                 continue
             if above:
                 lhs = (h, inv_name)
@@ -250,37 +279,65 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
             else:
                 lhs = (inv_name, h)
                 rhs = {(g, inv_name): u for g, u in sol.items()}
-            record["solved"][h] = {g: serialize(u) for g, u in sorted(sol.items())}
+            derivation["solved"][h] = sol
             pending.append(RewriteRule(lhs, rhs, f"{tag_prefix}:{h}"))
-    if record["unsolved"] and require_all:
-        return record
+    if derivation["unsolved"] and require_all:
+        return derivation
     for rule in pending:
         system.add_rule(rule)
     # collapse: element * inverse = 1, oriented at the largest word
     prod = {w + (inv_name,): c for w, c in elem.items()}
     wmax = max(prod, key=system.word_key)
+    if locus is not None:
+        locus.append((prod[wmax],))
     rest = {w: c for w, c in prod.items() if w != wmax}
     rhs = nc_scale(nc_sub(nc_one(), rest), prod[wmax].inverse())
     system.add_rule(RewriteRule(wmax, system.normal_form(rhs), f"{tag_prefix}:unit"))
-    record["added"] = True
-    # multiply-back: the two unit identities gate the record.  Per-mover
-    # roundtrips h*element*inverse -> h are recorded but not gating: for a
-    # mover sorting above every letter of the element the rewrite puts h at
-    # the word end, where the collapse pattern can no longer match, so the
-    # roundtrip may stall on a normal word even though the solved identity
-    # itself is exact (each added rule's two sides were equated through
-    # normal forms, hence differ by an ideal member).
+    derivation["added"] = True
+    # multiply-back: the two unit identities gate the record's "verified".
+    # Per-mover roundtrips h*element*inverse -> h are recorded but not
+    # gating: for a mover sorting above every letter of the element the
+    # rewrite puts h at the word end, where the collapse pattern can no
+    # longer match, so the roundtrip may stall on a normal word even though
+    # the solved identity itself is exact (each added rule's two sides were
+    # equated through normal forms, hence differ by an ideal member).
     inv_poly = nc_gen(inv_name)
-    unit_right = system.reduces_to_zero(nc_sub(nc_mul(elem, inv_poly), nc_one()))
-    unit_left = system.reduces_to_zero(nc_sub(nc_mul(inv_poly, elem), nc_one()))
-    roundtrip = {}
-    for h in movers:
-        if h in record["unsolved"]:
-            continue
-        back = nc_product(nc_gen(h), elem, inv_poly)
-        roundtrip[h] = system.normal_form(back) == system.normal_form(nc_gen(h))
-    record["verified"] = unit_right and unit_left
-    record["mover_roundtrip"] = roundtrip
+    derivation["units"] = [
+        system.normal_form(nc_sub(nc_mul(elem, inv_poly), nc_one())),
+        system.normal_form(nc_sub(nc_mul(inv_poly, elem), nc_one())),
+    ]
+    derivation["roundtrip"] = {
+        h: nc_sub(system.normal_form(nc_product(nc_gen(h), elem, inv_poly)),
+                  system.normal_form(nc_gen(h)))
+        for h in movers if h not in derivation["unsolved"]
+    }
+    return derivation
+
+
+def inverse_record(derivation: dict, system: RewriteSystem) -> dict:
+    """The JSON record of an append_inverse derivation, read through system.
+
+    "verified" certifies the two unit identities; "mover_roundtrip" holds
+    the per-mover diagnostics.  Every polynomial and coefficient goes
+    through system.evaluate, so a SpecializedSystem gives the record at its
+    point.
+    """
+    at, gens = system.evaluate, system.generators
+    record = {
+        "inverse": derivation["inverse"],
+        "element": nc_str(at(derivation["element"]), gens),
+        "solved": {h: {g: serialize(u) for g, u in sorted(at(sol).items())}
+                   for h, sol in derivation["solved"].items()},
+        "unsolved": list(derivation["unsolved"]),
+        "added": derivation["added"],
+        "verified": False,
+    }
+    if "units" in derivation:
+        record["verified"] = not any(at(u) for u in derivation["units"])
+        record["mover_roundtrip"] = {h: not at(d)
+                                    for h, d in derivation["roundtrip"].items()}
+    if "rolled_back" in derivation:
+        record["rolled_back"] = derivation["rolled_back"]
     return record
 
 
@@ -296,13 +353,17 @@ def block_determinant(bindings: dict = None) -> NCPoly:
 
 
 def solve_block_inverse(system: RewriteSystem, block=BLOCK,
-                        inv: str = "delta_inv"):
+                        inv: str = "delta_inv", locus: list = None):
     """Inverse of the 2x2 block as words (letters) * (block determinant)^-1.
 
     Each entry is an ansatz over normal words of degree <= 2 in the block
     letters times the adjoined determinant inverse; the linear system
     T*M = I is solved exactly and M*T = I is verified independently.
-    Returns (matrix, record); matrix is None if the ansatz fails.
+    Returns (matrix, record); matrix is None if the ansatz has no solution,
+    and record["verified"] says whether the solution inverts the block
+    (block_record renders the entries).  With locus given, the pivots go
+    to it, and so do the residuals' coefficients, as one tuple, when the
+    verification fails: it keeps failing wherever one of them is nonzero.
     """
     letters = tuple(sorted({g for row in block for g in row},
                            key=system.index.__getitem__))
@@ -334,7 +395,7 @@ def solve_block_inverse(system: RewriteSystem, block=BLOCK,
                              for (k, w) in unknowns])
                 want = L_ONE if (i == j and word == ()) else L_ZERO
                 b.append(want)
-        sol = solve_dense(rows, b)
+        sol = solve_dense(rows, b, locus)
         if sol is None:
             return None, record
         for pos, (k, w) in enumerate(unknowns):
@@ -344,7 +405,7 @@ def solve_block_inverse(system: RewriteSystem, block=BLOCK,
             matrix[k][j] = entry
     record["solved"] = True
     # verify both products against the identity
-    ok = True
+    residuals = []
     for i in (0, 1):
         for j in (0, 1):
             left = nc_add(nc_mul(nc_gen(block[i][0]), matrix[0][j]),
@@ -352,12 +413,21 @@ def solve_block_inverse(system: RewriteSystem, block=BLOCK,
             right = nc_add(nc_mul(matrix[i][0], nc_gen(block[0][j])),
                            nc_mul(matrix[i][1], nc_gen(block[1][j])))
             want = nc_one() if i == j else nc_zero()
-            ok = ok and system.normal_form(nc_sub(left, want)) == {}
-            ok = ok and system.normal_form(nc_sub(right, want)) == {}
-    record["verified"] = ok
-    record["entries"] = [[nc_str(matrix[i][j], system.generators)
-                          for j in (0, 1)] for i in (0, 1)]
-    return (matrix if ok else None), record
+            residuals.append(system.normal_form(nc_sub(left, want)))
+            residuals.append(system.normal_form(nc_sub(right, want)))
+    record["verified"] = not any(residuals)
+    if locus is not None and not record["verified"]:
+        locus.append(tuple(c for r in residuals for c in r.values()))
+    return matrix, record
+
+
+def block_record(matrix, record: dict, system: RewriteSystem) -> dict:
+    """record of solve_block_inverse with the entries of matrix, read
+    through system (see inverse_record)."""
+    if matrix is None:
+        return dict(record)
+    return dict(record, entries=[[nc_str(system.evaluate(matrix[i][j]), system.generators)
+                                  for j in (0, 1)] for i in (0, 1)])
 
 
 def schur_complement(system: RewriteSystem, block_inv) -> NCPoly:
@@ -377,48 +447,60 @@ class DerivedAlgebra:
     """Rewrite presentation derived from one R-matrix via the exchange identity.
 
     Carries the rewrite system (quadratic table plus adjoined inverses),
-    the distinguished block determinant, the solved block inverse, the
-    Schur complement of the block, and the per-step derivation records.
+    the exchange entries it was reduced from, the distinguished block
+    determinant, the solved block inverse, the Schur complement of the
+    block, the per-step derivations (rendered through the system by the
+    records properties) and the derivation's degeneracy locus (see
+    specialize).
     """
 
     def __init__(self, rmat: TensorMat = None, convention: str = "plain",
                  bindings: dict = None, layout=LAYOUT_3,
-                 max_steps: int = None, extend: bool = True):
+                 max_steps: int = None, extend: bool = True, locus: list = None):
         base = rmat if rmat is not None else jordanian_r3()
         self.bindings = dict(bindings or {})
         self.rmat = base.substitute(self.bindings) if self.bindings else base
         self.layout = layout
         self.convention = convention
+        self.locus = [] if locus is None else locus
+        self.entries = rtt_entries(self.rmat, layout, convention)
         self.system, self.table_rules = derive_relation_table(
-            self.rmat, layout, convention, max_steps)
+            self.rmat, layout, convention, max_steps, self.locus, self.entries)
         self.delta = block_determinant(self.bindings)
-        self.records = []
+        self.derivations = []
         self.block_inv = None
-        self.block_inv_record = None
+        self._block = None
         self.schur = None
-        self.schur_inv_record = None
+        self._schur_inv = None
         if extend:
             self.extend()
 
     def extend(self):
         """Adjoin the inverses of f, the block determinant and the Schur
         complement to the graded table, in place."""
-        rec = append_inverse(self.system, "f_inv", nc_gen("f"), LETTERS)
-        self.records.append(rec)
+        d = append_inverse(self.system, "f_inv", nc_gen("f"), LETTERS, locus=self.locus)
+        self.derivations.append(d)
         movers = ("f", "f_inv", "x", "y", "theta", "phi", "a", "b", "c", "d")
-        rec = append_inverse(self.system, "delta_inv", self.delta, movers)
-        self.records.append(rec)
-        self.block_inv, self.block_inv_record = solve_block_inverse(self.system)
-        if self.block_inv is not None:
+        d = append_inverse(self.system, "delta_inv", self.delta, movers, locus=self.locus)
+        self.derivations.append(d)
+        matrix, record = solve_block_inverse(self.system, locus=self.locus)
+        self._block = (matrix, record)
+        if record["verified"]:
+            self.block_inv = matrix
             self.schur = schur_complement(self.system, self.block_inv)
             movers_e = movers + ("delta_inv",)
-            rec = append_inverse(self.system, "e", self.schur, movers_e)
-            self.schur_inv_record = rec
-            self.records.append(rec)
-            if rec["added"] and not self._still_confluent():
+            d = append_inverse(self.system, "e", self.schur, movers_e, locus=self.locus)
+            self._schur_inv = d
+            self.derivations.append(d)
+            if d["added"] and not self._still_confluent():
                 self._drop_rules("inv:e")
-                rec["added"] = False
-                rec["rolled_back"] = "critical pairs stopped resolving"
+                d["added"] = False
+                d["rolled_back"] = "critical pairs stopped resolving"
+
+    def extended(self) -> "DerivedAlgebra":
+        """The algebra with the inverses adjoined: this one, extended."""
+        self.extend()
+        return self
 
     def _still_confluent(self) -> bool:
         """Whether the degree-3 critical pairs of the inv:e rules resolve.
@@ -426,10 +508,15 @@ class DerivedAlgebra:
         Every lhs containing e is an inv:e rule, and a rule whose rhs
         contains e has e in its lhs, so a word without e rewrites only by
         rules without e, to words without e.  The other pairs have words
-        without e and keep the verdict they had before e was adjoined.
+        without e and keep the verdict they had before e was adjoined.  The
+        differences of the pairs that do not resolve go to the locus.
         """
         inv_e = [r for r in self.system.rule_list() if r.tag.startswith("inv:e")]
-        return self.system.new_pairs_resolve(inv_e, max_degree=3)
+        splits = self.system.new_pairs_unresolved(inv_e, max_degree=3)
+        if splits:
+            self.locus.append(tuple(c for nf1, nf2 in splits
+                                    for c in nc_sub(nf1, nf2).values()))
+        return not splits
 
     def _drop_rules(self, tag_prefix: str):
         fresh = RewriteSystem(self.system.generators, self.system.max_steps,
@@ -438,6 +525,19 @@ class DerivedAlgebra:
             if not rule.tag.startswith(tag_prefix):
                 fresh.add_rule(rule)
         self.system = fresh
+
+    # -- records -----------------------------------------------------------
+    @property
+    def records(self) -> list:
+        return [inverse_record(d, self.system) for d in self.derivations]
+
+    @property
+    def schur_inv_record(self):
+        return self._schur_inv and inverse_record(self._schur_inv, self.system)
+
+    @property
+    def block_inv_record(self):
+        return self._block and block_record(*self._block, self.system)
 
     # -- convenience -------------------------------------------------------
     def confluence(self, max_degree: int = 3) -> CheckReport:
@@ -464,7 +564,7 @@ class DerivedAlgebra:
         out["convention"] = self.convention
         out["bindings"] = {k: str(v) for k, v in sorted(self.bindings.items())}
         out["derivations"] = self.records
-        if self.block_inv_record:
+        if self._block:
             out["block_inverse"] = self.block_inv_record
         return out
 
@@ -474,21 +574,28 @@ class QuotientAlgebra:
 
     Kills theta, phi and the Schur inverse, then adjoins the inverse of
     the total determinant f * (block determinant), which becomes the
-    distinguished group-like of the inhomogeneous algebra.
+    distinguished group-like of the inhomogeneous algebra.  Its locus is
+    what adjoining that inverse adds to the parent's.
     """
 
     KILLED = ("theta", "phi", "e")
 
     def __init__(self, parent: DerivedAlgebra):
         self.parent = parent
+        self.locus = []
         self.system = parent.system.quotient(self.KILLED)
         self.delta = parent.delta
         self.determinant = self.system.normal_form(
             nc_mul(nc_gen("f"), parent.delta))
         movers = ("f", "f_inv", "x", "y", "a", "b", "c", "d", "delta_inv")
-        self.xi_record = append_inverse(
-            self.system, "xi", nc_mul(nc_gen("f"), parent.delta), movers)
+        self.xi_derivation = append_inverse(
+            self.system, "xi", nc_mul(nc_gen("f"), parent.delta), movers,
+            locus=self.locus)
         self.block_inv = parent.block_inv
+
+    @property
+    def xi_record(self) -> dict:
+        return inverse_record(self.xi_derivation, self.system)
 
     def confluence(self, max_degree: int = 3) -> CheckReport:
         return self.system.confluence_report(max_degree=max_degree)
@@ -629,7 +736,7 @@ def verify_reference(alg: DerivedAlgebra) -> CheckReport:
 def rtt_zero_report(alg: DerivedAlgebra) -> CheckReport:
     """Every exchange-identity entry must reduce to zero under the table."""
     report = CheckReport("rtt-entries")
-    entries = rtt_entries(alg.rmat, alg.layout, alg.convention)
+    entries = alg.entries
     failures = []
     for pos, poly in entries.items():
         if not alg.reduces_to_zero(poly):
@@ -640,20 +747,22 @@ def rtt_zero_report(alg: DerivedAlgebra) -> CheckReport:
 
 
 def resolve_convention(rmat: TensorMat = None, bindings: dict = None,
-                       layout=LAYOUT_3):
+                       layout=LAYOUT_3, derive=DerivedAlgebra):
     """Pick the exchange-identity reading that reproduces the record.
 
-    Derives the table under both conventions and counts how many recorded
-    relations reduce to zero.  Returns (winner, scores, graded): graded is
-    the winner's extend=False algebra, to be extended rather than derived
-    again, or None if the winner's derivation raised.  A convention whose
-    identities fail to normal-order the grid scores -1.
+    Derives the table under both conventions with derive (DerivedAlgebra,
+    or specialize.derive to read a rational point off the symbolic table)
+    and counts how many recorded relations reduce to zero.  Returns
+    (winner, scores, graded): graded is the winner's extend=False algebra,
+    whose extended() is the full algebra, or None if the winner's
+    derivation raised.  A convention whose identities fail to normal-order
+    the grid scores -1.
     """
     scores = {}
     graded = {}
     for conv in CONVENTIONS:
         try:
-            alg = DerivedAlgebra(rmat, conv, bindings, layout, extend=False)
+            alg = derive(rmat, conv, bindings, layout, extend=False)
         except OrientationFailure as exc:
             scores[conv] = {"score": -1, "error": str(exc)}
             continue

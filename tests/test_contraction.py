@@ -1,5 +1,6 @@
 """Singular-limit transport: schedules, pole cancellation, sector checks."""
 
+import hashlib
 import json
 import os
 
@@ -14,7 +15,7 @@ from jforge.contraction import (
     contraction_report,
     extract_sector,
     probe_divergence,
-    schedule_digest,
+    read_schedule,
     standard_schedule,
 )
 from jforge.errors import PoleError, ScheduleError
@@ -58,13 +59,16 @@ def test_schedule_roundtrip_and_digest():
     assert again.limit_var == sched.limit_var
     assert again.bindings == sched.bindings
     assert sched.survivors() == {"m", "n", "k", "p"}
-    assert len(schedule_digest(REPO_SCHEDULE)) == 64
+    assert len(read_schedule(REPO_SCHEDULE)[1]) == 64
 
 
 def test_repo_and_packaged_schedules_agree():
-    assert Schedule.load(REPO_SCHEDULE).bindings == standard_schedule().bindings
+    schedule, digest = read_schedule(REPO_SCHEDULE)
+    assert schedule.bindings == standard_schedule().bindings
     # the digest contract reports carry is that of the file's bytes
-    assert bundled_schedule()[1] == schedule_digest(REPO_SCHEDULE)
+    with open(REPO_SCHEDULE, "rb") as fh:
+        assert digest == hashlib.sha256(fh.read()).hexdigest()
+    assert bundled_schedule()[1] == digest
 
 
 def test_contraction_hits_triangular_target_exactly():

@@ -106,6 +106,42 @@ def test_equality_and_hash_cross_the_tower(pair):
     assert serialize(x) == serialize(x.to_rf())
 
 
+@st.composite
+def rational_bindings(draw):
+    """Values for some of the parameters, zero included."""
+    names = draw(st.sets(st.sampled_from(VARS)))
+    return {v: Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            for v in sorted(names)}
+
+
+@given(laurent_pair(), rational_bindings())
+@settings(max_examples=150, deadline=None)
+def test_substitute_matches_the_ratfunc_route(pair, bindings):
+    x, _r = pair
+    try:
+        want = coerce(x.to_rf().substitute(bindings))
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            x.substitute(bindings)
+        return
+    got = x.substitute(bindings)
+    assert isinstance(got, Laurent)
+    assert got.terms == want.terms
+    assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
+def test_substitute_keeps_unbound_exponents_and_raises_at_a_pole():
+    x = coerce(parse("k/p + m^2*n^(-1)"))
+    assert x.substitute({"p": 2}) == coerce(parse("k/2 + m^2/n"))
+    assert x.substitute({"m": Fraction(1, 2), "n": 3}) == coerce(parse("k/p + 1/12"))
+    assert x.substitute({"q": 5}) is x
+    assert x.substitute({"m": 0}) == coerce(parse("k/p"))
+    with pytest.raises(DivisionByZero):
+        x.substitute({"p": 0})
+    with pytest.raises(DivisionByZero):
+        coerce(parse("m/p")).substitute({"m": 0, "p": 0})
+
+
 def test_constants_compare_with_numbers():
     assert L_ONE == 1 and L_ZERO == 0 and 1 == L_ONE
     assert coerce(parse("-3/2")) == Fraction(-3, 2)

@@ -36,6 +36,13 @@ from report_diff import first_difference, strip_ms  # noqa: E402
 
 POINT = ["--set", "m=3/2", "--set", "n=-2/3", "--set", "k=5", "--set", "p=7/4"]
 PR7_POINT = ["--set", "m=2", "--set", "n=1/3", "--set", "k=-5", "--set", "p=7/2"]
+# Points where a verdict differs from a generic point: at K_ZERO ref:f-y
+# passes (its residual is 2*k/p*f*x) and plain scores 27; at P_ONE
+# scale-noncentral-witness fails; at M_EQUALS_N central-at-m-equals-n
+# passes and hopf exits 0.
+K_ZERO = ["--set", "m=3/2", "--set", "n=-2/3", "--set", "k=0", "--set", "p=7/4"]
+P_ONE = ["--set", "m=3/2", "--set", "n=-2/3", "--set", "k=5", "--set", "p=1"]
+M_EQUALS_N = ["--set", "m=2", "--set", "n=2", "--set", "k=3", "--set", "p=5"]
 CONTRACT_POINT = ["--set", "m=3", "--set", "n=1/2", "--set", "k=-5", "--set", "p=7/2"]
 
 COMMANDS = (
@@ -54,6 +61,14 @@ COMMANDS = (
     ["relations", "--convention", "auto"],
     ["hopf", "--convention", "auto"],
     ["relations", "--convention", "auto", "--set", "m=0", "--set", "n=0"],
+    ["hopf", "--convention", "auto", "--set", "m=0", "--set", "n=0"],
+    ["relations", "--convention", "auto", *K_ZERO],
+    ["hopf", "--convention", "auto", *K_ZERO],
+    ["relations", "--convention", "auto", *P_ONE],
+    ["hopf", "--convention", "auto", *P_ONE],
+    ["relations", "--convention", "auto", *M_EQUALS_N],
+    ["hopf", "--convention", "auto", *M_EQUALS_N],
+    ["all", *POINT],
     ["relations", "--convention", "auto", "--set", "p=1+m"],
     ["relations", "--convention", "transposed"],
     ["hopf", "--no-braiding"],
