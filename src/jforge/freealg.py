@@ -322,20 +322,16 @@ class RewriteSystem:
             for r2 in rules:
                 yield from _ambiguities(r1, r2)
 
-    def new_pairs_resolve(self, rules, max_degree: int = None) -> bool:
-        """Whether every critical pair involving one of rules resolves.
+    def new_pairs_unresolved(self, rules, max_degree: int = None) -> list:
+        """The (nf1, nf2) splits of the critical pairs involving one of
+        rules that do not resolve.
 
         Only the pairs (r1, r2) with r1 or r2 among these rules of the
         system are enumerated, up to max_degree letters.  The other pairs
-        are not checked, so this stands for confluence_report only where
-        the caller knows their verdicts cannot have changed (see
+        are not checked, so an empty list stands for confluence_report only
+        where the caller knows their verdicts cannot have changed (see
         DerivedAlgebra._still_confluent).  The verdicts are memoized.
         """
-        return not self.new_pairs_unresolved(rules, max_degree)
-
-    def new_pairs_unresolved(self, rules, max_degree: int = None) -> list:
-        """The (nf1, nf2) splits of the pairs new_pairs_resolve checks that
-        do not resolve."""
         new = {r.lhs for r in rules}
         every = self.rule_list()
         splits = [self._verdict(*pair)
@@ -358,7 +354,7 @@ class RewriteSystem:
         """Resolve every critical pair whose word has at most max_degree letters.
 
         The report is computed once per max_degree and rule set, each pair's
-        verdict once per rule set (shared with new_pairs_resolve); callers
+        verdict once per rule set (shared with new_pairs_unresolved); callers
         get a copy, so the memoized report cannot be changed from outside.
         """
         report = self._confluence.get(max_degree)

@@ -139,7 +139,7 @@ def derive_relation_table(rmat: TensorMat, layout=LAYOUT_3,
     normal-ordering system for this matrix and convention.  entries are
     rtt_entries(rmat, layout, convention) when the caller has built them.
     With locus given, the denominators of rmat and the pivots are appended
-    to it, also when OrientationFailure is raised.
+    to it; an OrientationFailure carries it as its locus.
     """
     if entries is None:
         entries = rtt_entries(rmat, layout, convention)
@@ -156,10 +156,12 @@ def derive_relation_table(rmat: TensorMat, layout=LAYOUT_3,
     got = set(pivots)
     if got != expected:
         odd = sorted(got.symmetric_difference(expected))
-        raise OrientationFailure(
+        exc = OrientationFailure(
             f"exchange identities do not normal-order the grid "
             f"(convention {convention}); mismatched pivots: {odd[:6]}"
         )
+        exc.locus = locus
+        raise exc
     system = RewriteSystem(GEN_ORDER, max_steps)
     rules = []
     for row, pivot in zip(reduced, pivots):
@@ -456,13 +458,13 @@ class DerivedAlgebra:
 
     def __init__(self, rmat: TensorMat = None, convention: str = "plain",
                  bindings: dict = None, layout=LAYOUT_3,
-                 max_steps: int = None, extend: bool = True, locus: list = None):
+                 max_steps: int = None, extend: bool = True):
         base = rmat if rmat is not None else jordanian_r3()
         self.bindings = dict(bindings or {})
         self.rmat = base.substitute(self.bindings) if self.bindings else base
         self.layout = layout
         self.convention = convention
-        self.locus = [] if locus is None else locus
+        self.locus = []
         self.entries = rtt_entries(self.rmat, layout, convention)
         self.system, self.table_rules = derive_relation_table(
             self.rmat, layout, convention, max_steps, self.locus, self.entries)
@@ -747,22 +749,24 @@ def rtt_zero_report(alg: DerivedAlgebra) -> CheckReport:
 
 
 def resolve_convention(rmat: TensorMat = None, bindings: dict = None,
-                       layout=LAYOUT_3, derive=DerivedAlgebra):
+                       layout=LAYOUT_3, read_off: bool = True):
     """Pick the exchange-identity reading that reproduces the record.
 
-    Derives the table under both conventions with derive (DerivedAlgebra,
-    or specialize.derive to read a rational point off the symbolic table)
+    Derives the table under both conventions with specialize.derive, which
+    reads a rational point off the symbolic table unless read_off is False,
     and counts how many recorded relations reduce to zero.  Returns
     (winner, scores, graded): graded is the winner's extend=False algebra,
     whose extended() is the full algebra, or None if the winner's
     derivation raised.  A convention whose identities fail to normal-order
     the grid scores -1.
     """
+    from .specialize import derive  # specialize builds on this module
+
     scores = {}
     graded = {}
     for conv in CONVENTIONS:
         try:
-            alg = derive(rmat, conv, bindings, layout, extend=False)
+            alg = derive(rmat, conv, bindings, layout, extend=False, read_off=read_off)
         except OrientationFailure as exc:
             scores[conv] = {"score": -1, "error": str(exc)}
             continue

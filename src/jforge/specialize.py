@@ -46,6 +46,11 @@ bases: Weispfenning, JSC 14, 1992; Kalkbrener, JSC 24, 1997):
   result equals reducing the evaluated input at the point.
 * The quotient's rules are the kept rules with the killed words erased,
   which commutes with evaluation; adjoining xi adds its own locus.
+
+The results are exact, the rewriting work is not: the symbolic rules keep
+the terms that vanish at the point, so a normal form can take more steps
+than with the rules derived there, and the command line reruns a command
+at the point when a read point exceeds the step bound.
 """
 
 from __future__ import annotations
@@ -130,7 +135,8 @@ class SpecializedAlgebra(DerivedAlgebra):
 
     def extended(self) -> DerivedAlgebra:
         self.source.extend()
-        return _read_or_derive(self.source, self.point)
+        alg = read(self.source, self.point)
+        return alg if alg is not None else _derived_at(self.source, self.point)
 
     def quotient(self) -> QuotientAlgebra:
         symbolic = QuotientAlgebra(self.source)
@@ -194,28 +200,28 @@ def _derived_at(symbolic: DerivedAlgebra, point: dict, extend: bool = True):
                           symbolic.system.max_steps, extend)
 
 
-def _read_or_derive(symbolic: DerivedAlgebra, point: dict, extend: bool = True):
-    alg = read(symbolic, point)
-    return alg if alg is not None else _derived_at(symbolic, point, extend)
-
-
 def derive(rmat: TensorMat = None, convention: str = "plain", bindings: dict = None,
-           layout=LAYOUT_3, max_steps: int = None, extend: bool = True) -> DerivedAlgebra:
+           layout=LAYOUT_3, max_steps: int = None, extend: bool = True,
+           read_off: bool = True) -> DerivedAlgebra:
     """DerivedAlgebra(rmat, convention, bindings, ...), read off the symbolic
-    derivation when bindings are a rational point off its locus.
+    derivation when read_off is set and bindings are a rational point off
+    its locus.
 
-    A convention that fails to orient symbolically fails at such a point
-    with the same message.  A point on the locus, and any other bindings,
-    are derived at the bindings.
+    The graded table is read before it is extended, so a point on its
+    locus costs no symbolic extension.  A convention that fails to orient
+    symbolically fails at such a point with the same message.  A point on
+    the locus, and any other bindings, are derived at the bindings.
     """
-    value = substitution(bindings)
+    value = substitution(bindings) if read_off else None
     if value is None:
         return DerivedAlgebra(rmat, convention, bindings, layout, max_steps, extend)
-    locus = []
     try:
-        symbolic = DerivedAlgebra(rmat, convention, None, layout, max_steps, extend, locus)
-    except OrientationFailure:
-        if not on_locus(locus, value):
+        graded = DerivedAlgebra(rmat, convention, None, layout, max_steps, extend=False)
+    except OrientationFailure as exc:
+        if not on_locus(exc.locus, value):
             raise
         return DerivedAlgebra(rmat, convention, bindings, layout, max_steps, extend)
-    return _read_or_derive(symbolic, bindings, extend)
+    alg = read(graded, bindings)
+    if alg is None:
+        return _derived_at(graded, bindings, extend)
+    return alg.extended() if extend else alg

@@ -223,7 +223,7 @@ NEW_PAIRS_CASES = {
 def test_new_pairs_check_against_the_full_check(case):
     old, new, full, incremental = NEW_PAIRS_CASES[case]
     rs = _xyzw(old + new)
-    assert rs.new_pairs_resolve(new, max_degree=3) is incremental
+    assert (not rs.new_pairs_unresolved(new, max_degree=3)) is incremental
     assert rs.confluence_report(max_degree=3).passed is full
 
 
@@ -231,7 +231,7 @@ def test_new_pairs_check_against_the_full_check(case):
 def test_report_after_new_pairs_check_matches_a_fresh_system(nf_calls, case):
     old, new, _full, _incremental = NEW_PAIRS_CASES[case]
     rs = _xyzw(old + new)
-    rs.new_pairs_resolve(new, max_degree=3)
+    rs.new_pairs_unresolved(new, max_degree=3)
     report = rs.confluence_report(max_degree=3)
     # the full report reuses the new pairs' verdicts: each pair once
     assert nf_calls[0] == 2 * report.checks[0].details["candidates"]
@@ -241,11 +241,11 @@ def test_report_after_new_pairs_check_matches_a_fresh_system(nf_calls, case):
 def test_add_rule_clears_the_pair_verdicts():
     old, new, _full, _incremental = NEW_PAIRS_CASES["new-rule-breaks"]
     rs = _xyzw(old + new)
-    assert not rs.new_pairs_resolve(new, max_degree=3)
+    assert rs.new_pairs_unresolved(new, max_degree=3)
     # x y y -> x x y joins the two sides of z y x
     joining = _rule("xyy", "xxy", "t7")
     rs.add_rule(joining)
-    assert rs.new_pairs_resolve([joining], max_degree=3)
+    assert not rs.new_pairs_unresolved([joining], max_degree=3)
     report = rs.confluence_report(max_degree=3)
     assert report.passed
     assert report.to_dict() == _xyzw(old + new + [joining]).confluence_report(

@@ -343,4 +343,4 @@ def test_inv_e_rules_own_every_pair_whose_word_contains_e(alg):
     assert (len(pairs), len(involve)) == (232, 56)
     assert involve == [p for p in pairs if "e" in p[0]]
     inv_e = [r for r in rules if r.tag.startswith("inv:e")]
-    assert alg.system.new_pairs_resolve(inv_e, max_degree=3)
+    assert not alg.system.new_pairs_unresolved(inv_e, max_degree=3)
