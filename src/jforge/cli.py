@@ -99,7 +99,9 @@ def _load_schedule(path, bindings) -> tuple:
 
     The --set bindings are substituted into the schedule's expressions as
     well as into the matrices, so a bound parameter is the same number on
-    both sides of the limit; the digest stays that of the file.
+    both sides of the limit; the digest stays that of the file.  Binding
+    the schedule's limit variable would leave no limit to take, so it is
+    bad usage.
     """
     if path is None:
         schedule, digest = bundled_schedule()
@@ -107,6 +109,9 @@ def _load_schedule(path, bindings) -> tuple:
         raise UsageError(f"schedule file not found: {path}")
     else:
         schedule, digest = read_schedule(path)
+    if schedule.limit_var in bindings:
+        raise UsageError(f"--set clashes with the schedule: "
+                         f"{schedule.limit_var} is its limit variable")
     if bindings:
         bound = {name: expr.substitute(bindings)
                  for name, expr in schedule.bindings.items()}

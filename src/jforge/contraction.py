@@ -169,11 +169,11 @@ def contract(tm: TensorMat, twist: list, schedule: Schedule) -> TensorMat:
     return TensorMat(tm.dim, tm.basis, rows)
 
 
-def probe_divergence(tm: TensorMat, twist: list, schedule: Schedule, max_records: int = 6) -> list:
+def probe_divergence(tm: TensorMat, twist: list, schedule: Schedule) -> list:
     """Divergence records for a twist that is expected to fail.
 
-    Returns [] when the limit is finite; otherwise a list of entry records
-    with pole order and the lowest Laurent coefficients.
+    Returns [] when the limit is finite; otherwise a list of at most six
+    entry records with pole order and the lowest Laurent coefficients.
     """
     conj = conjugate(tm, twist)
     subbed = conj.substitute(schedule.bindings)
@@ -203,7 +203,7 @@ def probe_divergence(tm: TensorMat, twist: list, schedule: Schedule, max_records
                         "row": list(subbed.basis[i]), "col": list(subbed.basis[j]),
                         "pole_order": -series.min_degree, "lowest_terms": low,
                     })
-            if len(records) >= max_records:
+            if len(records) >= 6:
                 return records
     return records
 

@@ -52,7 +52,7 @@ class GrammarError(JforgeError):
 
 
 class DegreeOverflow(JforgeError):
-    """A noncommutative reduction exceeded the configured degree cap."""
+    """A word is too deep for the recursive noncommutative reduction."""
 
 
 class NonTerminating(JforgeError):

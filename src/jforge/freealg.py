@@ -190,13 +190,12 @@ class RewriteSystem:
     both for orientation checks and for choosing pivot words upstream.
     """
 
-    def __init__(self, generators, max_steps: int = None, max_degree: int = None):
+    def __init__(self, generators):
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
         self.index = {g: i for i, g in enumerate(self.generators)}
-        self.max_steps = max_steps or _max_steps_default()
-        self.max_degree = max_degree
+        self.max_steps = _max_steps_default()
         self.rules: dict = {}
         self._lhs_lengths: tuple = ()
         self._cache: dict = {}
@@ -254,12 +253,6 @@ class RewriteSystem:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
-        # rhs words are never longer than the lhs they replace, so this can
-        # only trip on oversized input
-        if self.max_degree is not None and len(word) > self.max_degree:
-            raise DegreeOverflow(
-                f"word of length {len(word)} exceeds degree bound {self.max_degree}"
-            )
         hit = self.find_redex(word)
         if hit is None:
             result = {word: L_ONE}
@@ -395,7 +388,7 @@ class RewriteSystem:
         """
         killed = set(killed)
         kept = tuple(g for g in self.generators if g not in killed)
-        out = RewriteSystem(kept, self.max_steps, self.max_degree)
+        out = RewriteSystem(kept)
         for rule in self.rule_list():
             if word_touches(rule.lhs, killed):
                 continue
@@ -435,8 +428,8 @@ class RewriteSystem:
         return {"order": list(self.generators), "rules": rules}
 
     @classmethod
-    def from_dict(cls, data: dict, max_steps: int = None) -> "RewriteSystem":
-        out = cls(tuple(data["order"]), max_steps)
+    def from_dict(cls, data: dict) -> "RewriteSystem":
+        out = cls(tuple(data["order"]))
         for entry in data["rules"]:
             rhs = {
                 tuple(t["word"]): coerce(parse(t["coeff"]))

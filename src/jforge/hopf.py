@@ -206,7 +206,7 @@ def hopf_ideal_check(alg: DerivedAlgebra) -> CheckReport:
 
     bad = []
     for h in ROW_VECTOR:
-        image = tensor_normal_form(coproduct(h, alg.layout), system)
+        image = tensor_normal_form(coproduct(h, LAYOUT_3), system)
         for (wl, wr) in image:
             if not (word_touches(wl, ROW_VECTOR) or word_touches(wr, ROW_VECTOR)):
                 bad.append({"generator": h, "term": [list(wl), list(wr)]})
@@ -398,7 +398,7 @@ def _unbraided(system: RewriteSystem) -> RewriteSystem:
     """Variant table where cross moves between plane and grid are flips."""
     plane = set(COLUMN)
     grid = {"f"} | {g for row in BLOCK for g in row}
-    out = RewriteSystem(system.generators, system.max_steps, system.max_degree)
+    out = RewriteSystem(system.generators)
     for rule in system.rule_list():
         if not rule.tag.startswith("table:"):
             continue

@@ -8,11 +8,11 @@ into a canonical reduced basis.  Entries are RatFunc or Laurent values
 (laurent.py): the routines only use is_zero, inverse, products and sums,
 so either type, or a mix, passes through.
 
-rref_sparse is the one elimination routine: solve_dense reduces [A | b]
-and mat_inverse reduces [A | I] through it, with integer column labels,
-and rtt builds its own sparse rows for the relation table and for the
-adjoined inverses (rtt._solve_in_span, [A | b_1 ... b_k] in one call).
-Everything is exact; a pivot is whatever is structurally nonzero.
+rref_sparse is the one elimination routine: mat_inverse reduces [A | I]
+through it, rtt reduces the relation table through it, and solve_dense,
+the one linear solver, reduces [A | b_1 ... b_k] through it in one call
+for the adjoined inverses and the block inverse.  Everything is exact; a
+pivot is whatever is structurally nonzero.
 """
 
 from __future__ import annotations
@@ -105,25 +105,52 @@ def mat_inverse(a: list) -> list:
     return [[row.get(n + j, RF_ZERO) for j in range(n)] for row in reduced]
 
 
-def solve_dense(a: list, b: list, locus: list = None):
-    """One solution of A x = b, or None when inconsistent.
+# The name solve_dense is kept although the solver is sparse: the benchmark's
+# tracer (perfbench/tracer.py) wraps jforge.linalg.solve_dense by name.
+def solve_dense(columns: dict, targets: list, locus: list = None) -> list:
+    """For each target b, one solution x of sum_u x_u * columns[u] = b.
 
-    Underdetermined systems get free variables set to zero, so the answer is
-    deterministic.  b is a flat list.  [A | b] is reduced by rref_sparse
-    (which appends its pivots to locus, if given); the system is
-    inconsistent exactly when the column of b is a pivot.
+    columns maps each unknown to a sparse vector {row key: value}; its
+    insertion order is the pivot preference.  targets are sparse vectors
+    over the same row keys.  One elimination serves every target: the
+    sparse rows [A | b_1 ... b_k], one per row key in sorted key order,
+    are reduced by rref_sparse.  A solution is {unknown: nonzero value},
+    read off the rows whose pivot is an unknown with free unknowns set to
+    zero, so by uniqueness of the reduced form it equals what a call with
+    that target alone gives.  Target j is inconsistent, and gets None,
+    exactly when some row whose pivot is a target column has a nonzero
+    entry in column j; whether column j is itself a pivot does not decide
+    it, because an earlier inconsistent target may already have taken the
+    pivot j would need.  With locus given, the pivots go to it, and for
+    each inconsistent target the entries that make it so, as one tuple: j
+    stays inconsistent wherever one of them is nonzero.
     """
-    n, m = mat_shape(a)
-    if len(b) != n:
-        raise DimensionMismatch("right-hand side length mismatch")
-    rows = [dict(enumerate([*row, rhs])) for row, rhs in zip(a, b)]
-    reduced, pivots = rref_sparse(rows, list(range(m + 1)), locus)
-    if pivots and pivots[-1] == m:
-        return None
-    x = [RF_ZERO] * m
-    for row, col in zip(reduced, pivots):
-        x[col] = row.get(m, RF_ZERO)
-    return x
+    keys = list(columns)
+    m = len(keys)
+    rows: dict = {}
+    for col, u in enumerate(keys):
+        for r, c in columns[u].items():
+            rows.setdefault(r, {})[col] = c
+    for j, target in enumerate(targets):
+        for r, c in target.items():
+            rows.setdefault(r, {})[m + j] = c
+    reduced, pivots = rref_sparse([rows[r] for r in sorted(rows)],
+                                  list(range(m + len(targets))), locus)
+    out = [{} for _ in targets]
+    witnesses = {}
+    # pivots are in column order, so every A row comes before a target row
+    for row, pivot in zip(reduced, pivots):
+        for col, v in row.items():
+            if col < m:
+                continue
+            if pivot < m:
+                out[col - m][keys[pivot]] = v
+            else:
+                out[col - m] = None
+                witnesses.setdefault(col, []).append(v)
+    if locus is not None:
+        locus.extend(tuple(vs) for vs in witnesses.values())
+    return out
 
 
 def rref_sparse(rows: list, column_order: list, locus: list = None) -> tuple:

@@ -402,11 +402,11 @@ def peval(p: Poly, values: dict) -> Fraction:
     return total
 
 
-def pstr(p: Poly, order_varseq: tuple = None) -> str:
+def pstr(p: Poly) -> str:
     """Canonical text for a polynomial: terms sorted, explicit operators."""
     if not p:
         return "0"
-    varseq = order_varseq or tuple(sorted(pvars(p)))
+    varseq = tuple(sorted(pvars(p)))
     items = sorted(p.items(), key=lambda mc: mono_key(mc[0], varseq), reverse=True)
     parts = []
     for m, c in items:

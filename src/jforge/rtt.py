@@ -48,7 +48,7 @@ from .freealg import (
     nc_zero,
 )
 from .grammar import parse, serialize
-from .laurent import L_ONE, L_ZERO, coerce
+from .laurent import L_ONE, coerce
 from .linalg import rref_sparse, solve_dense
 from .report import CheckReport
 from .rmat import TensorMat, jordanian_r3
@@ -90,7 +90,7 @@ def _rf(text: str, bindings: dict = None):
 
 # -- the exchange identity -----------------------------------------------------
 
-def rtt_entries(rmat: TensorMat, layout=LAYOUT_3, convention: str = "plain") -> dict:
+def rtt_entries(rmat: TensorMat, convention: str = "plain") -> dict:
     """All entries of R T1 T2 - T2 T1 R as bilinear words in the grid.
 
     Keys are ((i,j),(k,l)) basis-pair positions; values are elements of the
@@ -119,16 +119,15 @@ def rtt_entries(rmat: TensorMat, layout=LAYOUT_3, convention: str = "plain") -> 
             for (u, v) in basis:
                 c1 = coeff((i, j), (u, v))
                 if not c1.is_zero():
-                    add_into(acc, (layout[u - 1][k - 1], layout[v - 1][l - 1]), c1)
+                    add_into(acc, (LAYOUT_3[u - 1][k - 1], LAYOUT_3[v - 1][l - 1]), c1)
                 c2 = coeff((u, v), (k, l))
                 if not c2.is_zero():
-                    add_into(acc, (layout[j - 1][v - 1], layout[i - 1][u - 1]), -c2)
+                    add_into(acc, (LAYOUT_3[j - 1][v - 1], LAYOUT_3[i - 1][u - 1]), -c2)
             out[((i, j), (k, l))] = acc
     return out
 
 
-def derive_relation_table(rmat: TensorMat, layout=LAYOUT_3,
-                          convention: str = "plain", max_steps: int = None,
+def derive_relation_table(rmat: TensorMat, convention: str = "plain",
                           locus: list = None, entries: dict = None):
     """Row-reduce the exchange identities into an oriented rewrite table.
 
@@ -137,15 +136,15 @@ def derive_relation_table(rmat: TensorMat, layout=LAYOUT_3,
     generators.  OrientationFailure if the reduced pivots are not exactly
     the descending pairs, which would mean the identities do not present a
     normal-ordering system for this matrix and convention.  entries are
-    rtt_entries(rmat, layout, convention) when the caller has built them.
+    rtt_entries(rmat, convention) when the caller has built them.
     With locus given, the denominators of rmat and the pivots are appended
     to it; an OrientationFailure carries it as its locus.
     """
     if entries is None:
-        entries = rtt_entries(rmat, layout, convention)
+        entries = rtt_entries(rmat, convention)
     if locus is not None:
         locus.extend(_denominators(rmat))
-    letters = tuple(sorted({g for row in layout for g in row if g},
+    letters = tuple(sorted({g for row in LAYOUT_3 for g in row},
                            key=_GEN_INDEX.__getitem__))
     columns = [(u, v) for u in letters for v in letters]
     columns.sort(key=lambda w: tuple(_GEN_INDEX[g] for g in w), reverse=True)
@@ -162,7 +161,7 @@ def derive_relation_table(rmat: TensorMat, layout=LAYOUT_3,
         )
         exc.locus = locus
         raise exc
-    system = RewriteSystem(GEN_ORDER, max_steps)
+    system = RewriteSystem(GEN_ORDER)
     rules = []
     for row, pivot in zip(reduced, pivots):
         rhs = {w: -c for w, c in row.items() if w != pivot}
@@ -186,63 +185,18 @@ def _denominators(rmat: TensorMat) -> list:
 
 # -- adjoined inverses ---------------------------------------------------------
 
-def _solve_in_span(targets: list, images: dict, locus: list = None) -> list:
-    """For each target, the coefficients u with target = sum u_g * images[g].
-
-    One elimination serves every target: the sparse rows [A | b_1 ... b_k],
-    one per word, with A's columns (images in sorted key order) first, are
-    reduced by rref_sparse.  A solution is read off the rows whose pivot is
-    an A column, free variables set to zero, so by uniqueness of the
-    reduced form it equals what solve_dense gives for that target alone.
-    Target j is inconsistent, and gets None, exactly when some row whose
-    pivot is a target column has a nonzero entry in column j; whether
-    column j is itself a pivot does not decide it, because an earlier
-    inconsistent target may already have taken the pivot j would need.
-    With locus given, the pivots go to it, and for each inconsistent
-    target the entries that make it so, as one tuple: j stays inconsistent
-    wherever one of them is nonzero.
-    """
-    keys = sorted(images)
-    m = len(keys)
-    rows: dict = {}
-    for col, g in enumerate(keys):
-        for w, c in images[g].items():
-            rows.setdefault(w, {})[col] = c
-    for j, target in enumerate(targets):
-        for w, c in target.items():
-            rows.setdefault(w, {})[m + j] = c
-    reduced, pivots = rref_sparse([rows[w] for w in sorted(rows)],
-                                  list(range(m + len(targets))), locus)
-    out = [{} for _ in targets]
-    witnesses = {}
-    # pivots are in column order, so every A row comes before a target row
-    for row, pivot in zip(reduced, pivots):
-        for col, v in row.items():
-            if col < m:
-                continue
-            if pivot < m:
-                out[col - m][keys[pivot]] = v
-            else:
-                out[col - m] = None
-                witnesses.setdefault(col, []).append(v)
-    if locus is not None:
-        locus.extend(tuple(vs) for vs in witnesses.values())
-    return out
-
-
 def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
-                   movers, tag_prefix: str = None,
-                   require_all: bool = True, locus: list = None) -> dict:
+                   movers, locus: list = None) -> dict:
     """Adjoin a two-sided inverse of element to the presented algebra.
 
     For every mover h the commutation of the new inverse past h is derived
     by solving h*element = sum u_g element*g (resp. element*h = sum u_g
     g*element when h sorts above the inverse) inside the algebra, then
     sandwiching with the inverse.  The movers on each side of the inverse
-    share one image matrix, so each side is one elimination through
-    _solve_in_span with all of its movers as targets.  A collapse rule
-    oriented at the largest word of element * inverse closes the system.
-    With require_all set, nothing is added unless every mover solves.
+    share one image matrix, so each side is one linalg.solve_dense call
+    with all of its movers as targets.  A collapse rule oriented at the
+    largest word of element * inverse closes the system.  Nothing is added
+    unless every mover solves.  The rules are tagged inv:<inv_name>.
 
     Returns the derivation, which inverse_record renders: the element's
     normal form, the solved coefficients, the unsolved movers, whether the
@@ -251,7 +205,7 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
     roundtrips.  With locus given, the eliminations' pivots, the entries
     that leave a mover unsolved and the collapse coefficient go to it.
     """
-    tag_prefix = tag_prefix or f"inv:{inv_name}"
+    tag = f"inv:{inv_name}"
     elem = system.normal_form(element)
     if nc_is_zero(elem):
         raise MissingInverse(f"cannot invert zero element for {inv_name}")
@@ -260,18 +214,19 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
     derivation = {"inverse": inv_name, "element": elem, "solved": {},
                   "unsolved": [], "added": False}
     pending = []
+    unknowns = sorted(movers)  # by name: the solver's pivot preference
     # movers sorting below the inverse first, as in the sorted movers
     for above in (False, True):
         side = [h for h in movers if (idx[h] >= idx[inv_name]) == above]
         if not side:
             continue
         if above:
-            images = {g: system.normal_form(nc_mul(nc_gen(g), elem)) for g in movers}
+            images = {g: system.normal_form(nc_mul(nc_gen(g), elem)) for g in unknowns}
             targets = [system.normal_form(nc_mul(elem, nc_gen(h))) for h in side]
         else:
-            images = {g: system.normal_form(nc_mul(elem, nc_gen(g))) for g in movers}
+            images = {g: system.normal_form(nc_mul(elem, nc_gen(g))) for g in unknowns}
             targets = [system.normal_form(nc_mul(nc_gen(h), elem)) for h in side]
-        for h, sol in zip(side, _solve_in_span(targets, images, locus)):
+        for h, sol in zip(side, solve_dense(images, targets, locus)):
             if sol is None:
                 derivation["unsolved"].append(h)
                 continue
@@ -282,8 +237,8 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
                 lhs = (inv_name, h)
                 rhs = {(g, inv_name): u for g, u in sol.items()}
             derivation["solved"][h] = sol
-            pending.append(RewriteRule(lhs, rhs, f"{tag_prefix}:{h}"))
-    if derivation["unsolved"] and require_all:
+            pending.append(RewriteRule(lhs, rhs, f"{tag}:{h}"))
+    if derivation["unsolved"]:
         return derivation
     for rule in pending:
         system.add_rule(rule)
@@ -294,7 +249,7 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
         locus.append((prod[wmax],))
     rest = {w: c for w, c in prod.items() if w != wmax}
     rhs = nc_scale(nc_sub(nc_one(), rest), prod[wmax].inverse())
-    system.add_rule(RewriteRule(wmax, system.normal_form(rhs), f"{tag_prefix}:unit"))
+    system.add_rule(RewriteRule(wmax, system.normal_form(rhs), f"{tag}:unit"))
     derivation["added"] = True
     # multiply-back: the two unit identities gate the record's "verified".
     # Per-mover roundtrips h*element*inverse -> h are recorded but not
@@ -354,66 +309,55 @@ def block_determinant(bindings: dict = None) -> NCPoly:
     return out
 
 
-def solve_block_inverse(system: RewriteSystem, block=BLOCK,
-                        inv: str = "delta_inv", locus: list = None):
-    """Inverse of the 2x2 block as words (letters) * (block determinant)^-1.
+def solve_block_inverse(system: RewriteSystem, locus: list = None):
+    """Inverse of BLOCK as words (letters) * delta_inv, the adjoined
+    inverse of the block determinant.
 
     Each entry is an ansatz over normal words of degree <= 2 in the block
-    letters times the adjoined determinant inverse; the linear system
-    T*M = I is solved exactly and M*T = I is verified independently.
-    Returns (matrix, record); matrix is None if the ansatz has no solution,
-    and record["verified"] says whether the solution inverts the block
-    (block_record renders the entries).  With locus given, the pivots go
-    to it, and so do the residuals' coefficients, as one tuple, when the
-    verification fails: it keeps failing wherever one of them is nonzero.
+    letters times delta_inv; the linear system T*M = I is solved exactly,
+    both columns of I in one linalg.solve_dense call, and M*T = I is
+    verified independently.  Returns (matrix, record); matrix is None if
+    the ansatz has no solution, and record["verified"] says whether the
+    solution inverts the block (block_record renders the entries).  With
+    locus given, the pivots go to it, and so do the residuals'
+    coefficients, as one tuple, when the verification fails: it keeps
+    failing wherever one of them is nonzero.
     """
-    letters = tuple(sorted({g for row in block for g in row},
+    inv = "delta_inv"
+    letters = tuple(sorted({g for row in BLOCK for g in row},
                            key=system.index.__getitem__))
     cands = [()]
     cands += [(g,) for g in letters]
     cands += [(g, h) for g in letters for h in letters
               if system.index[g] <= system.index[h]]
     cands = [w for w in cands if system.is_normal_word(w + (inv,))]
-    record = {"inverse_of": [list(r) for r in block], "candidates": len(cands),
+    record = {"inverse_of": [list(r) for r in BLOCK], "candidates": len(cands),
               "solved": False, "verified": False}
-    unknowns = [(k, w) for k in (0, 1) for w in cands]
-    images = {
-        (i, k, w): system.normal_form(nc_word((block[i][k],) + w + (inv,)))
-        for i in (0, 1) for k in (0, 1) for w in cands
-    }
-    matrix = [[None, None], [None, None]]
-    for j in (0, 1):
-        words = set()
-        for i in (0, 1):
-            for (k, w) in unknowns:
-                words |= set(images[(i, k, w)])
-        words |= {()}
-        words = sorted(words)
-        rows = []
-        b = []
-        for i in (0, 1):
-            for word in words:
-                rows.append([images[(i, k, w)].get(word, L_ZERO)
-                             for (k, w) in unknowns])
-                want = L_ONE if (i == j and word == ()) else L_ZERO
-                b.append(want)
-        sol = solve_dense(rows, b, locus)
-        if sol is None:
-            return None, record
-        for pos, (k, w) in enumerate(unknowns):
-            entry = matrix[k][j] or nc_zero()
-            if not sol[pos].is_zero():
-                entry = nc_add(entry, nc_word(w + (inv,), sol[pos]))
-            matrix[k][j] = entry
+    # the unknown (k, w) is the coefficient of w*inv in entry (k, j); the
+    # row (i, word) is the coefficient of word in entry (i, j) of T*M
+    columns = {}
+    for k in (0, 1):
+        for w in cands:
+            columns[(k, w)] = {
+                (i, word): c for i in (0, 1)
+                for word, c in system.normal_form(
+                    nc_word((BLOCK[i][k],) + w + (inv,))).items()}
+    solutions = solve_dense(columns, [{(j, ()): L_ONE} for j in (0, 1)], locus)
+    if None in solutions:
+        return None, record
+    matrix = [[nc_zero(), nc_zero()], [nc_zero(), nc_zero()]]
+    for j, sol in enumerate(solutions):
+        for (k, w), u in sol.items():
+            matrix[k][j] = nc_add(matrix[k][j], nc_word(w + (inv,), u))
     record["solved"] = True
     # verify both products against the identity
     residuals = []
     for i in (0, 1):
         for j in (0, 1):
-            left = nc_add(nc_mul(nc_gen(block[i][0]), matrix[0][j]),
-                          nc_mul(nc_gen(block[i][1]), matrix[1][j]))
-            right = nc_add(nc_mul(matrix[i][0], nc_gen(block[0][j])),
-                           nc_mul(matrix[i][1], nc_gen(block[1][j])))
+            left = nc_add(nc_mul(nc_gen(BLOCK[i][0]), matrix[0][j]),
+                          nc_mul(nc_gen(BLOCK[i][1]), matrix[1][j]))
+            right = nc_add(nc_mul(matrix[i][0], nc_gen(BLOCK[0][j])),
+                           nc_mul(matrix[i][1], nc_gen(BLOCK[1][j])))
             want = nc_one() if i == j else nc_zero()
             residuals.append(system.normal_form(nc_sub(left, want)))
             residuals.append(system.normal_form(nc_sub(right, want)))
@@ -457,17 +401,15 @@ class DerivedAlgebra:
     """
 
     def __init__(self, rmat: TensorMat = None, convention: str = "plain",
-                 bindings: dict = None, layout=LAYOUT_3,
-                 max_steps: int = None, extend: bool = True):
+                 bindings: dict = None, extend: bool = True):
         base = rmat if rmat is not None else jordanian_r3()
         self.bindings = dict(bindings or {})
         self.rmat = base.substitute(self.bindings) if self.bindings else base
-        self.layout = layout
         self.convention = convention
         self.locus = []
-        self.entries = rtt_entries(self.rmat, layout, convention)
+        self.entries = rtt_entries(self.rmat, convention)
         self.system, self.table_rules = derive_relation_table(
-            self.rmat, layout, convention, max_steps, self.locus, self.entries)
+            self.rmat, convention, self.locus, self.entries)
         self.delta = block_determinant(self.bindings)
         self.derivations = []
         self.block_inv = None
@@ -521,8 +463,7 @@ class DerivedAlgebra:
         return not splits
 
     def _drop_rules(self, tag_prefix: str):
-        fresh = RewriteSystem(self.system.generators, self.system.max_steps,
-                              self.system.max_degree)
+        fresh = RewriteSystem(self.system.generators)
         for rule in self.system.rule_list():
             if not rule.tag.startswith(tag_prefix):
                 fresh.add_rule(rule)
@@ -748,8 +689,7 @@ def rtt_zero_report(alg: DerivedAlgebra) -> CheckReport:
     return report
 
 
-def resolve_convention(rmat: TensorMat = None, bindings: dict = None,
-                       layout=LAYOUT_3, read_off: bool = True):
+def resolve_convention(bindings: dict = None, read_off: bool = True):
     """Pick the exchange-identity reading that reproduces the record.
 
     Derives the table under both conventions with specialize.derive, which
@@ -766,7 +706,7 @@ def resolve_convention(rmat: TensorMat = None, bindings: dict = None,
     graded = {}
     for conv in CONVENTIONS:
         try:
-            alg = derive(rmat, conv, bindings, layout, extend=False, read_off=read_off)
+            alg = derive(conv, bindings, extend=False, read_off=read_off)
         except OrientationFailure as exc:
             scores[conv] = {"score": -1, "error": str(exc)}
             continue

@@ -11,8 +11,8 @@ The locus.  Each entry of DerivedAlgebra.locus (and QuotientAlgebra.locus)
 is a tuple of values; the point is on the locus when every value of some
 entry vanishes there, or when one is undefined.  The derivation appends
 to it the R-matrix's denominators, every pivot an elimination inverts
-(rref_sparse for the table, rtt._solve_in_span, the block inverse's
-solve_dense), the collapse coefficient of each adjoined inverse, and for
+(rref_sparse for the table, linalg.solve_dense for the adjoined inverses
+and the block inverse), the collapse coefficient of each adjoined inverse, and for
 each branch taken on a symbolically nonzero value the values that decided
 it: the entries that leave a mover unsolved, the residuals of a failed
 block-inverse check, the differences of the Schur inverse's unresolved
@@ -61,8 +61,7 @@ from .errors import DivisionByZero, OrientationFailure
 from .field import RatFunc
 from .freealg import NCPoly, RewriteRule, RewriteSystem
 from .laurent import Substitution
-from .rmat import TensorMat
-from .rtt import LAYOUT_3, DerivedAlgebra, QuotientAlgebra
+from .rtt import DerivedAlgebra, QuotientAlgebra
 
 
 class SpecializedSystem(RewriteSystem):
@@ -79,7 +78,7 @@ class SpecializedSystem(RewriteSystem):
     """
 
     def __init__(self, symbolic: RewriteSystem, value):
-        super().__init__(symbolic.generators, symbolic.max_steps, symbolic.max_degree)
+        super().__init__(symbolic.generators)
         self.symbolic = symbolic
         self.value = value
         self.rules = symbolic.rules
@@ -196,16 +195,14 @@ def read(alg: DerivedAlgebra, point: dict):
 
 
 def _derived_at(symbolic: DerivedAlgebra, point: dict, extend: bool = True):
-    return DerivedAlgebra(symbolic.rmat, symbolic.convention, point, symbolic.layout,
-                          symbolic.system.max_steps, extend)
+    return DerivedAlgebra(symbolic.rmat, symbolic.convention, point, extend)
 
 
-def derive(rmat: TensorMat = None, convention: str = "plain", bindings: dict = None,
-           layout=LAYOUT_3, max_steps: int = None, extend: bool = True,
+def derive(convention: str = "plain", bindings: dict = None, extend: bool = True,
            read_off: bool = True) -> DerivedAlgebra:
-    """DerivedAlgebra(rmat, convention, bindings, ...), read off the symbolic
-    derivation when read_off is set and bindings are a rational point off
-    its locus.
+    """DerivedAlgebra(convention=..., bindings=..., extend=...), read off
+    the symbolic derivation when read_off is set and bindings are a
+    rational point off its locus.
 
     The graded table is read before it is extended, so a point on its
     locus costs no symbolic extension.  A convention that fails to orient
@@ -214,13 +211,13 @@ def derive(rmat: TensorMat = None, convention: str = "plain", bindings: dict = N
     """
     value = substitution(bindings) if read_off else None
     if value is None:
-        return DerivedAlgebra(rmat, convention, bindings, layout, max_steps, extend)
+        return DerivedAlgebra(convention=convention, bindings=bindings, extend=extend)
     try:
-        graded = DerivedAlgebra(rmat, convention, None, layout, max_steps, extend=False)
+        graded = DerivedAlgebra(convention=convention, extend=False)
     except OrientationFailure as exc:
         if not on_locus(exc.locus, value):
             raise
-        return DerivedAlgebra(rmat, convention, bindings, layout, max_steps, extend)
+        return DerivedAlgebra(convention=convention, bindings=bindings, extend=extend)
     alg = read(graded, bindings)
     if alg is None:
         return _derived_at(graded, bindings, extend)

@@ -304,10 +304,12 @@ def test_contract_set_binds_the_schedule_too(capsys, lane):
 
 
 def test_set_clashing_with_the_schedule_is_usage_error(capsys):
-    # r is bound by the schedule, so m=r would leave r inside r's binding
-    code, _, err = run(capsys, "contract", "--set", "m=r")
-    assert code == 2
-    assert "--set clashes with the schedule" in err
+    # r is bound by the schedule, so m=r would leave r inside r's binding;
+    # eps is the schedule's limit variable, so eps=1 leaves no limit
+    for binding in ("m=r", "eps=1"):
+        code, _, err = run(capsys, "contract", "--set", binding)
+        assert code == 2, binding
+        assert "--set clashes with the schedule" in err
 
 
 @pytest.mark.parametrize("binding, failing", [

@@ -171,9 +171,9 @@ def test_exchange_entries_are_built_once_per_convention(monkeypatch, point):
     calls = []
     build = rtt.rtt_entries
 
-    def counted(rmat, layout=rtt.LAYOUT_3, convention="plain"):
+    def counted(rmat, convention="plain"):
         calls.append(convention)
-        return build(rmat, layout, convention)
+        return build(rmat, convention)
 
     monkeypatch.setattr(rtt, "rtt_entries", counted)
     argv = [a for name, value in point.items() for a in ("--set", f"{name}={value}")]

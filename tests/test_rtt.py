@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jforge import rtt
+from jforge import linalg, rtt
 from jforge.errors import DegreeOverflow, OrientationFailure
 from jforge.freealg import (
     nc_add,
@@ -22,13 +22,11 @@ from jforge.freealg import (
 )
 from jforge.grammar import parse
 from jforge.laurent import Laurent, coerce
-from jforge.linalg import solve_dense
+from jforge.linalg import rref_sparse, solve_dense
 from jforge.rmat import four_param_deformed_r3, jordanian_r3
 from jforge.rtt import (
     GEN_ORDER,
-    LAYOUT_3,
     DerivedAlgebra,
-    _solve_in_span,
     block_determinant,
     derive_relation_table,
     reference_relations,
@@ -100,7 +98,7 @@ def test_every_rtt_entry_reduces_to_zero(alg):
 
 
 def test_rtt_entries_count_positions(alg):
-    entries = rtt_entries(alg.rmat, alg.layout, alg.convention)
+    entries = rtt_entries(alg.rmat, alg.convention)
     assert len(entries) == 81
 
 
@@ -240,26 +238,25 @@ def _as_poly(column):
 def test_multi_target_solve_matches_one_target_at_a_time(system):
     a, targets = system
     keys = [f"g{i}" for i in range(len(a[0]))]
-    images = {g: _as_poly([row[i] for row in a]) for i, g in enumerate(keys)}
-    got = _solve_in_span([_as_poly(b) for b in targets], images)
-    assert len(got) == len(targets)
-    dense = [[coerce(v) for v in row] for row in a]
-    for b, sol in zip(targets, got):
-        want = solve_dense(dense, [coerce(v) for v in b])
-        if want is None:
-            assert sol is None
-            continue
-        assert sol == {g: want[i] for i, g in enumerate(keys)
-                       if not want[i].is_zero()}
+    columns = {g: _as_poly([row[i] for row in a]) for i, g in enumerate(keys)}
+    polys = [_as_poly(b) for b in targets]
+    got = solve_dense(columns, polys)
+    assert got == [solve_dense(columns, [b])[0] for b in polys]
 
 
-def test_second_inconsistent_target_without_a_pivot_is_unsolved():
-    # span of w0; targets w1 (takes the pivot), 2*w1 (no pivot of its own)
-    # and w0 (solvable after both)
-    images = {"g": {("w0",): coerce(1)}}
-    targets = [{("w1",): coerce(1)}, {("w1",): coerce(2)},
-               {("w0",): coerce(3)}]
-    assert _solve_in_span(targets, images) == [None, None, {"g": coerce(3)}]
+def test_block_inverse_is_one_elimination(alg, monkeypatch):
+    # both columns of the identity are targets of one solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rref_sparse(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rref_sparse", counted)
+    matrix, record = rtt.solve_block_inverse(alg.system)
+    assert record["verified"]
+    assert matrix == alg.block_inv
+    assert len(calls) == 1
 
 
 RQ3_UNSOLVED = [
@@ -289,7 +286,7 @@ def test_four_param_derivation_records(convention):
 
 def _table_or_error(rmat, convention):
     try:
-        system, _rules = derive_relation_table(rmat, LAYOUT_3, convention)
+        system, _rules = derive_relation_table(rmat, convention)
     except OrientationFailure as exc:
         return "error", str(exc)
     return "table", system.to_dict()
@@ -314,7 +311,7 @@ def test_table_over_laurent_matches_the_ratfunc_reference(monkeypatch, matrix,
     rmat = matrix()
     if point:
         rmat = rmat.substitute({v: parse(e) for v, e in point.items()})
-    coeffs = [c for e in rtt_entries(rmat, LAYOUT_3, convention).values()
+    coeffs = [c for e in rtt_entries(rmat, convention).values()
               for c in e.values()]
     several_term = [c for c in coeffs if not isinstance(c, Laurent)]
     assert (point == {"p": "1+m"}) == bool(several_term)

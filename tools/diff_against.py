@@ -71,6 +71,10 @@ COMMANDS = (
     ["all", *POINT],
     ["relations", "--convention", "auto", "--set", "p=1+m"],
     ["relations", "--convention", "transposed"],
+    # the one route where the transposed convention orients, so its
+    # adjoined inverses and block inverse are derived and reported
+    ["relations", "--convention", "transposed", "--set", "m=0", "--set", "n=0"],
+    ["hopf", "--convention", "transposed", "--set", "m=0", "--set", "n=0"],
     ["hopf", "--no-braiding"],
     ["hopf", "--set", "m=n+1"],
     ["contract", "--contraction-matrix", "g"],
