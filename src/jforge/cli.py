@@ -12,13 +12,14 @@ Reports render as deterministic JSON (sorted keys, schema_version field)
 or a text summary.  Exit codes: 0 all checks pass, 1 a verification
 failed, 2 bad usage or configuration.  The environment variable
 JFORGE_MAX_STEPS overrides the rewrite step bound (see freealg); a value
-that is not an integer of at least 1 exits with status 2.
+that is not an integer of at least 1 exits with status 2.  Under a bound
+the user set, a rational point is derived at the point rather than read
+off the symbolic run (see specialize.derive).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -33,7 +34,6 @@ from .errors import (
     DivisionByZero,
     GrammarError,
     JforgeError,
-    NonTerminating,
     ScheduleError,
     UsageError,
 )
@@ -59,7 +59,7 @@ from .rmat import (
     two_param_deformed_r2,
 )
 from .rtt import LAYOUT_3, DerivedAlgebra, resolve_convention, rtt_zero_report, verify_reference
-from .specialize import derive, substitution
+from .specialize import derive
 
 MATRICES = {
     "rq2": two_param_deformed_r2,
@@ -136,40 +136,19 @@ def _emit(report: CheckReport, args) -> int:
     return 0 if report.passed else 1
 
 
-def _algebra(args, bindings, read_off: bool = True) -> DerivedAlgebra:
-    """The algebra under bindings; unless read_off is False, a rational
-    point is read off the symbolic derivation where that is exact
-    (specialize.derive)."""
+def _algebra(args, bindings) -> DerivedAlgebra:
+    """The algebra under bindings; a rational point may be read off the
+    symbolic derivation (specialize.derive)."""
     convention = args.convention
     scores = alg = None
     if convention == "auto":
-        convention, scores, alg = resolve_convention(bindings=bindings, read_off=read_off)
+        convention, scores, alg = resolve_convention(bindings=bindings)
     if alg is None:
-        alg = derive(convention=convention, bindings=bindings, read_off=read_off)
+        alg = derive(convention=convention, bindings=bindings)
     else:
         alg = alg.extended()
     alg.resolution_scores = scores
     return alg
-
-
-def _rerun_at_point(cmd):
-    """cmd, run again with its algebra derived at the point when rewriting
-    at a rational point exceeds the step bound.
-
-    A point read off the symbolic derivation rewrites with the symbolic
-    rules, which keep the terms that vanish at the point.  Under a small
-    JFORGE_MAX_STEPS they can exceed a bound that the rules derived at the
-    point stay within, so the report, or the error, is the point's own.
-    """
-    @functools.wraps(cmd)
-    def run(args):
-        try:
-            return cmd(args)
-        except NonTerminating:
-            if substitution(_bindings(args.set)) is None:
-                raise
-            return cmd(args, read_off=False)
-    return run
 
 
 # -- subcommands -------------------------------------------------------------
@@ -224,10 +203,9 @@ def cmd_contract(args) -> int:
     return _emit(report, args)
 
 
-@_rerun_at_point
-def cmd_relations(args, read_off: bool = True) -> int:
+def cmd_relations(args) -> int:
     bindings = _bindings(args.set)
-    alg = _algebra(args, bindings, read_off)
+    alg = _algebra(args, bindings)
     report = CheckReport("relations")
     report.extend(verify_reference(alg))
     report.extend(rtt_zero_report(alg))
@@ -259,23 +237,21 @@ def _hopf_report(alg: DerivedAlgebra, groups, braiding: bool) -> CheckReport:
     return report
 
 
-@_rerun_at_point
-def cmd_hopf(args, read_off: bool = True) -> int:
+def cmd_hopf(args) -> int:
     bindings = _bindings(args.set)
     groups = tuple(args.check) if args.check else HOPF_GROUPS
     unknown = set(groups) - set(HOPF_GROUPS)
     if unknown:
         raise UsageError(f"unknown --check group(s): {sorted(unknown)}; "
                          f"choose from {list(HOPF_GROUPS)}")
-    alg = _algebra(args, bindings, read_off)
+    alg = _algebra(args, bindings)
     report = _hopf_report(alg, groups, braiding=not args.no_braiding)
     report.metadata["convention"] = alg.convention
     report.metadata["braiding"] = not args.no_braiding
     return _emit(report, args)
 
 
-@_rerun_at_point
-def cmd_all(args, read_off: bool = True) -> int:
+def cmd_all(args) -> int:
     bindings = _bindings(args.set)
     report = CheckReport("all")
 
@@ -294,7 +270,7 @@ def cmd_all(args, read_off: bool = True) -> int:
         _absorb(report, "contract:", stage)
         report.metadata["schedule_sha256"] = stage.metadata["schedule_sha256"]
 
-    alg = _algebra(args, bindings, read_off)
+    alg = _algebra(args, bindings)
     for stage in (verify_reference(alg), rtt_zero_report(alg),
                   alg.confluence(args.max_degree)):
         _absorb(report, "relations:", stage)

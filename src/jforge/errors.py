@@ -19,10 +19,6 @@ class DivisionByZero(JforgeError):
     """Division by a rational function that is identically zero."""
 
 
-class UnboundParameter(JforgeError):
-    """A required parameter has no binding (schedules, evaluation)."""
-
-
 class NotExpandable(JforgeError):
     """A Laurent expansion was requested with inconsistent arguments."""
 

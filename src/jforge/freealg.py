@@ -18,8 +18,8 @@ order induced by the generator sequence; that ordering is compatible with
 concatenation, so rewriting terminates and normal forms are well defined
 whenever the system is confluent.  Confluence itself is checked by
 resolving all critical pairs (overlap and inclusion ambiguities); each
-pair's verdict, and the report per degree bound, is memoized until the
-next add_rule.
+pair's verdict is memoized until the next add_rule, so a repeated report
+normalizes nothing.
 
 evaluate, value, reducer and like are the hooks by which
 specialize.SpecializedSystem reads a symbolic system at a rational point;
@@ -27,12 +27,11 @@ here they are identities.
 
 A hard step budget (JFORGE_MAX_STEPS, default one million) backstops the
 termination argument against misbuilt rule sets; a value that is not an
-integer of at least 1 is a UsageError.
+integer of at least 1 is a UsageError.  step_bound() is its one parser.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 
 from .errors import DegreeOverflow, NonTerminating, OrientationFailure, UsageError
@@ -47,7 +46,8 @@ NCPoly = dict
 DEFAULT_MAX_STEPS = 10 ** 6
 
 
-def _max_steps_default() -> int:
+def step_bound() -> int:
+    """The rewrite step bound: JFORGE_MAX_STEPS, else DEFAULT_MAX_STEPS."""
     raw = os.environ.get("JFORGE_MAX_STEPS")
     if raw is None:
         return DEFAULT_MAX_STEPS
@@ -195,11 +195,10 @@ class RewriteSystem:
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
         self.index = {g: i for i, g in enumerate(self.generators)}
-        self.max_steps = _max_steps_default()
+        self.max_steps = step_bound()
         self.rules: dict = {}
         self._lhs_lengths: tuple = ()
         self._cache: dict = {}
-        self._confluence: dict = {}
         self._verdicts: dict = {}
 
     # -- word order ------------------------------------------------------
@@ -227,7 +226,6 @@ class RewriteSystem:
         self.rules[rule.lhs] = rule
         self._lhs_lengths = tuple(sorted({len(l) for l in self.rules}, reverse=True))
         self._cache = {}
-        self._confluence = {}
         self._verdicts = {}
 
     def rule_list(self) -> list:
@@ -250,6 +248,7 @@ class RewriteSystem:
         return self.find_redex(word) is None
 
     def _nf_word(self, word: Word, budget: list) -> NCPoly:
+        """budget is [steps left, the bound they started from]."""
         cached = self._cache.get(word)
         if cached is not None:
             return cached
@@ -265,7 +264,7 @@ class RewriteSystem:
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise NonTerminating(
-                        f"rewriting exceeded {self.max_steps} steps"
+                        f"rewriting exceeded {budget[1]} steps"
                     )
                 piece = self._nf_word(head + rw + tail, budget)
                 for w, c in piece.items():
@@ -275,7 +274,8 @@ class RewriteSystem:
         return result
 
     def normal_form(self, poly: NCPoly, max_steps: int = None) -> NCPoly:
-        budget = [max_steps or self.max_steps]
+        bound = max_steps or self.max_steps
+        budget = [bound, bound]
         out: NCPoly = {}
         for word, coeff in poly.items():
             if coeff.is_zero():
@@ -346,16 +346,9 @@ class RewriteSystem:
     def confluence_report(self, max_degree: int = None) -> CheckReport:
         """Resolve every critical pair whose word has at most max_degree letters.
 
-        The report is computed once per max_degree and rule set, each pair's
-        verdict once per rule set (shared with new_pairs_unresolved); callers
-        get a copy, so the memoized report cannot be changed from outside.
+        Each pair's verdict is computed once per rule set (shared with
+        new_pairs_unresolved).
         """
-        report = self._confluence.get(max_degree)
-        if report is None:
-            report = self._confluence[max_degree] = self._resolve_pairs(max_degree)
-        return copy.deepcopy(report)
-
-    def _resolve_pairs(self, max_degree) -> CheckReport:
         report = CheckReport("confluence")
         candidates = 0
         failures = []

@@ -175,11 +175,6 @@ def check_bialgebra(system: RewriteSystem, layout=LAYOUT_3) -> CheckReport:
 
 # -- the row-sector Hopf ideal ---------------------------------------------------
 
-def quotient_project(p: NCPoly) -> NCPoly:
-    """Kill every monomial touching the row-vector generators."""
-    return {w: c for w, c in p.items() if not word_touches(w, ROW_VECTOR)}
-
-
 def hopf_ideal_check(alg: DerivedAlgebra) -> CheckReport:
     """The span of monomials touching the row vector is a Hopf ideal.
 

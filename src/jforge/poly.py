@@ -391,17 +391,6 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     return pint_normalize(out)[0]
 
 
-def peval(p: Poly, values: dict) -> Fraction:
-    """Evaluate at Fraction values; every variable of p must be bound."""
-    total = F0
-    for m, c in p.items():
-        term = c
-        for v, e in m:
-            term *= values[v] ** e
-        total += term
-    return total
-
-
 def pstr(p: Poly) -> str:
     """Canonical text for a polynomial: terms sorted, explicit operators."""
     if not p:

@@ -90,10 +90,6 @@ class TensorMat:
     def substitute(self, bindings: dict) -> "TensorMat":
         return self.map_entries(lambda x: x.substitute(bindings))
 
-    def evaluate(self, values: dict) -> list:
-        """Dense Fraction matrix in Kronecker order."""
-        return [[x.evaluate(values) for x in row] for row in self.in_kron_order()]
-
     # -- structure -------------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, TensorMat):

@@ -689,16 +689,15 @@ def rtt_zero_report(alg: DerivedAlgebra) -> CheckReport:
     return report
 
 
-def resolve_convention(bindings: dict = None, read_off: bool = True):
+def resolve_convention(bindings: dict = None):
     """Pick the exchange-identity reading that reproduces the record.
 
     Derives the table under both conventions with specialize.derive, which
-    reads a rational point off the symbolic table unless read_off is False,
-    and counts how many recorded relations reduce to zero.  Returns
-    (winner, scores, graded): graded is the winner's extend=False algebra,
-    whose extended() is the full algebra, or None if the winner's
-    derivation raised.  A convention whose identities fail to normal-order
-    the grid scores -1.
+    may read a rational point off the symbolic table, and counts how many
+    recorded relations reduce to zero.  Returns (winner, scores, graded):
+    graded is the winner's extend=False algebra, whose extended() is the
+    full algebra, or None if the winner's derivation raised.  A convention
+    whose identities fail to normal-order the grid scores -1.
     """
     from .specialize import derive  # specialize builds on this module
 
@@ -706,7 +705,7 @@ def resolve_convention(bindings: dict = None, read_off: bool = True):
     graded = {}
     for conv in CONVENTIONS:
         try:
-            alg = derive(conv, bindings, extend=False, read_off=read_off)
+            alg = derive(conv, bindings, extend=False)
         except OrientationFailure as exc:
             scores[conv] = {"score": -1, "error": str(exc)}
             continue

@@ -49,8 +49,9 @@ bases: Weispfenning, JSC 14, 1992; Kalkbrener, JSC 24, 1997):
 
 The results are exact, the rewriting work is not: the symbolic rules keep
 the terms that vanish at the point, so a normal form can take more steps
-than with the rules derived there, and the command line reruns a command
-at the point when a read point exceeds the step bound.
+than with the rules derived there.  So a point is read off only under the
+default step bound; under a JFORGE_MAX_STEPS the user set, it is derived at
+the point, and the bound applies to the point's own rules.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, OrientationFailure
 from .field import RatFunc
-from .freealg import NCPoly, RewriteRule, RewriteSystem
+from .freealg import DEFAULT_MAX_STEPS, NCPoly, RewriteRule, RewriteSystem, step_bound
 from .laurent import Substitution
 from .rtt import DerivedAlgebra, QuotientAlgebra
 
@@ -138,26 +139,21 @@ class SpecializedAlgebra(DerivedAlgebra):
         return alg if alg is not None else _derived_at(self.source, self.point)
 
     def quotient(self) -> QuotientAlgebra:
-        symbolic = QuotientAlgebra(self.source)
-        if on_locus(symbolic.locus, self.system.value):
+        """The symbolic quotient with its system read at the point.
+
+        Its parent stays the symbolic algebra, whose bindings (none) are
+        what the quotient's checks read.
+        """
+        q = QuotientAlgebra(self.source)
+        if on_locus(q.locus, self.system.value):
             return _derived_at(self.source, self.point).quotient()
-        return SpecializedQuotient(symbolic, self,
-                                   SpecializedSystem(symbolic.system, self.system.value))
+        q.system = SpecializedSystem(q.system, self.system.value)
+        return q
 
     def to_dict(self) -> dict:
         out = super().to_dict()
         out["bindings"] = {k: str(v) for k, v in sorted(self.point.items())}
         return out
-
-
-class SpecializedQuotient(QuotientAlgebra):
-    """A symbolic QuotientAlgebra read at its parent's point."""
-
-    def __init__(self, source: QuotientAlgebra, parent: SpecializedAlgebra,
-                 system: SpecializedSystem):
-        self.__dict__.update(source.__dict__)
-        self.parent = parent
-        self.system = system
 
 
 def substitution(bindings: dict):
@@ -198,18 +194,20 @@ def _derived_at(symbolic: DerivedAlgebra, point: dict, extend: bool = True):
     return DerivedAlgebra(symbolic.rmat, symbolic.convention, point, extend)
 
 
-def derive(convention: str = "plain", bindings: dict = None, extend: bool = True,
-           read_off: bool = True) -> DerivedAlgebra:
+def derive(convention: str = "plain", bindings: dict = None,
+           extend: bool = True) -> DerivedAlgebra:
     """DerivedAlgebra(convention=..., bindings=..., extend=...), read off
-    the symbolic derivation when read_off is set and bindings are a
-    rational point off its locus.
+    the symbolic derivation when bindings are a rational point off its
+    locus and the step bound is the default.
 
-    The graded table is read before it is extended, so a point on its
-    locus costs no symbolic extension.  A convention that fails to orient
-    symbolically fails at such a point with the same message.  A point on
-    the locus, and any other bindings, are derived at the bindings.
+    This is the one place that chooses between the two routes.  The graded
+    table is read before it is extended, so a point on its locus costs no
+    symbolic extension.  A convention that fails to orient symbolically
+    fails at such a point with the same message.  A point on the locus, a
+    point under a user-set step bound (see the module docstring), and any
+    other bindings are derived at the bindings.
     """
-    value = substitution(bindings) if read_off else None
+    value = substitution(bindings) if step_bound() == DEFAULT_MAX_STEPS else None
     if value is None:
         return DerivedAlgebra(convention=convention, bindings=bindings, extend=extend)
     try:

@@ -255,7 +255,7 @@ def test_add_rule_clears_the_pair_verdicts():
 def test_step_budget_is_enforced():
     rs = weyl_like()
     deep = nc_word(tuple("yx" * 12))
-    with pytest.raises(NonTerminating):
+    with pytest.raises(NonTerminating, match="exceeded 3 steps"):
         rs.normal_form(deep, max_steps=3)
 
 

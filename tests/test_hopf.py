@@ -21,7 +21,6 @@ from jforge.hopf import (
     delta_centrality,
     hopf_ideal_check,
     qdet_checks,
-    quotient_project,
 )
 from jforge.rtt import LAYOUT_3, DerivedAlgebra
 
@@ -76,12 +75,6 @@ def test_row_vector_spans_a_hopf_ideal(alg):
     assert [c.name for c in report.checks] == [
         "two-sided-ideal", "co-ideal", "antipode-stability",
     ]
-
-
-def test_quotient_project_kills_row_vector_words():
-    p = {("a", "theta"): parse("1"), ("a", "b"): parse("2"),
-         ("phi",): parse("1")}
-    assert quotient_project(p) == {("a", "b"): parse("2")}
 
 
 def test_antipode_of_scale_is_its_inverse(quotient):

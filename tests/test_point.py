@@ -151,6 +151,13 @@ def test_expression_bindings_are_derived_at_the_bindings():
         assert type(derive(bindings=bindings(point))) is DerivedAlgebra
 
 
+def test_a_point_under_a_user_set_step_bound_is_derived_at_the_point(monkeypatch):
+    monkeypatch.setenv("JFORGE_MAX_STEPS", "1000")
+    got = derive(bindings=bindings(POINT), extend=False)
+    assert type(got) is DerivedAlgebra
+    assert got.bindings == bindings(POINT)
+
+
 def test_collapse_coefficient_is_on_the_locus():
     # element m*b + a: its leading word b carries m, so at m = 0 the
     # collapse rule is oriented at a*inv instead of b*inv

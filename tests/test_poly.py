@@ -44,11 +44,6 @@ def test_gcd_of_common_factor():
     assert P.pdivides(common, g)
 
 
-def test_eval_matches_structure():
-    p = build([(3, "x", 2), (1, "y", 1)])
-    assert P.peval(p, {"x": Fraction(2), "y": Fraction(-5)}) == 7
-
-
 small = st.integers(min_value=-4, max_value=4)
 
 

@@ -11,9 +11,10 @@ Commands that name a schedule as ``{rescaled}``, ``{wrong-slope}`` or
 schedule, written once to the temporary directory and passed to both
 trees: eps -> (7/3)*eps in every binding, r with the sign of its slope
 flipped (the limit exists and misses the target), and eta = 1/eps^2 (the
-twist pole is of the wrong order, so entries diverge).  Prints one line per
-command and exits 1 on any difference, else 0.  Run from anywhere inside
-the repository:
+twist pole is of the wrong order, so entries diverge).  A command may start
+with NAME=VALUE items, each set in that command's environment on both
+trees.  Prints one line per command and exits 1 on any difference, else 0.
+Run from anywhere inside the repository:
 
     python3 tools/diff_against.py HEAD~1
 """
@@ -64,6 +65,11 @@ COMMANDS = (
     ["hopf", "--convention", "auto", "--set", "m=0", "--set", "n=0"],
     ["relations", "--convention", "auto", *K_ZERO],
     ["hopf", "--convention", "auto", *K_ZERO],
+    # under a step bound the user set, a rational point is derived at the
+    # point: at K_ZERO one read-off normal form takes 136 steps, 85 there
+    ["JFORGE_MAX_STEPS=100", "relations", "--convention", "auto", *K_ZERO],
+    ["JFORGE_MAX_STEPS=100", "all", *K_ZERO],
+    ["JFORGE_MAX_STEPS=20", "relations", "--convention", "auto", *POINT],
     ["relations", "--convention", "auto", *P_ONE],
     ["hopf", "--convention", "auto", *P_ONE],
     ["relations", "--convention", "auto", *M_EQUALS_N],
@@ -129,8 +135,13 @@ def extract(ref: str, dest: Path) -> None:
 
 
 def run(tree: Path, argv: list) -> tuple:
-    """(exit code, stdout, stderr) of one jforge command against tree/src."""
+    """(exit code, stdout, stderr) of one jforge command against tree/src;
+    leading NAME=VALUE items of argv go into its environment."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    while "=" in argv[0]:
+        name, _, value = argv[0].partition("=")
+        env[name] = value
+        argv = argv[1:]
     proc = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv, "--format", "json"],
                           cwd=tree, env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
