@@ -126,8 +126,11 @@ def _load_schedule(path, bindings) -> tuple:
 def _emit(report: CheckReport, args) -> int:
     text = report.to_json() if args.format == "json" else report.to_text()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}") from exc
         good = sum(1 for c in report.checks if c.passed)
         print(f"{report.tool}: {good}/{len(report.checks)} checks passed "
               f"-> {args.output}")
@@ -266,6 +269,9 @@ def cmd_all(args) -> int:
         _result, stage = _contract_stage(args, bindings)
     except (UsageError, ScheduleError) as exc:
         report.add("contract:schedule-loads", False, error=str(exc))
+    except DivisionByZero as exc:
+        # a pole the schedule's own substitution meets, e.g. s = 0
+        report.add("contract:finite-limit", False, error=str(exc))
     else:
         _absorb(report, "contract:", stage)
         report.metadata["schedule_sha256"] = stage.metadata["schedule_sha256"]
@@ -354,10 +360,7 @@ def main(argv=None) -> int:
         parser.exit(2, "jforge: --max-degree must be at least 3\n")
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"jforge: {exc}", file=sys.stderr)
-        return 2
-    except ScheduleError as exc:
+    except (UsageError, ScheduleError) as exc:
         print(f"jforge: {exc}", file=sys.stderr)
         return 2
     except JforgeError as exc:

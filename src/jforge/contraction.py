@@ -9,11 +9,15 @@ whole point: contract() either returns the finite limit matrix or raises
 PoleError carrying the entries that blew up and their lowest Laurent
 coefficients.
 
-Each entry is Laurent-expanded only as far as its reader looks (the
-series is exact through the order passed, see field.laurent_expand):
-contract() expands with order 0, because the limit reads the pole terms
-for its diagnostics and the constant term for the value, and
-probe_divergence() with order -1, because a record holds only pole terms.
+contract() and probe_divergence() read the same entries, from one loop
+(_entries) that conjugates, substitutes and expands each entry only as far
+as its reader looks (the series is exact through the order passed, see
+field.laurent_expand): order 0 for contract(), because the limit reads the
+pole terms for its diagnostics and the constant term for the value, and
+order -1 for probe_divergence(), because a record holds only pole terms.
+Both list pole terms through LaurentSeries.pole_terms().  A pole that the
+substitution itself meets is raised by RatFunc.substitute before any entry
+is read; the expansion never divides by zero.
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .errors import DivisionByZero, PoleError, ScheduleError
+from .errors import PoleError, ScheduleError
 from .field import RatFunc, laurent_expand, limit_at_zero
 from .grammar import GrammarError, parse, serialize
 from .report import CheckReport
 from .rmat import KRON_ORDER_2, TensorMat, conjugate
-
-SCHEDULE_SCHEMA = 1
 
 
 class Schedule:
@@ -62,23 +64,6 @@ class Schedule:
             out |= expr.variables()
         out.discard(self.limit_var)
         return out
-
-    def override(self, extra: dict) -> "Schedule":
-        merged = dict(self.bindings)
-        for name, expr in extra.items():
-            merged[name] = expr
-        return Schedule(self.limit_var, merged, self.description)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEDULE_SCHEMA,
-            "description": self.description,
-            "limit_var": self.limit_var,
-            "bindings": {k: serialize(v) for k, v in sorted(self.bindings.items())},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
@@ -127,15 +112,14 @@ def standard_schedule() -> Schedule:
     return bundled_schedule()[0]
 
 
-def _limit_entry(value: RatFunc, limit_var: str):
-    """(finite limit, None) or (None, diagnostics list) for one entry."""
-    try:
-        series = laurent_expand(value, limit_var, 0)
-        return limit_at_zero(series), None
-    except PoleError as exc:
-        return None, exc.diagnostics
-    except DivisionByZero as exc:
-        return None, [("denominator", str(exc))]
+def _entries(tm: TensorMat, twist: list, schedule: Schedule, order: int):
+    """(row pair, col pair, series) for every entry of tm conjugated by the
+    twist under the schedule, row by row, each expanded in the limit
+    variable through order."""
+    subbed = conjugate(tm, twist).substitute(schedule.bindings)
+    for rp, row in zip(subbed.basis, subbed.rows):
+        for cp, value in zip(subbed.basis, row):
+            yield rp, cp, laurent_expand(value, schedule.limit_var, order)
 
 
 def contract(tm: TensorMat, twist: list, schedule: Schedule) -> TensorMat:
@@ -144,28 +128,21 @@ def contract(tm: TensorMat, twist: list, schedule: Schedule) -> TensorMat:
     Raises PoleError when any entry diverges; the diagnostics list the
     offending basis pairs with their lowest surviving Laurent terms.
     """
-    conj = conjugate(tm, twist)
-    subbed = conj.substitute(schedule.bindings)
-    rows = []
+    limits = []
     failures = []
-    for i, row in enumerate(subbed.rows):
-        out_row = []
-        for j, value in enumerate(row):
-            lim, diag = _limit_entry(value, schedule.limit_var)
-            if diag is not None:
-                failures.append((subbed.basis[i], subbed.basis[j], diag))
-                lim = None
-            out_row.append(lim)
-        rows.append(out_row)
+    for rp, cp, series in _entries(tm, twist, schedule, 0):
+        try:
+            limits.append(limit_at_zero(series))
+        except PoleError as exc:
+            failures.append({"row": list(rp), "col": list(cp),
+                             "lowest_terms": exc.diagnostics})
     if failures:
-        shown = [
-            {"row": list(rp), "col": list(cp), "lowest_terms": [list(d) for d in diag]}
-            for rp, cp, diag in failures[:6]
-        ]
         raise PoleError(
             f"{len(failures)} entries diverge as {schedule.limit_var} -> 0",
-            diagnostics=shown,
+            diagnostics=failures[:6],
         )
+    size = len(tm.basis)
+    rows = [limits[i:i + size] for i in range(0, len(limits), size)]
     return TensorMat(tm.dim, tm.basis, rows)
 
 
@@ -175,36 +152,14 @@ def probe_divergence(tm: TensorMat, twist: list, schedule: Schedule) -> list:
     Returns [] when the limit is finite; otherwise a list of at most six
     entry records with pole order and the lowest Laurent coefficients.
     """
-    conj = conjugate(tm, twist)
-    subbed = conj.substitute(schedule.bindings)
     records = []
-    for i, row in enumerate(subbed.rows):
-        for j, value in enumerate(row):
-            if value.is_zero():
-                continue
-            try:
-                series = laurent_expand(value, schedule.limit_var, -1)
-            except DivisionByZero as exc:
-                records.append({
-                    "row": list(subbed.basis[i]), "col": list(subbed.basis[j]),
-                    "pole_order": None, "lowest_terms": [["denominator", str(exc)]],
-                })
-                continue
-            if series.min_degree < 0 and not series.is_zero():
-                low = []
-                for t, c in enumerate(series.coeffs):
-                    deg = series.min_degree + t
-                    if deg >= 0 or len(low) == 3:
-                        break
-                    if not c.is_zero():
-                        low.append([deg, serialize(c)])
-                if low:
-                    records.append({
-                        "row": list(subbed.basis[i]), "col": list(subbed.basis[j]),
-                        "pole_order": -series.min_degree, "lowest_terms": low,
-                    })
-            if len(records) >= 6:
-                return records
+    for rp, cp, series in _entries(tm, twist, schedule, -1):
+        poles = series.pole_terms()
+        if poles:
+            records.append({"row": list(rp), "col": list(cp),
+                            "pole_order": series.pole_order(), "lowest_terms": poles})
+            if len(records) == 6:
+                break
     return records
 
 

@@ -355,6 +355,17 @@ class LaurentSeries:
             return 0
         return -self.min_degree
 
+    def pole_terms(self) -> list:
+        """The lowest nonzero terms of negative degree, at most three, as
+        [degree, text] pairs; empty when the series has no pole."""
+        out = []
+        for deg, c in enumerate(self.coeffs, self.min_degree):
+            if deg >= 0 or len(out) == 3:
+                break
+            if not c.is_zero():
+                out.append([deg, str(c)])
+        return out
+
 
 def laurent_expand(f: RatFunc, var, order: int = None) -> LaurentSeries:
     """Expand f as a Laurent series in var around 0, exact through order.
@@ -364,10 +375,11 @@ def laurent_expand(f: RatFunc, var, order: int = None) -> LaurentSeries:
     a caller pays for exactly the degrees it reads.  With order None the
     expansion runs through pole_order + 4.  When order cuts off below the
     valuation, the result is the empty series: exact through the
-    truncation, no visible terms.  The callers in contraction pass order 0
-    (the limit reads the pole terms and the constant term) and order -1
-    (the divergence probe reads only the pole terms); limit_at_zero on a
-    RatFunc passes order 0.
+    truncation, no visible terms.  contraction's one entry loop passes
+    order 0 for contract (the limit reads the pole terms and the constant
+    term) and order -1 for the divergence probe (a record holds only pole
+    terms).  1/den is expanded from the inverse of its lowest nonzero
+    coefficient in var, so a nonzero f never divides by zero here.
     """
     if f.is_zero():
         o = 4 if order is None else order
@@ -405,36 +417,19 @@ def laurent_expand(f: RatFunc, var, order: int = None) -> LaurentSeries:
     return LaurentSeries(var, val, tuple(coeffs), order)
 
 
-def limit_at_zero(f, var=None) -> RatFunc:
-    """Limit of f as the variable goes to 0.
+def limit_at_zero(series: LaurentSeries) -> RatFunc:
+    """Limit as the series variable goes to 0.
 
-    Accepts a LaurentSeries exact through degree 0 or beyond, or a RatFunc
-    together with the variable name, which is expanded with order 0.
-    Raises PoleError (with the lowest coefficients as diagnostics) when
-    negative powers survive, and NotExpandable for a series truncated
-    below degree 0, whose constant term is unknown.
+    series must be exact through degree 0 or beyond.  Raises PoleError,
+    with the series' pole_terms() as diagnostics, when negative powers
+    survive, and NotExpandable for a series truncated below degree 0,
+    whose constant term is unknown.
     """
-    if isinstance(f, RatFunc):
-        if var is None:
-            raise NotExpandable("limit of a RatFunc needs the variable")
-        f = laurent_expand(f, var, 0)
-    series: LaurentSeries = f
     if series.truncation_order < 0:
         raise NotExpandable(
             f"limit needs the series through degree 0, not {series.truncation_order}")
-    if series.is_zero():
-        return RF_ZERO
-    if series.min_degree < 0:
-        diags = []
-        for i, c in enumerate(series.coeffs):
-            deg = series.min_degree + i
-            if deg >= 0 or len(diags) == 3:
-                break
-            if not c.is_zero():
-                diags.append((deg, str(c)))
-        if diags:
-            raise PoleError(
-                f"pole of order {-series.min_degree} in {series.variable}",
-                diagnostics=diags,
-            )
+    poles = series.pole_terms()
+    if poles:
+        raise PoleError(f"pole of order {series.pole_order()} in {series.variable}",
+                        diagnostics=poles)
     return series.coefficient(0)

@@ -288,15 +288,10 @@ class Laurent:
 
     # -- maps ---------------------------------------------------------------
     def substitute(self, bindings: dict):
-        """Substitution of parameters.
-
-        int and Fraction values are put into the packed monomials directly
-        (see Substitution); any other binding goes through to_rf() and back
-        through coerce.  Either way a value of 0 for a parameter with a
-        negative exponent raises DivisionByZero.
+        """Substitution of parameters by rational functions, through to_rf()
+        and back through coerce; a pole it meets raises DivisionByZero.
+        A rational point is put into the packed monomials by Substitution.
         """
-        if all(isinstance(v, (int, Fraction)) for v in bindings.values()):
-            return Substitution(bindings)(self)
         return coerce(self.to_rf().substitute(bindings))
 
 

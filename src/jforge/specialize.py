@@ -56,10 +56,7 @@ the point, and the bound applies to the point's own rules.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DivisionByZero, OrientationFailure
-from .field import RatFunc
 from .freealg import DEFAULT_MAX_STEPS, NCPoly, RewriteRule, RewriteSystem, step_bound
 from .laurent import Substitution
 from .rtt import DerivedAlgebra, QuotientAlgebra
@@ -157,18 +154,15 @@ class SpecializedAlgebra(DerivedAlgebra):
 
 
 def substitution(bindings: dict):
-    """The Substitution of bindings if they are a rational point, else None."""
+    """The Substitution of bindings (RatFunc values) if they are a
+    rational point, else None."""
     if not bindings:
         return None
     values = {}
     for name, v in bindings.items():
-        if isinstance(v, RatFunc):
-            if v.variables():
-                return None
-            v = v.const_value()
-        elif not isinstance(v, (int, Fraction)):
+        if v.variables():
             return None
-        values[name] = v
+        values[name] = v.const_value()
     return Substitution(values)
 
 

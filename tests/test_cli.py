@@ -47,6 +47,14 @@ def test_qybe_text_mode(capsys):
     assert "qybe: 1/1 checks passed" in out
 
 
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "qybe", "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"jforge: cannot write {path}: ")
+
+
 def test_contract_main_lane(capsys):
     code, data, _ = run_json(capsys, "contract")
     assert code == 0
@@ -282,6 +290,27 @@ def test_all_aggregates_and_isolates_contract_failures(capsys, tmp_path):
     assert "relations:ref:f-y" in by_name
     assert "hopf:counit-of-antipode" in by_name
     assert "qybe:rj3" in by_name
+
+
+def test_all_reports_a_pole_of_the_schedule_and_runs_on(capsys, tmp_path):
+    schedule = json.loads((ROOT / "src" / "jforge" / "data" / "jordanian_gl3.schedule")
+                          .read_text(encoding="utf-8"))
+    schedule["bindings"]["s"] = "0"
+    path = tmp_path / "zero-pole.schedule"
+    path.write_text(json.dumps(schedule), encoding="utf-8")
+    code, data, _ = run_json(capsys, "all", "--schedule", str(path))
+    assert code == 1
+    by_name = {c["name"]: c for c in data["checks"]}
+    assert by_name["contract:finite-limit"]["pass"] is False
+    assert by_name["contract:finite-limit"]["details"]["error"] == \
+        "substitution sends denominator to zero"
+    assert "relations:ref:f-y" in by_name
+    assert "hopf:counit-of-antipode" in by_name
+    # contract on its own stops there, and all stops at a pole of --set
+    for argv in (["contract", "--schedule", str(path)], ["all", "--set", "p=0"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "jforge: substitution sends denominator to zero\n"
 
 
 def test_all_default_run(capsys):

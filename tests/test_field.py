@@ -79,11 +79,14 @@ def test_laurent_expand_zero_function():
 
 
 def test_limit_finite_and_divergent():
-    assert limit_at_zero(parse("(m*eps + 3)/(eps + 1)"), "eps") == parse("3")
-    with pytest.raises(PoleError):
-        limit_at_zero(parse("m/eps"), "eps")
-    with pytest.raises(NotExpandable):
-        limit_at_zero(parse("m"))
+    assert limit_at_zero(laurent_expand(parse("(m*eps + 3)/(eps + 1)"), "eps", 0)) \
+        == parse("3")
+    with pytest.raises(PoleError) as exc:
+        limit_at_zero(laurent_expand(parse("m/eps"), "eps", 0))
+    assert exc.value.diagnostics == [[-1, "m"]]
+    # zero terms are skipped and at most three are listed
+    series = laurent_expand(parse("(1 + 2*eps + eps^3 + m*eps^4)/eps^5"), "eps", -1)
+    assert series.pole_terms() == [[-5, "1"], [-4, "2"], [-2, "1"]]
 
 
 @pytest.mark.parametrize("text, order", [("3 + m/eps", -2), ("3 + m/eps", -1), ("3", -1)])
@@ -98,7 +101,7 @@ def test_pole_cancellation_across_sum():
     f = parse("eta*(r - s)").substitute(
         {"eta": parse("1/eps"), "r": parse("1 - (m + n)/2*eps"),
          "s": parse("1 + (m - n)/2*eps")})
-    assert limit_at_zero(f, "eps") == parse("-m")
+    assert limit_at_zero(laurent_expand(f, "eps", 0)) == parse("-m")
 
 
 # -- differential tests of the canonical form --------------------------------

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jforge import rtt, specialize
+from jforge import freealg, rtt, specialize
+from jforge.errors import NonTerminating
 from jforge.cli import main
 from jforge.freealg import RewriteSystem, nc_add, nc_gen, nc_scale
 from jforge.grammar import parse
@@ -27,11 +28,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from report_diff import strip_ms  # noqa: E402
 
 POINT = {"m": "3/2", "n": "-2/3", "k": "5", "p": "7/4"}
+K_ZERO = {"m": "3/2", "n": "-2/3", "k": "0", "p": "7/4"}
 POINTS = [
     POINT,
     {"m": "2", "n": "1/3", "k": "-5", "p": "7/2"},
     {"m": "2", "n": "2", "k": "3", "p": "5"},
-    {"m": "3/2", "n": "-2/3", "k": "0", "p": "7/4"},
+    K_ZERO,
     {"p": "2"},
 ]
 
@@ -203,12 +205,23 @@ def test_a_point_on_the_table_locus_is_extended_only_at_the_point(monkeypatch):
     assert calls == [point]
 
 
-def test_a_read_point_over_the_step_bound_is_rerun_at_the_point(monkeypatch):
-    # at k = 0 the symbolic rules keep terms that vanish there: one normal
-    # form takes 136 steps with them and 85 with the rules derived at k = 0
+def test_the_read_route_can_take_more_steps_than_the_point_route(monkeypatch):
+    # at k = 0 the symbolic rules keep terms that vanish there: the
+    # roundtrip normal form of the adjoined e takes 136 steps with them and
+    # 85 with the rules derived at k = 0.  Only the rewrite systems see the
+    # bound of 100 here, so derive() still takes the read route.
+    monkeypatch.setattr(freealg, "step_bound", lambda: 100)
+    point = bindings(K_ZERO)
+    with pytest.raises(NonTerminating, match="rewriting exceeded 100 steps"):
+        derive(bindings=point)
+    assert type(DerivedAlgebra(bindings=point)) is DerivedAlgebra
+
+
+def test_a_point_under_a_user_set_bound_reports_as_derived_at_the_point(monkeypatch):
+    # under JFORGE_MAX_STEPS the point is derived at the point, so the bound
+    # of 100 that the read route exceeds at k = 0 (see above) holds
     argv = ["relations", "--convention", "auto",
-            *(a for name, value in POINT.items() if name != "k"
-              for a in ("--set", f"{name}={value}")), "--set", "k=0"]
+            *(a for name, value in K_ZERO.items() for a in ("--set", f"{name}={value}"))]
     monkeypatch.setenv("JFORGE_MAX_STEPS", "100")
     got = run(argv)
     with everywhere_on_the_locus():

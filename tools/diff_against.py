@@ -6,12 +6,13 @@ runs in a fresh interpreter against the ``src`` of either tree.  A pair
 matches when the exit codes agree and the two JSON reports are equal with
 every ``ms`` key removed (the comparison of ``tools/report_diff.py``); a
 command whose stdout is not JSON is compared byte for byte, with stderr.
-Commands that name a schedule as ``{rescaled}``, ``{wrong-slope}`` or
-``{misplaced-pole}`` get one file derived from this tree's bundled
-schedule, written once to the temporary directory and passed to both
-trees: eps -> (7/3)*eps in every binding, r with the sign of its slope
-flipped (the limit exists and misses the target), and eta = 1/eps^2 (the
-twist pole is of the wrong order, so entries diverge).  A command may start
+Commands that name a schedule as ``{rescaled}``, ``{wrong-slope}``,
+``{misplaced-pole}`` or ``{zero-pole}`` get one file derived from this
+tree's bundled schedule, written once to the temporary directory and
+passed to both trees: eps -> (7/3)*eps in every binding, r with the sign
+of its slope flipped (the limit exists and misses the target), eta =
+1/eps^2 (the twist pole is of the wrong order, so entries diverge), and
+s = 0 (the substitution itself meets a pole).  A command may start
 with NAME=VALUE items, each set in that command's environment on both
 trees.  Prints one line per command and exits 1 on any difference, else 0.
 Run from anywhere inside the repository:
@@ -94,6 +95,13 @@ COMMANDS = (
     ["contract", "--schedule", "{wrong-slope}", "--contraction-matrix", "bigg"],
     ["contract", "--schedule", "{misplaced-pole}", "--contraction-matrix", "g"],
     ["contract", "--schedule", "{misplaced-pole}", "--contraction-matrix", "bigg"],
+    ["contract", "--schedule", "{wrong-slope}", "--contraction-matrix", "gprime"],
+    ["contract", "--schedule", "{misplaced-pole}", "--contraction-matrix", "gprime"],
+    # poles met by substitution, before any entry is expanded
+    ["contract", "--schedule", "{zero-pole}", "--contraction-matrix", "bigg"],
+    ["contract", "--schedule", "{zero-pole}", "--contraction-matrix", "gprime"],
+    ["contract", "--set", "p=0", "--contraction-matrix", "bigg"],
+    ["contract", "--set", "p=0", "--contraction-matrix", "gprime"],
     ["qybe", "--matrix", "rq2"],
     ["qybe", "--matrix", "rq3"],
     ["qybe", "--matrix", "rj2"],
@@ -113,6 +121,7 @@ def write_schedules(dest: Path) -> dict:
         "rescaled": {k: EPS.sub("((7/3)*eps)", v) for k, v in bindings.items()},
         "wrong-slope": dict(bindings, r="1 + (m + n)/2*eps"),
         "misplaced-pole": dict(bindings, eta="1/eps^2"),
+        "zero-pole": dict(bindings, s="0"),
     }
     dest.mkdir()
     paths = {}
