@@ -3,14 +3,13 @@
 Elements are dicts mapping words (tuples of generator names) to nonzero
 coefficients of the numeric tower in laurent.py: Laurent values in
 Q[m,n,k,p^±1], or RatFunc values where a coefficient leaves that ring.
-The entry points (nc_gen, nc_word, nc_scale, RewriteRule,
-RewriteSystem.from_dict and normal_form's input) pass coefficients
-through laurent.coerce.  Elements of the tensor square are the same kind of
-dict keyed by pairs of words, so nc_add, nc_scale, nc_zero and nc_is_zero
-serve them unchanged; only the operations that look inside a key (t_simple,
-t_mul, tensor_normal_form, t_str) are tensor-specific.  Every sum of
-coefficients goes through field.add_into, which drops keys whose
-coefficient cancels to zero.
+laurent.coerce converts coefficients where they enter here: nc_scale's
+factor, RewriteRule and RewriteSystem.from_dict.  Elements of the tensor
+square are the same kind of dict keyed by pairs of words, so nc_add,
+nc_scale, nc_zero and nc_is_zero serve them unchanged; only the
+operations that look inside a key (t_simple, t_mul, tensor_normal_form,
+t_str) are tensor-specific.  Every sum of coefficients goes through
+field.add_into, which drops keys whose coefficient cancels to zero.
 
 A RewriteSystem holds oriented rules lhs -> rhs where the lhs is a single
 word and every rhs word is strictly smaller in the graded lexicographic
@@ -21,9 +20,9 @@ resolving all critical pairs (overlap and inclusion ambiguities); each
 pair's verdict is memoized until the next add_rule, so a repeated report
 normalizes nothing.
 
-evaluate, value, reducer and like are the hooks by which
-specialize.SpecializedSystem reads a symbolic system at a rational point;
-here they are identities.
+specialize.SpecializedSystem reads a symbolic system at a rational point
+through two hooks, identities here: evaluate reads an element at the
+point, and reducer is the system whose rules rewrite.
 
 A hard step budget (JFORGE_MAX_STEPS, default one million) backstops the
 termination argument against misbuilt rule sets; a value that is not an
@@ -70,12 +69,12 @@ def nc_one() -> NCPoly:
     return {(): L_ONE}
 
 
-def nc_gen(name: str, coeff=None) -> NCPoly:
-    return {(name,): L_ONE if coeff is None else coerce(coeff)}
+def nc_gen(name: str, coeff=L_ONE) -> NCPoly:
+    return {(name,): coeff}
 
 
-def nc_word(word, coeff=None) -> NCPoly:
-    return {tuple(word): L_ONE if coeff is None else coerce(coeff)}
+def nc_word(word, coeff=L_ONE) -> NCPoly:
+    return {tuple(word): coeff}
 
 
 def nc_is_zero(p: NCPoly) -> bool:
@@ -248,7 +247,7 @@ class RewriteSystem:
         return self.find_redex(word) is None
 
     def _nf_word(self, word: Word, budget: list) -> NCPoly:
-        """budget is [steps left, the bound they started from]."""
+        """budget is [steps left]."""
         cached = self._cache.get(word)
         if cached is not None:
             return cached
@@ -264,7 +263,7 @@ class RewriteSystem:
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise NonTerminating(
-                        f"rewriting exceeded {budget[1]} steps"
+                        f"rewriting exceeded {self.max_steps} steps"
                     )
                 piece = self._nf_word(head + rw + tail, budget)
                 for w, c in piece.items():
@@ -273,14 +272,12 @@ class RewriteSystem:
         self._cache[word] = result
         return result
 
-    def normal_form(self, poly: NCPoly, max_steps: int = None) -> NCPoly:
-        bound = max_steps or self.max_steps
-        budget = [bound, bound]
+    def normal_form(self, poly: NCPoly) -> NCPoly:
+        budget = [self.max_steps]
         out: NCPoly = {}
         for word, coeff in poly.items():
             if coeff.is_zero():
                 continue
-            coeff = coerce(coeff)
             try:
                 piece = self._nf_word(tuple(word), budget)
             except RecursionError:
@@ -395,18 +392,9 @@ class RewriteSystem:
         elem itself here."""
         return elem
 
-    def value(self, c):
-        """One coefficient read at this system's point: c itself here."""
-        return c
-
     def reducer(self) -> "RewriteSystem":
         """The system whose rules rewrite: this one here."""
         return self
-
-    def like(self, other: "RewriteSystem") -> "RewriteSystem":
-        """other, a system built from this one's rules, read at this
-        system's point: other itself here."""
-        return other
 
     # -- serialization ----------------------------------------------------------
     def to_dict(self) -> dict:

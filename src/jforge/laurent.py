@@ -18,13 +18,15 @@ or an inverse, has its top bit set.  One mask test after each monomial
 operation therefore decides the range exactly, and DegreeOverflow is
 raised instead of wrapping.
 
-Laurent and RatFunc form one numeric tower, as int and Fraction do:
-Laurent op Laurent stays Laurent (+, -, *, negation, inverse of a single
-term); the inverse of several terms, and every operation that mixes in a
-RatFunc, goes through the cached to_rf() and returns a RatFunc.  Equality
-crosses the two types and hash(x) == hash(x.to_rf()).  coerce() is the
-one conversion at the algebra's entry points: a RatFunc with a one-term
-denominator becomes Laurent, any other stays a RatFunc.
+Laurent and RatFunc form one numeric tower, as int and Fraction do, under
+one promotion rule: Laurent op Laurent stays Laurent (+, -, *, negation,
+inverse of a single term), and a Laurent with any other operand (RatFunc,
+int, Fraction) goes through the cached to_rf(), equality included.  The
+inverse of several terms is a RatFunc; hash(x) == hash(x.to_rf()).
+coerce() converts where a value enters the algebra: rtt._rf, rtt_entries,
+RewriteRule, RewriteSystem.from_dict, nc_scale, Laurent.substitute and
+Substitution.  A RatFunc with a one-term denominator becomes Laurent, any
+other stays a RatFunc.
 """
 
 from __future__ import annotations
@@ -134,11 +136,7 @@ class Laurent:
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         if type(other) is not Laurent:
-            if isinstance(other, RatFunc):
-                return self.to_rf() + other
-            other = _const(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return self.to_rf() + other
         a, b = self.terms, other.terms
         if not b:
             return self
@@ -165,43 +163,14 @@ class Laurent:
         return Laurent({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if type(other) is not Laurent:
-            if isinstance(other, RatFunc):
-                return self.to_rf() - other
-            other = _const(other)
-            if other is NotImplemented:
-                return NotImplemented
-        b = other.terms
-        if not b:
-            return self
-        if not self.terms:
-            return -other
-        out = dict(self.terms)
-        for m, c in b.items():
-            old = out.get(m)
-            if old is None:
-                out[m] = -c
-            else:
-                c = old - c
-                if c:
-                    out[m] = _coef(c)
-                else:
-                    del out[m]
-        return Laurent(out) if out else L_ZERO
+        return self + (-other)
 
     def __rsub__(self, other):
-        other = _const(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return -self + other
 
     def __mul__(self, other):
         if type(other) is not Laurent:
-            if isinstance(other, RatFunc):
-                return self.to_rf() * other
-            other = _const(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return self.to_rf() * other
         a, b = self.terms, other.terms
         if not a or not b:
             return L_ZERO
@@ -259,23 +228,15 @@ class Laurent:
         return Laurent({m: c if c == 1 or c == -1 else _coef(1 / Fraction(c))})
 
     def __truediv__(self, other):
-        if isinstance(other, RatFunc):
+        if type(other) is not Laurent:
             return self.to_rf() / other
-        other = other if type(other) is Laurent else _const(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * other.inverse()
 
     # -- structure --------------------------------------------------------
     def __eq__(self, other):
         if type(other) is Laurent:
             return self.terms == other.terms
-        if isinstance(other, RatFunc):
-            return self.to_rf() == other
-        other = _const(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
+        return self.to_rf() == other
 
     def __hash__(self):
         return hash(self.to_rf())
@@ -293,13 +254,6 @@ class Laurent:
         A rational point is put into the packed monomials by Substitution.
         """
         return coerce(self.to_rf().substitute(bindings))
-
-
-def _const(x):
-    """int or Fraction as a Laurent constant; NotImplemented otherwise."""
-    if isinstance(x, (int, Fraction)):
-        return Laurent.const(x)
-    return NotImplemented
 
 
 L_ZERO = Laurent({})

@@ -98,11 +98,8 @@ class SpecializedSystem(RewriteSystem):
     def reducer(self) -> RewriteSystem:
         return self.symbolic
 
-    def like(self, other: RewriteSystem) -> RewriteSystem:
-        return SpecializedSystem(other, self.value)
-
-    def normal_form(self, poly: NCPoly, max_steps: int = None) -> NCPoly:
-        return self.evaluate(self.symbolic.normal_form(poly, max_steps))
+    def normal_form(self, poly: NCPoly) -> NCPoly:
+        return self.evaluate(self.symbolic.normal_form(poly))
 
     def _verdict(self, word, p1, r1, p2, r2):
         split = self.symbolic._verdict(word, p1, r1, p2, r2)

@@ -252,11 +252,12 @@ def test_add_rule_clears_the_pair_verdicts():
         max_degree=3).to_dict()
 
 
-def test_step_budget_is_enforced():
+def test_step_budget_is_enforced(monkeypatch):
+    monkeypatch.setenv("JFORGE_MAX_STEPS", "3")
     rs = weyl_like()
     deep = nc_word(tuple("yx" * 12))
     with pytest.raises(NonTerminating, match="exceeded 3 steps"):
-        rs.normal_form(deep, max_steps=3)
+        rs.normal_form(deep)
 
 
 def test_quotient_drops_rules_and_erases_tails():

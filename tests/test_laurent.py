@@ -181,6 +181,59 @@ def test_mixing_in_a_ratfunc_promotes():
         assert got.num == want.num and got.den == want.den
 
 
+# x: a Laurent with one term and with several; y: every kind of operand.
+# A Laurent combined with anything that is not a Laurent goes through
+# x.to_rf(), so each result equals the same operation on x.to_rf().
+TOWER_X = ("(2/3)*m*p^(-2)", "m/2 + 3*p^(-1) - 5*k*n")
+TOWER_Y = {
+    "laurent-one-term": lambda: coerce(parse("k/p")),
+    "laurent-several-terms": lambda: coerce(parse("k/p - n^2")),
+    "ratfunc-one-term-denominator": lambda: parse("(k + n)/p^2"),
+    "ratfunc-several-term-denominator": lambda: parse("(k + n)/(1 + m*p)"),
+    "int": lambda: 3,
+    "fraction": lambda: Fraction(-5, 4),
+}
+TOWER_OPS = {
+    "x+y": lambda x, y: x + y,
+    "y+x": lambda x, y: y + x,
+    "x-y": lambda x, y: x - y,
+    "y-x": lambda x, y: y - x,
+    "x*y": lambda x, y: x * y,
+    "y*x": lambda x, y: y * x,
+    "x/y": lambda x, y: x / y,
+}
+
+
+@pytest.mark.parametrize("text", TOWER_X)
+@pytest.mark.parametrize("kind", TOWER_Y)
+@pytest.mark.parametrize("op", TOWER_OPS)
+def test_one_promotion_rule(text, kind, op):
+    x, y = coerce(parse(text)), TOWER_Y[kind]()
+    assert isinstance(x, Laurent)
+    got, want = TOWER_OPS[op](x, y), TOWER_OPS[op](x.to_rf(), y)
+    assert isinstance(want, RatFunc)
+    assert got == want
+    # Laurent exactly when both operands are, except that dividing by
+    # several terms leaves the ring
+    stays = type(y) is Laurent and (op != "x/y" or len(y.terms) == 1)
+    assert type(got) is (Laurent if stays else RatFunc)
+    if not stays:
+        assert got.num == want.num and got.den == want.den
+
+
+@pytest.mark.parametrize("text", TOWER_X)
+@pytest.mark.parametrize("kind", TOWER_Y)
+def test_equality_follows_the_promotion_rule(text, kind):
+    y = TOWER_Y[kind]()
+    # x differs from y; the value of y as a Laurent, where it is one, equals it
+    pairs = [(coerce(parse(text)), False)]
+    if type(coerce(y)) is Laurent:
+        pairs.append((coerce(y), True))
+    for x, equal in pairs:
+        assert (x == y) is (x.to_rf() == y) is equal
+        assert (y == x) is equal
+
+
 def test_products_against_sympy():
     sympy = pytest.importorskip("sympy")
     syms = {v: sympy.Symbol(v) for v in VARS}

@@ -83,6 +83,12 @@ COMMANDS = (
     ["relations", "--convention", "transposed", "--set", "m=0", "--set", "n=0"],
     ["hopf", "--convention", "transposed", "--set", "m=0", "--set", "n=0"],
     ["hopf", "--no-braiding"],
+    # the unbraided coaction and the counits read at a point, and Laurent
+    # coefficients mixed with the RatFunc ones that 1/(m + 1) leaves
+    ["hopf", "--convention", "auto", "--no-braiding", *POINT],
+    ["hopf", "--convention", "transposed", "--no-braiding", "--set", "m=0", "--set", "n=0"],
+    ["hopf", "--set", "p=1+m"],
+    ["hopf", "--no-braiding", "--set", "p=1+m"],
     ["hopf", "--set", "m=n+1"],
     ["contract", "--contraction-matrix", "g"],
     ["contract", "--contraction-matrix", "bigg"],
