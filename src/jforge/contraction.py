@@ -15,8 +15,10 @@ as its reader looks (the series is exact through the order passed, see
 field.laurent_expand): order 0 for contract(), because the limit reads the
 pole terms for its diagnostics and the constant term for the value, and
 order -1 for probe_divergence(), because a record holds only pole terms.
-Both list pole terms through LaurentSeries.pole_terms().  A pole that the
-substitution itself meets is raised by RatFunc.substitute before any entry
+Both list pole terms through LaurentSeries.pole_terms().  Each entry is
+expanded as the unreduced pair of RatFunc.substitute_unreduced, as a common
+factor does not change the series.  Every entry is substituted before any
+is expanded, so a pole that the substitution meets raises before any entry
 is read; the expansion never divides by zero.
 """
 
@@ -116,10 +118,12 @@ def _entries(tm: TensorMat, twist: list, schedule: Schedule, order: int):
     """(row pair, col pair, series) for every entry of tm conjugated by the
     twist under the schedule, row by row, each expanded in the limit
     variable through order."""
-    subbed = conjugate(tm, twist).substitute(schedule.bindings)
-    for rp, row in zip(subbed.basis, subbed.rows):
-        for cp, value in zip(subbed.basis, row):
-            yield rp, cp, laurent_expand(value, schedule.limit_var, order)
+    conj = conjugate(tm, twist)
+    subbed = [[value.substitute_unreduced(schedule.bindings) for value in row]
+              for row in conj.rows]
+    for rp, row in zip(conj.basis, subbed):
+        for cp, pair in zip(conj.basis, row):
+            yield rp, cp, laurent_expand(pair, schedule.limit_var, order)
 
 
 def contract(tm: TensorMat, twist: list, schedule: Schedule) -> TensorMat:

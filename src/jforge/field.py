@@ -9,9 +9,9 @@ what every verification step in this project ultimately relies on.
 RatFunc is the top of a two-type numeric tower: the algebra side of the
 rewriting computes with laurent.Laurent values (packed Laurent polynomials
 in Q[m,n,k,p^±1]), and RatFunc holds everything that leaves that ring (the
-R-matrices, contraction lanes, Laurent expansion, several-term
-denominators).  _coerce accepts a Laurent through its cached
-to_rf(), so mixed operations land here.  add_into accumulates either type.
+R-matrices, Laurent expansion, several-term denominators).  _coerce accepts
+a Laurent through its cached to_rf(), so mixed operations land here.
+add_into accumulates either type.
 
 Two paths reach the canonical form:
 
@@ -22,12 +22,17 @@ Two paths reach the canonical form:
   and the monomial they share with it is cancelled (_over_monomial).  No
   pgcd, pdiv_exact, pint_normalize or __init__ call runs;
 * poly's path, taken by the constructors (negation and inverse included)
-  and by every operation with a denominator of several terms (contraction
-  lanes, Laurent expansion): pgcd, pdiv_exact, then pint_normalize.  For
-  a one-term operand these run no remainder sequence (pgcd returns the
-  shared monomial, pdiv_exact subtracts exponents, pint_normalize scales
-  by 1/c); several-term ones run pgcd's remainder sequence, long division
-  and the content pass.
+  and by every operation with a denominator of several terms (R-matrix
+  products, Laurent expansion): pgcd, pdiv_exact, then pint_normalize.
+  For a one-term operand these run no remainder sequence (pgcd returns
+  the shared monomial, pdiv_exact subtracts exponents, pint_normalize
+  scales by 1/c); several-term ones run pgcd's remainder sequence, long
+  division and the content pass.
+
+The contraction entries skip the canonical form between substitution and
+expansion: RatFunc.substitute_unreduced returns the substituted numerator
+and denominator as polynomials, and laurent_expand takes such a pair, since
+a common factor changes no coefficient of the series.
 
 No floating point appears anywhere; coefficients are Fractions of unbounded
 size.  Values are immutable and hashable.
@@ -229,14 +234,38 @@ class RatFunc:
         Unbound parameters stay themselves.  Raises DivisionByZero when the
         denominator collapses to zero under the substitution.
         """
+        pieces = self._substituted(bindings)
+        if pieces is None:
+            return self
+        num, den = pieces
+        return num / den
+
+    def substitute_unreduced(self, bindings: dict) -> tuple:
+        """(numerator, denominator) polynomials of self.substitute(bindings),
+        with no gcd pass: the substituted numerator N and denominator D
+        give N.num*D.den over N.den*D.num.
+
+        The pair is a fraction equal to the substituted value, not its
+        canonical form; laurent_expand takes it as it is.  Raises
+        DivisionByZero as substitute does.
+        """
+        pieces = self._substituted(bindings)
+        if pieces is None:
+            return self.num, self.den
+        num, den = pieces
+        return P.pmul(num.num, den.den), P.pmul(num.den, den.num)
+
+    def _substituted(self, bindings: dict):
+        """(N, D): numerator and denominator with the bindings put in, each
+        a RatFunc; None when no bound parameter occurs."""
         binds = {k: RatFunc._coerce(v) for k, v in bindings.items()}
         if not (self.variables() & set(binds)):
-            return self
+            return None
         num = _poly_substitute(self.num, binds)
         den = _poly_substitute(self.den, binds)
         if den.is_zero():
             raise DivisionByZero("substitution sends denominator to zero")
-        return num / den
+        return num, den
 
 
 # This one-term path (with _monomial_sum and _shift) pays for itself: built
@@ -367,8 +396,14 @@ class LaurentSeries:
         return out
 
 
-def laurent_expand(f: RatFunc, var, order: int = None) -> LaurentSeries:
+def laurent_expand(f, var, order: int = None) -> LaurentSeries:
     """Expand f as a Laurent series in var around 0, exact through order.
+
+    f is a RatFunc or a (numerator, denominator) pair of polynomials that
+    need not be reduced: the series of p*h/(q*h) is that of p/q, because
+    the valuations in var add and every coefficient is built by RatFunc
+    arithmetic, which returns canonical forms.  contraction's entry loop
+    passes the unreduced pairs of RatFunc.substitute_unreduced.
 
     Only the numerator and denominator coefficients that reach degree
     order are built, and the recurrence for 1/den runs only that far, so
@@ -381,11 +416,12 @@ def laurent_expand(f: RatFunc, var, order: int = None) -> LaurentSeries:
     terms).  1/den is expanded from the inverse of its lowest nonzero
     coefficient in var, so a nonzero f never divides by zero here.
     """
-    if f.is_zero():
+    num, den = (f.num, f.den) if isinstance(f, RatFunc) else f
+    if P.pis_zero(num):
         o = 4 if order is None else order
         return LaurentSeries(var, 0, (), o)
-    nu = P.as_univariate(f.num, var)
-    du = P.as_univariate(f.den, var)
+    nu = P.as_univariate(num, var)
+    du = P.as_univariate(den, var)
     a, b = min(nu), min(du)
     val = a - b
     if order is None:

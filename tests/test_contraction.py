@@ -7,6 +7,7 @@ import os
 import pytest
 
 from jforge import contraction
+from jforge import poly as P
 from jforge.cli import LANES
 from jforge.contraction import (
     Schedule,
@@ -18,11 +19,12 @@ from jforge.contraction import (
     read_schedule,
     standard_schedule,
 )
-from jforge.errors import PoleError, ScheduleError
-from jforge.field import laurent_expand
+from jforge.errors import DivisionByZero, PoleError, ScheduleError
+from jforge.field import RatFunc, laurent_expand
 from jforge.grammar import parse, serialize
 from jforge.rmat import (
     TensorMat,
+    conjugate,
     four_param_deformed_r3,
     jordanian_r2,
     jordanian_r3,
@@ -153,14 +155,71 @@ def lane_outcome(lane: str, schedule: Schedule) -> tuple:
     return limit, probe_divergence(source(), twist(), schedule)
 
 
+def reference_entries(tm: TensorMat, twist: list, schedule: Schedule, order: int):
+    """The entries of contraction._entries built the long way: each one
+    substituted to its reduced RatFunc and expanded through pole + 4,
+    whatever order the reader asks for."""
+    subbed = conjugate(tm, twist).substitute(schedule.bindings)
+    for rp, row in zip(subbed.basis, subbed.rows):
+        for cp, value in zip(subbed.basis, row):
+            yield rp, cp, laurent_expand(value, schedule.limit_var)
+
+
 @pytest.mark.parametrize("c", [None, "7/3", "-2/5"])
 @pytest.mark.parametrize("lane", sorted(LANES))
 def test_truncated_expansions_match_untruncated_reference(monkeypatch, lane, c):
     schedule = standard_schedule() if c is None else rescaled(standard_schedule(), c)
     got = lane_outcome(lane, schedule)
-    # the reference: the same stages, every entry expanded through pole + 4
-    monkeypatch.setattr(contraction, "laurent_expand",
-                        lambda f, var, order=None: laurent_expand(f, var))
+    # the reference replaces the whole entry loop, so both the truncation
+    # and the unreduced expansion are checked against reduced, full series
+    monkeypatch.setattr(contraction, "_entries", reference_entries)
     want = lane_outcome(lane, schedule)
     assert got == want
     assert bool(want[1]) == (lane == "gprime")  # only the probe twist diverges
+
+
+ZERO_POLE = "substitution sends denominator to zero"
+
+
+def test_a_pole_met_by_substitution_raises_before_any_entry_is_read():
+    schedule = with_bindings(standard_schedule(), {"s": parse("0")})
+    with pytest.raises(DivisionByZero, match=ZERO_POLE):
+        contract(four_param_deformed_r3(), twist_3x3(), schedule)
+    with pytest.raises(DivisionByZero, match=ZERO_POLE):
+        probe_divergence(four_param_deformed_r3(), twist_probe_3x3(), schedule)
+
+
+def test_every_entry_is_substituted_before_any_is_expanded(monkeypatch):
+    # the s = 0 schedule meets its pole after at most three probe records,
+    # so it cannot tell this order from a lazy one; count instead
+    substituted, seen = [], []
+    substitute_unreduced = RatFunc.substitute_unreduced
+
+    def counting(self, bindings):
+        substituted.append(1)
+        return substitute_unreduced(self, bindings)
+
+    def expand(pair, var, order=None):
+        seen.append(len(substituted))
+        return laurent_expand(pair, var, order)
+
+    monkeypatch.setattr(RatFunc, "substitute_unreduced", counting)
+    monkeypatch.setattr(contraction, "laurent_expand", expand)
+    records = probe_divergence(four_param_deformed_r3(), twist_probe_3x3(),
+                               standard_schedule())
+    assert len(records) == 6
+    assert seen and set(seen) == {81}
+
+
+def test_contraction_entries_are_expanded_without_exact_division(monkeypatch):
+    calls = []
+    pdiv_exact = P.pdiv_exact
+
+    def counting(a, b):
+        calls.append(1)
+        return pdiv_exact(a, b)
+
+    monkeypatch.setattr(P, "pdiv_exact", counting)
+    result = contract(four_param_deformed_r3(), twist_3x3(), standard_schedule())
+    assert equal_matrices(result, jordanian_r3())
+    assert calls == []

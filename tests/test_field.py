@@ -273,3 +273,32 @@ def test_truncated_expansion_matches_default(time_limit, num, den):
                 assert cut.coefficient(k) == full.coefficient(k)
             with pytest.raises(NotExpandable):
                 cut.coefficient(order + 1)
+
+
+# -- unreduced input: a common factor does not change the expansion ---------
+# h is either several terms, with eps-valuation 0 or 1, or a power of eps
+
+common_factor = st.one_of(
+    poly(min_terms=2, variables=("eps", "m"), max_exp=1).filter(lambda h: len(h) >= 2),
+    st.builds(lambda k, c: P.pscale(P.pvar("eps", k), c),
+              st.integers(min_value=1, max_value=3), coeff.filter(bool)))
+
+
+@given(poly(min_terms=1, variables=("eps", "m"), max_exp=3), eps_denominator, common_factor)
+@settings(max_examples=120, deadline=None)
+def test_unreduced_pair_expands_like_reduced_fraction(time_limit, num, den, h):
+    with time_limit(10):
+        pair = (P.pmul(num, h), P.pmul(den, h))
+        f = RatFunc(num, den)
+        for order in (None, 0, -1):
+            assert laurent_expand(pair, "eps", order) == laurent_expand(f, "eps", order)
+
+
+def test_substitute_unreduced_is_a_fraction_of_substitute():
+    f = parse("eta*(r - s)/(r + s)")
+    binds = {"eta": parse("1/eps"), "r": parse("1 - m*eps"), "s": parse("1 + n*eps")}
+    num, den = f.substitute_unreduced(binds)
+    assert RatFunc(num, den) == f.substitute(binds)
+    assert parse("m").substitute_unreduced(binds) == ({(("m", 1),): 1}, P.PONE)
+    with pytest.raises(DivisionByZero, match="substitution sends denominator to zero"):
+        f.substitute_unreduced({"r": parse("-s")})

@@ -108,6 +108,12 @@ COMMANDS = (
     ["contract", "--schedule", "{zero-pole}", "--contraction-matrix", "gprime"],
     ["contract", "--set", "p=0", "--contraction-matrix", "bigg"],
     ["contract", "--set", "p=0", "--contraction-matrix", "gprime"],
+    # the entries are expanded unreduced: points that change which terms
+    # the substituted entries keep, each compared with the reduced route
+    ["contract", "--contraction-matrix", "bigg", "--set", "m=n"],
+    ["contract", "--contraction-matrix", "g", "--set", "m=n"],
+    ["contract", "--contraction-matrix", "gprime", "--set", "k=0"],
+    ["contract", "--contraction-matrix", "gprime", "--set", "m=n", "--set", "p=1"],
     ["qybe", "--matrix", "rq2"],
     ["qybe", "--matrix", "rq3"],
     ["qybe", "--matrix", "rj2"],
