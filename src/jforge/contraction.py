@@ -16,8 +16,8 @@ field.laurent_expand): order 0 for contract(), because the limit reads the
 pole terms for its diagnostics and the constant term for the value, and
 order -1 for probe_divergence(), because a record holds only pole terms.
 Both list pole terms through LaurentSeries.pole_terms().  Each entry is
-expanded as the unreduced pair of RatFunc.substitute_unreduced, as a common
-factor does not change the series.  Every entry is substituted before any
+expanded as the unreduced pair of substitute_unreduced, as a common factor
+does not change the series.  Every entry is substituted before any
 is expanded, so a pole that the substitution meets raises before any entry
 is read; the expansion never divides by zero.
 """

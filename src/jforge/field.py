@@ -6,33 +6,27 @@ coefficients with content 1 and a positive leading coefficient.  Structural
 equality of canonical forms therefore decides mathematical equality, which is
 what every verification step in this project ultimately relies on.
 
-RatFunc is the top of a two-type numeric tower: the algebra side of the
-rewriting computes with laurent.Laurent values (packed Laurent polynomials
-in Q[m,n,k,p^±1]), and RatFunc holds everything that leaves that ring (the
-R-matrices, Laurent expansion, several-term denominators).  _coerce accepts
-a Laurent through its cached to_rf(), so mixed operations land here.
-add_into accumulates either type.
+RatFunc is the top of a two-type numeric tower.  Every value in
+Q[params^±1] is a laurent.Laurent (packed Laurent polynomials): the
+R-matrices and their products, the coefficients of a Laurent expansion
+and the algebra side of the rewriting.  RatFunc holds what leaves that
+ring (denominators of several terms, parsed text, --set values).
+_coerce accepts a Laurent through its cached to_rf(), so mixed operations
+land here.  add_into accumulates either type.
 
-Two paths reach the canonical form:
+One path reaches the canonical form, poly's: the constructors, the field
+operations and every product or sum run pgcd, pdiv_exact, then
+pint_normalize.  For a one-term operand these run no remainder sequence
+(pgcd returns the shared monomial, pdiv_exact subtracts exponents,
+pint_normalize scales by 1/c); several-term ones run pgcd's remainder
+sequence, long division and the content pass.
 
-* the field operations' own path, for operands over one-term
-  denominators.  A one-term denominator is canonical as x^e with
-  coefficient 1, so when both operands of *, + or - have one, the
-  numerators are multiplied or combined over the product or lcm monomial
-  and the monomial they share with it is cancelled (_over_monomial).  No
-  pgcd, pdiv_exact, pint_normalize or __init__ call runs;
-* poly's path, taken by the constructors (negation and inverse included)
-  and by every operation with a denominator of several terms (R-matrix
-  products, Laurent expansion): pgcd, pdiv_exact, then pint_normalize.
-  For a one-term operand these run no remainder sequence (pgcd returns
-  the shared monomial, pdiv_exact subtracts exponents, pint_normalize
-  scales by 1/c); several-term ones run pgcd's remainder sequence, long
-  division and the content pass.
-
-The contraction entries skip the canonical form between substitution and
-expansion: RatFunc.substitute_unreduced returns the substituted numerator
-and denominator as polynomials, and laurent_expand takes such a pair, since
-a common factor changes no coefficient of the series.
+Substitution works on the polynomials: each bound parameter's
+denominator is cleared to its top exponent, so RatFunc.substitute_unreduced
+returns the substituted numerator and denominator with no gcd pass, and
+substitute reduces that pair once.  The contraction entries skip the
+reduction: laurent_expand takes such a pair, since a common factor changes
+no coefficient of the series.
 
 No floating point appears anywhere; coefficients are Fractions of unbounded
 size.  Values are immutable and hashable.
@@ -118,8 +112,6 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
-        if len(self.den) == 1 and len(other.den) == 1:
-            return _monomial_sum(self, other, P.padd)
         if self.den == other.den:
             return RatFunc(P.padd(self.num, other.num), dict(self.den))
         num = P.padd(P.pmul(self.num, other.den), P.pmul(other.num, self.den))
@@ -138,8 +130,6 @@ class RatFunc:
             return self
         if self.is_zero():
             return -other
-        if len(self.den) == 1 and len(other.den) == 1:
-            return _monomial_sum(self, other, P.psub)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -161,9 +151,6 @@ class RatFunc:
         if sign:
             return self if sign == 1 else -self
         sn, sd, on, od = self.num, self.den, other.num, other.den
-        if len(sd) == 1 and len(od) == 1:
-            (d1,), (d2,) = sd, od
-            return _over_monomial(P.pmul(sn, on), P.mono_mul(d1, d2))
         # cross-cancel so the final gcd pass is trivial on reduced inputs;
         # a denominator 1 has nothing to cancel against
         if od != P.PONE:
@@ -235,93 +222,61 @@ class RatFunc:
         denominator collapses to zero under the substitution.
         """
         pieces = self._substituted(bindings)
-        if pieces is None:
-            return self
-        num, den = pieces
-        return num / den
+        return self if pieces is None else RatFunc(*pieces)
 
     def substitute_unreduced(self, bindings: dict) -> tuple:
         """(numerator, denominator) polynomials of self.substitute(bindings),
-        with no gcd pass: the substituted numerator N and denominator D
-        give N.num*D.den over N.den*D.num.
+        with no gcd pass.
 
         The pair is a fraction equal to the substituted value, not its
         canonical form; laurent_expand takes it as it is.  Raises
         DivisionByZero as substitute does.
         """
         pieces = self._substituted(bindings)
-        if pieces is None:
-            return self.num, self.den
-        num, den = pieces
-        return P.pmul(num.num, den.den), P.pmul(num.den, den.num)
+        return (self.num, self.den) if pieces is None else pieces
 
     def _substituted(self, bindings: dict):
-        """(N, D): numerator and denominator with the bindings put in, each
-        a RatFunc; None when no bound parameter occurs."""
-        binds = {k: RatFunc._coerce(v) for k, v in bindings.items()}
-        if not (self.variables() & set(binds)):
+        """(N, D): polynomials with N / D equal to self with the bindings
+        put in, or None when no bound parameter occurs.
+
+        A parameter v bound to a/b, with top exponent E in num and den
+        together, enters every monomial as a^e * b^(E - e), e its exponent
+        there (0 included): num and den are both multiplied by b^E, which
+        clears every denominator and leaves the fraction as it was.
+        """
+        top = {}
+        for p in (self.num, self.den):
+            for m in p:
+                for v, e in m:
+                    if v in bindings and e > top.get(v, 0):
+                        top[v] = e
+        if not top:
             return None
-        num = _poly_substitute(self.num, binds)
-        den = _poly_substitute(self.den, binds)
-        if den.is_zero():
+        factors = {}
+        for v, high in top.items():
+            b = RatFunc._coerce(bindings[v])
+            ups = [P.ppow(b.num, e) for e in range(high + 1)]
+            downs = [P.ppow(b.den, e) for e in range(high + 1)]
+            factors[v] = [P.pmul(ups[e], downs[high - e]) for e in range(high + 1)]
+        num = _poly_substitute(self.num, factors)
+        den = _poly_substitute(self.den, factors)
+        if not den:
             raise DivisionByZero("substitution sends denominator to zero")
         return num, den
 
 
-# This one-term path (with _monomial_sum and _shift) pays for itself: built
-# through RatFunc(num, den) instead, the contraction benchmark's checks per
-# second fell by 17% and its median verdict time rose by 12%.
-def _over_monomial(num: P.Poly, mono: P.Monomial) -> RatFunc:
-    """The canonical RatFunc num / x^mono, with no gcd or normalization pass.
-
-    A one-term denominator is already canonical as x^e with coefficient 1,
-    and its gcd with num is the monomial num shares with it, so cancelling
-    that monomial is the whole reduction.
-    """
-    if not num:
-        return RF_ZERO
-    if mono:
-        g = P.mono_gcd(mono, P.pcommon_monomial(num))
-        if g:
-            num = {P.mono_div(m, g): c for m, c in num.items()}
-            mono = P.mono_div(mono, g)
-    out = object.__new__(RatFunc)
-    out.num = num
-    out.den = {mono: P.F1}
-    out._hash = None
-    return out
-
-
-def _monomial_sum(x: RatFunc, y: RatFunc, combine) -> RatFunc:
-    """x ± y (combine is padd or psub) when both denominators are monomials.
-
-    Equal denominators combine the numerators directly; otherwise each
-    numerator is shifted up to the lcm of the two monomials.
-    """
-    (d1,), (d2,) = x.den, y.den
-    if d1 == d2:
-        return _over_monomial(combine(x.num, y.num), d1)
-    lcm = P.mono_div(P.mono_mul(d1, d2), P.mono_gcd(d1, d2))
-    return _over_monomial(combine(_shift(x.num, P.mono_div(lcm, d1)),
-                                  _shift(y.num, P.mono_div(lcm, d2))), lcm)
-
-
-def _shift(p: P.Poly, mono: P.Monomial) -> P.Poly:
-    """p * x^mono."""
-    if not mono:
-        return p
-    return {P.mono_mul(m, mono): c for m, c in p.items()}
-
-
-def _poly_substitute(p: P.Poly, binds: dict) -> RatFunc:
-    total = RF_ZERO
+def _poly_substitute(p: P.Poly, factors: dict) -> P.Poly:
+    """p with each bound v^e, e = 0 included, replaced by factors[v][e]
+    (a^e * b^(E - e), see RatFunc._substituted)."""
+    out = {}
     for m, c in p.items():
-        term = RatFunc.const(c)
-        for v, e in m:
-            b = binds.get(v)
-            term = term * (b ** e if b is not None else RatFunc(P.pvar(v, e), _reduced=True))
-        total = total + term
-    return total
+        exps = dict(m)
+        term = {tuple((v, e) for v, e in m if v not in factors): c}
+        for v, by_exp in factors.items():
+            term = P.pmul(term, by_exp[exps.get(v, 0)])
+        for tm, tc in term.items():
+            out[tm] = out.get(tm, 0) + tc
+    return {m: c for m, c in out.items() if c}
 
 
 RF_ZERO = RatFunc(P.pzero(), _reduced=True)
@@ -354,13 +309,14 @@ class LaurentSeries:
     """Truncated Laurent expansion in one variable.
 
     coeffs[i] is the coefficient of variable**(min_degree + i); coefficients
-    are RatFunc values free of the expansion variable.  The series is exact
-    through degree truncation_order inclusive and says nothing above it:
-    every coefficient of degree at most truncation_order equals that of the
-    full expansion, and coefficient() refuses any higher degree.  For a
-    nonzero series coeffs[0] is nonzero; the zero series has empty coeffs
-    and min_degree 0, also when the truncation cuts off below the
-    valuation.
+    are free of the expansion variable, Laurent values, or RatFunc ones
+    where the lowest coefficient of the denominator has several terms.  The
+    series is exact through degree truncation_order inclusive and says
+    nothing above it: every coefficient of degree at most truncation_order
+    equals that of the full expansion, and coefficient() refuses any
+    higher degree.  For a nonzero series coeffs[0] is nonzero; the zero
+    series has empty coeffs and min_degree 0, also when the truncation
+    cuts off below the valuation.
     """
 
     variable: str
@@ -399,11 +355,12 @@ class LaurentSeries:
 def laurent_expand(f, var, order: int = None) -> LaurentSeries:
     """Expand f as a Laurent series in var around 0, exact through order.
 
-    f is a RatFunc or a (numerator, denominator) pair of polynomials that
-    need not be reduced: the series of p*h/(q*h) is that of p/q, because
-    the valuations in var add and every coefficient is built by RatFunc
-    arithmetic, which returns canonical forms.  contraction's entry loop
-    passes the unreduced pairs of RatFunc.substitute_unreduced.
+    f is a value of the tower or a (numerator, denominator) pair of
+    polynomials that need not be reduced: the series of p*h/(q*h) is that
+    of p/q, because the valuations in var add and every coefficient is
+    built by Laurent arithmetic (RatFunc past an inverse of several
+    terms), which returns canonical forms.  contraction's entry loop
+    passes the unreduced pairs of substitute_unreduced.
 
     Only the numerator and denominator coefficients that reach degree
     order are built, and the recurrence for 1/den runs only that far, so
@@ -416,7 +373,12 @@ def laurent_expand(f, var, order: int = None) -> LaurentSeries:
     terms).  1/den is expanded from the inverse of its lowest nonzero
     coefficient in var, so a nonzero f never divides by zero here.
     """
-    num, den = (f.num, f.den) if isinstance(f, RatFunc) else f
+    from .laurent import L_ZERO, from_poly  # laurent.py builds on RatFunc
+
+    if not isinstance(f, tuple):
+        f = RatFunc._coerce(f)
+        f = f.num, f.den
+    num, den = f
     if P.pis_zero(num):
         o = 4 if order is None else order
         return LaurentSeries(var, 0, (), o)
@@ -431,13 +393,13 @@ def laurent_expand(f, var, order: int = None) -> LaurentSeries:
     # power series coefficients of num/den after factoring out the valuation;
     # those of degree above terms cannot reach the truncation order
     terms = order - val
-    nn = {i - a: RatFunc(c, _reduced=False) for i, c in nu.items() if i - a <= terms}
-    dd = {j - b: RatFunc(c, _reduced=False) for j, c in du.items() if j - b <= terms}
+    nn = {i - a: from_poly(c) for i, c in nu.items() if i - a <= terms}
+    dd = {j - b: from_poly(c) for j, c in du.items() if j - b <= terms}
     inv0 = dd[0].inverse()
     e: list = [None] * (terms + 1)
     e[0] = inv0
     for t in range(1, terms + 1):
-        acc = RF_ZERO
+        acc = L_ZERO
         for j in range(1, t + 1):
             cj = dd.get(j)
             if cj is not None:
@@ -445,7 +407,7 @@ def laurent_expand(f, var, order: int = None) -> LaurentSeries:
         e[t] = -inv0 * acc
     coeffs = []
     for t in range(terms + 1):
-        acc = RF_ZERO
+        acc = L_ZERO
         for i, ci in nn.items():
             if i <= t:
                 acc = acc + ci * e[t - i]

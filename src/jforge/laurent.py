@@ -1,8 +1,11 @@
 """Laurent polynomials over Q on packed exponent vectors.
 
-Every coefficient on the algebra side of the rewriting lives in
-Q[m,n,k,p^±1].  A Laurent value holds one as a dict from a packed monomial
-to a nonzero coefficient:
+Every value this project builds in Q[params^±1] is a Laurent: the
+R-matrices and twists of rmat.py with everything linalg computes from them
+(conjugates, Yang-Baxter products, inverses of unipotent twists), the
+coefficients of field.laurent_expand, and every coefficient on the algebra
+side of the rewriting, in Q[m,n,k,p^±1].  A Laurent value holds one as a
+dict from a packed monomial to a nonzero coefficient:
 
 * the packed monomial is one int, sum of e_v * 2^(SLOT_BITS * slot(v)),
   with signed exponents e_v in [-2^(SLOT_BITS-2), 2^(SLOT_BITS-2)); slots
@@ -26,7 +29,10 @@ inverse of several terms is a RatFunc; hash(x) == hash(x.to_rf()).
 coerce() converts where a value enters the algebra: rtt._rf, rtt_entries,
 RewriteRule, RewriteSystem.from_dict, nc_scale, Laurent.substitute and
 Substitution.  A RatFunc with a one-term denominator becomes Laurent, any
-other stays a RatFunc.
+other stays a RatFunc.  from_poly converts a polynomial of poly.py, as
+laurent_expand does with the coefficients of its numerator and
+denominator.  Substitution by rational functions goes through to_rf(), as
+does the unreduced pair that contraction expands.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegreeOverflow, DivisionByZero
-from .field import RatFunc, _over_monomial
+from .field import RatFunc
 
 SLOT_BITS = 16
 _HALF = 1 << (SLOT_BITS - 2)
@@ -108,11 +114,18 @@ class Laurent:
         c = _coef(c)
         return Laurent({0: c}) if c else L_ZERO
 
+    @staticmethod
+    def var(name: str) -> "Laurent":
+        return Laurent({_pack(((name, 1),)): 1})
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
+
+    def variables(self) -> set:
+        return {v for m in self.terms for v in _unpack(m)}
 
     def to_rf(self) -> RatFunc:
         """The same value as a canonical RatFunc (computed once)."""
@@ -130,7 +143,10 @@ class Laurent:
                 for v, s in shift.items():
                     exps[v] = exps.get(v, 0) + s
                 num[tuple(sorted((v, e) for v, e in exps.items() if e))] = Fraction(c)
-            rf = self._rf = _over_monomial(num, tuple(sorted(shift.items())))
+            # canonical as it stands: every shifted variable is missing from
+            # some term of num, so num and the monomial share no factor
+            rf = self._rf = RatFunc(num, {tuple(sorted(shift.items())): Fraction(1)},
+                                    _reduced=True)
         return rf
 
     # -- arithmetic -------------------------------------------------------
@@ -255,6 +271,10 @@ class Laurent:
         """
         return coerce(self.to_rf().substitute(bindings))
 
+    def substitute_unreduced(self, bindings: dict) -> tuple:
+        """The (numerator, denominator) pair of RatFunc.substitute_unreduced."""
+        return self.to_rf().substitute_unreduced(bindings)
+
 
 L_ZERO = Laurent({})
 L_ONE = Laurent({0: 1})
@@ -328,14 +348,19 @@ def coerce(x):
         if len(x.den) != 1:
             return x
         (dm, dc), = x.den.items()
-        inv = {v: -e for v, e in dm}
-        out = {}
-        for nm, c in x.num.items():
-            exps = dict(inv)
-            for v, e in nm:
-                exps[v] = exps.get(v, 0) + e
-            out[_pack(exps.items())] = _coef(c / dc)
-        return Laurent(out) if out else L_ZERO
+        return from_poly(x.num, dm, dc)
     if isinstance(x, (int, Fraction)):
         return Laurent.const(x)
     raise TypeError(f"cannot use {type(x).__name__} as a coefficient")
+
+
+def from_poly(p: dict, mono: tuple = (), c=1) -> Laurent:
+    """The Laurent value p / (c * x^mono) of a polynomial p of poly.py."""
+    inv = {v: -e for v, e in mono}
+    out = {}
+    for nm, nc in p.items():
+        exps = dict(inv)
+        for v, e in nm:
+            exps[v] = exps.get(v, 0) + e
+        out[_pack(exps.items())] = _coef(nc / c)
+    return Laurent(out) if out else L_ZERO

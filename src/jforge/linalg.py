@@ -6,7 +6,9 @@ at most 9x9.  Sparse rows (dicts keyed by arbitrary hashable column
 labels) feed the Gauss-Jordan reduction used to turn large relation sets
 into a canonical reduced basis.  Entries are RatFunc or Laurent values
 (laurent.py): the routines only use is_zero, inverse, products and sums,
-so either type, or a mix, passes through.
+so either type, or a mix, passes through.  The zero and one they fill in
+are L_ZERO and L_ONE, so a product or inverse of Laurent matrices (the
+R-matrices and their twists) stays Laurent.
 
 rref_sparse is the one elimination routine: mat_inverse reduces [A | I]
 through it, rtt reduces the relation table through it, and solve_dense,
@@ -18,11 +20,12 @@ pivot is whatever is structurally nonzero.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, SingularMatrix
-from .field import RF_ONE, RF_ZERO, add_into
+from .field import add_into
+from .laurent import L_ONE, L_ZERO
 
 
 def mat_identity(n: int) -> list:
-    return [[RF_ONE if i == j else RF_ZERO for j in range(n)] for i in range(n)]
+    return [[L_ONE if i == j else L_ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_shape(a: list) -> tuple:
@@ -48,7 +51,7 @@ def mat_mul(a: list, b: list) -> list:
                 continue
             for j, btj in b_row:
                 add_into(acc, j, ait * btj)
-        out.append([acc.get(j, RF_ZERO) for j in range(m)])
+        out.append([acc.get(j, L_ZERO) for j in range(m)])
     return out
 
 
@@ -62,10 +65,6 @@ def mat_eq(a: list, b: list) -> bool:
     return mat_shape(a) == mat_shape(b) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
     )
-
-
-def mat_is_zero(a: list) -> bool:
-    return all(x.is_zero() for row in a for x in row)
 
 
 def mat_map(a: list, fn) -> list:
@@ -83,7 +82,7 @@ def kron(a: list, b: list) -> list:
             for j in range(m):
                 aij = a[i][j]
                 if aij.is_zero():
-                    row.extend([RF_ZERO] * q)
+                    row.extend([L_ZERO] * q)
                 else:
                     row.extend([aij * b[k][l] for l in range(q)])
             out.append(row)
@@ -102,7 +101,7 @@ def mat_inverse(a: list) -> list:
     for col, pivot in enumerate(pivots):
         if pivot != col:
             raise SingularMatrix(f"no pivot in column {col}")
-    return [[row.get(n + j, RF_ZERO) for j in range(n)] for row in reduced]
+    return [[row.get(n + j, L_ZERO) for j in range(n)] for row in reduced]
 
 
 # The name solve_dense is kept although the solver is sparse: the benchmark's
@@ -156,11 +155,11 @@ def solve_dense(columns: dict, targets: list, locus: list = None) -> list:
 def rref_sparse(rows: list, column_order: list, locus: list = None) -> tuple:
     """Reduced row echelon form of sparse rows.
 
-    rows are dicts {column_label: RatFunc}; column_order fixes which label
-    counts as leading (earlier = more significant).  Returns (reduced, pivot
-    labels), with reduced rows monic in their pivot, fully inter-reduced,
-    zero rows dropped, and ordered by pivot position.  The result is unique
-    for a fixed column order.  With locus given, each pivot value is
+    rows are dicts {column_label: Laurent or RatFunc}; column_order fixes
+    which label counts as leading (earlier = more significant).  Returns
+    (reduced, pivot labels), with reduced rows monic in their pivot, fully
+    inter-reduced, zero rows dropped, and ordered by pivot position.  The
+    result is unique for a fixed column order.  With locus given, each pivot value is
     appended to it as a one-value tuple before it is inverted: wherever
     every entry is defined and every such value nonzero, the same steps
     reduce the specialized rows, so the reduced form specializes (see

@@ -239,14 +239,6 @@ def pdiv_exact(a: Poly, b: Poly) -> Poly:
     return {m: c for m, c in q.items() if c}
 
 
-def pdivides(b: Poly, a: Poly) -> bool:
-    try:
-        pdiv_exact(a, b)
-        return True
-    except ValueError:
-        return False
-
-
 def pcommon_monomial(p: Poly) -> Monomial:
     """Largest monomial dividing every term of p (the monomial content)."""
     it = iter(p)

@@ -17,6 +17,10 @@ Constructors cover the two deformation families used throughout:
   contraction.py).
 * twist_2x2 / twist_3x3 / twist_probe_3x3: the unipotent conjugation
   matrices driving that change of basis.
+
+Every entry they build is a Laurent value (laurent.py): the entries r,
+1/p, 1/q and r - 1/r lie in Q[params^±1], and so does everything conjugate
+and qybe_residual compute from them.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import time
 
 from . import linalg as L
 from .errors import DimensionMismatch
-from .field import RF_ONE, RF_ZERO, RatFunc
+from .field import RatFunc
 from .grammar import parse, serialize
+from .laurent import L_ONE, L_ZERO, Laurent
 from .report import CheckReport
 
 KRON_ORDER_2 = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -58,7 +63,7 @@ class TensorMat:
         self._index = {p: i for i, p in enumerate(basis)}
 
     # -- access ------------------------------------------------------------
-    def entry(self, row_pair, col_pair) -> RatFunc:
+    def entry(self, row_pair, col_pair) -> Laurent | RatFunc:
         return self.rows[self._index[tuple(row_pair)]][self._index[tuple(col_pair)]]
 
     def params(self) -> set:
@@ -116,7 +121,7 @@ class TensorMat:
 
 
 def _zeros(n: int) -> list:
-    return [[RF_ZERO] * n for _ in range(n)]
+    return [[L_ZERO] * n for _ in range(n)]
 
 
 def two_param_deformed_r2() -> TensorMat:
@@ -125,14 +130,14 @@ def two_param_deformed_r2() -> TensorMat:
     Diagonal (r, s, 1/s, r) with the coupling r - 1/r below the diagonal at
     row (2,1), column (1,2).
     """
-    r, s = RatFunc.var("r"), RatFunc.var("s")
+    r, s = Laurent.var("r"), Laurent.var("s")
     rows = _zeros(4)
     order = KRON_ORDER_2
     idx = {p: i for i, p in enumerate(order)}
-    diag = {(1, 1): r, (1, 2): s, (2, 1): s ** -1, (2, 2): r}
+    diag = {(1, 1): r, (1, 2): s, (2, 1): s.inverse(), (2, 2): r}
     for p, v in diag.items():
         rows[idx[p]][idx[p]] = v
-    rows[idx[(2, 1)]][idx[(1, 2)]] = r - r ** -1
+    rows[idx[(2, 1)]][idx[(1, 2)]] = r - r.inverse()
     return TensorMat(2, order, rows)
 
 
@@ -144,17 +149,17 @@ def four_param_deformed_r3() -> TensorMat:
     carrying the coupling r - 1/r from column (1,j) to row (j,1); and the
     two-parameter 4x4 family on the 2x2 sector.
     """
-    r, s = RatFunc.var("r"), RatFunc.var("s")
-    p, q = RatFunc.var("p"), RatFunc.var("q")
-    lam = r - r ** -1
+    r, s = Laurent.var("r"), Laurent.var("s")
+    p, q = Laurent.var("p"), Laurent.var("q")
+    lam = r - r.inverse()
     order = BLOCK_ORDER_3
     idx = {pair: i for i, pair in enumerate(order)}
     rows = _zeros(9)
     diag = {
         (1, 1): r,
-        (1, 2): p ** -1, (1, 3): q ** -1,
+        (1, 2): p.inverse(), (1, 3): q.inverse(),
         (2, 1): p, (3, 1): q,
-        (2, 2): r, (2, 3): s, (3, 2): s ** -1, (3, 3): r,
+        (2, 2): r, (2, 3): s, (3, 2): s.inverse(), (3, 3): r,
     }
     for pair, v in diag.items():
         rows[idx[pair]][idx[pair]] = v
@@ -165,12 +170,12 @@ def four_param_deformed_r3() -> TensorMat:
 
 def jordanian_r2() -> TensorMat:
     """4x4 triangular matrix in parameters m, n (Kronecker order)."""
-    m, n = RatFunc.var("m"), RatFunc.var("n")
-    one = RF_ONE
+    m, n = Laurent.var("m"), Laurent.var("n")
+    one, zero = L_ONE, L_ZERO
     grid = [
-        [one, RF_ZERO, RF_ZERO, RF_ZERO],
-        [m, one, RF_ZERO, RF_ZERO],
-        [-m, RF_ZERO, one, RF_ZERO],
+        [one, zero, zero, zero],
+        [m, one, zero, zero],
+        [-m, zero, one, zero],
         [m * n, n, -n, one],
     ]
     return TensorMat(2, KRON_ORDER_2, grid)
@@ -183,16 +188,16 @@ def jordanian_r3() -> TensorMat:
     on the pairs touching index 1; the triangular 4x4 family on the 2x2
     sector.
     """
-    m, n = RatFunc.var("m"), RatFunc.var("n")
-    k, p = RatFunc.var("k"), RatFunc.var("p")
+    k, p = Laurent.var("k"), Laurent.var("p")
+    p_inv = p.inverse()
     order = BLOCK_ORDER_3
     idx = {pair: i for i, pair in enumerate(order)}
     rows = _zeros(9)
-    rows[idx[(1, 1)]][idx[(1, 1)]] = RF_ONE
+    rows[idx[(1, 1)]][idx[(1, 1)]] = L_ONE
     # inverse block on ((1,2),(1,3))
-    rows[idx[(1, 2)]][idx[(1, 2)]] = p ** -1
-    rows[idx[(1, 3)]][idx[(1, 2)]] = -k * p ** -2
-    rows[idx[(1, 3)]][idx[(1, 3)]] = p ** -1
+    rows[idx[(1, 2)]][idx[(1, 2)]] = p_inv
+    rows[idx[(1, 3)]][idx[(1, 2)]] = -k * p_inv * p_inv
+    rows[idx[(1, 3)]][idx[(1, 3)]] = p_inv
     # direct block on ((2,1),(3,1))
     rows[idx[(2, 1)]][idx[(2, 1)]] = p
     rows[idx[(3, 1)]][idx[(2, 1)]] = k
@@ -209,13 +214,13 @@ def jordanian_r3() -> TensorMat:
 
 def twist_2x2() -> list:
     """Unipotent 2x2 change of basis: identity plus eta below the diagonal."""
-    eta = RatFunc.var("eta")
-    return [[RF_ONE, RF_ZERO], [eta, RF_ONE]]
+    eta = Laurent.var("eta")
+    return [[L_ONE, L_ZERO], [eta, L_ONE]]
 
 
 def twist_3x3() -> list:
     """The 2x2 twist embedded in the lower 2x2 block of a 3x3 identity."""
-    eta = RatFunc.var("eta")
+    eta = Laurent.var("eta")
     g = L.mat_identity(3)
     g[2][1] = eta
     return g
@@ -224,7 +229,7 @@ def twist_3x3() -> list:
 def twist_probe_3x3() -> list:
     """Deliberately misplaced twist, eta at row 3 column 1; used to show the
     singular limit fails when the twist couples the wrong indices."""
-    eta = RatFunc.var("eta")
+    eta = Laurent.var("eta")
     g = L.mat_identity(3)
     g[2][0] = eta
     return g
@@ -245,7 +250,7 @@ def conjugate(rmat: TensorMat, g: list) -> TensorMat:
 def _embed(dense: list, dim: int, slots: tuple) -> list:
     """Lift an n^2 x n^2 matrix to n^3 x n^3, acting on two tensor slots."""
     n3 = dim ** 3
-    out = [[RF_ZERO] * n3 for _ in range(n3)]
+    out = [[L_ZERO] * n3 for _ in range(n3)]
     strides = (dim * dim, dim, 1)
     passive = ({0, 1, 2} - set(slots)).pop()
     for ij in range(dim * dim):
@@ -271,10 +276,6 @@ def qybe_residual(rmat: TensorMat) -> list:
     left = L.mat_mul(L.mat_mul(r12, r13), r23)
     right = L.mat_mul(L.mat_mul(r23, r13), r12)
     return L.mat_sub(left, right)
-
-
-def qybe_holds(rmat: TensorMat) -> bool:
-    return L.mat_is_zero(qybe_residual(rmat))
 
 
 def qybe_check(rmat: TensorMat, name: str = "") -> CheckReport:

@@ -48,7 +48,7 @@ from .freealg import (
     nc_zero,
 )
 from .grammar import parse, serialize
-from .laurent import L_ONE, coerce
+from .laurent import L_ONE, Laurent, coerce
 from .linalg import rref_sparse, solve_dense
 from .report import CheckReport
 from .rmat import TensorMat, jordanian_r3
@@ -177,9 +177,10 @@ def _denominators(rmat: TensorMat) -> list:
     seen = {}
     for row in rmat.rows:
         for x in row:
-            if x.den != RF_ONE.num:
-                seen.setdefault(tuple(sorted(x.den.items())),
-                                (RatFunc(dict(x.den), _reduced=True),))
+            den = (x.to_rf() if type(x) is Laurent else x).den
+            if den != RF_ONE.num:
+                seen.setdefault(tuple(sorted(den.items())),
+                                (RatFunc(dict(den), _reduced=True),))
     return list(seen.values())
 
 
@@ -415,7 +416,6 @@ class DerivedAlgebra:
         self.block_inv = None
         self._block = None
         self.schur = None
-        self._schur_inv = None
         if extend:
             self.extend()
 
@@ -434,7 +434,6 @@ class DerivedAlgebra:
             self.schur = schur_complement(self.system, self.block_inv)
             movers_e = movers + ("delta_inv",)
             d = append_inverse(self.system, "e", self.schur, movers_e, locus=self.locus)
-            self._schur_inv = d
             self.derivations.append(d)
             if d["added"] and not self._still_confluent():
                 self._drop_rules("inv:e")
@@ -473,10 +472,6 @@ class DerivedAlgebra:
     @property
     def records(self) -> list:
         return [inverse_record(d, self.system) for d in self.derivations]
-
-    @property
-    def schur_inv_record(self):
-        return self._schur_inv and inverse_record(self._schur_inv, self.system)
 
     @property
     def block_inv_record(self):
@@ -535,10 +530,6 @@ class QuotientAlgebra:
             self.system, "xi", nc_mul(nc_gen("f"), parent.delta), movers,
             locus=self.locus)
         self.block_inv = parent.block_inv
-
-    @property
-    def xi_record(self) -> dict:
-        return inverse_record(self.xi_derivation, self.system)
 
     def confluence(self, max_degree: int = 3) -> CheckReport:
         return self.system.confluence_report(max_degree=max_degree)

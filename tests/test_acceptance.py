@@ -50,7 +50,6 @@ from jforge.rmat import (
     jordanian_r2,
     jordanian_r3,
     qybe_check,
-    qybe_holds,
     two_param_deformed_r2,
     twist_3x3,
 )
@@ -98,7 +97,7 @@ def test_criterion_1_braid_consistency():
         report = qybe_check(builder(), name=name)
         elapsed = time.perf_counter() - start
         ok = ok and report.passed and elapsed < 30.0
-        points = sum(qybe_holds(_random_point(builder(), rng))
+        points = sum(qybe_check(_random_point(builder(), rng)).passed
                      for _ in range(20))
         ok = ok and points == 20
     _line(1, ok, "braid consistency, symbolic and at 20 rational points each")

@@ -104,13 +104,17 @@ def test_point_reports_equal_the_reports_derived_at_the_point(point):
         assert got == derived, (command, point)
 
 
+def xi_record(quotient) -> dict:
+    return rtt.inverse_record(quotient.xi_derivation, quotient.system)
+
+
 @pytest.mark.parametrize("point", POINTS)
 def test_read_table_equals_the_table_derived_at_the_point(alg, point):
     got = read(alg, bindings(point))
     assert isinstance(got, SpecializedAlgebra)
     derived = DerivedAlgebra(bindings=bindings(point))
     assert got.to_dict() == derived.to_dict()
-    assert got.quotient().xi_record == derived.quotient().xi_record
+    assert xi_record(got.quotient()) == xi_record(derived.quotient())
     assert got.confluence().to_dict() == derived.confluence().to_dict()
 
 
@@ -128,7 +132,7 @@ def test_loci_met_after_the_first_reading_fall_back_to_the_point():
     assert type(extended) is DerivedAlgebra
     assert extended.to_dict() == derived.to_dict()
     assert type(quotient.parent) is DerivedAlgebra
-    assert quotient.xi_record == derived.quotient().xi_record
+    assert xi_record(quotient) == xi_record(derived.quotient())
 
 
 def test_m_equals_n_equals_zero_is_on_the_locus(alg):

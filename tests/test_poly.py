@@ -40,8 +40,9 @@ def test_gcd_of_common_factor():
     b = P.pmul(common, y)
     g = P.pgcd(a, b)
     # gcd is defined up to a rational scale; divide it out and check degree 0 remains
-    assert P.pdivides(g, a) and P.pdivides(g, b)
-    assert P.pdivides(common, g)
+    # pdiv_exact raises ValueError unless the division is exact
+    for dividend, divisor in ((a, g), (b, g), (g, common)):
+        assert P.pmul(P.pdiv_exact(dividend, divisor), divisor) == dividend
 
 
 small = st.integers(min_value=-4, max_value=4)

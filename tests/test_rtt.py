@@ -129,7 +129,7 @@ def test_adjoined_inverses_are_verified(alg, quotient):
         assert rec["verified"], rec["inverse"]
         assert not rec["unsolved"], rec["inverse"]
         assert "mover_roundtrip" in rec
-    assert quotient.xi_record["verified"]
+    assert rtt.inverse_record(quotient.xi_derivation, quotient.system)["verified"]
 
 
 def test_block_inverse_matches_fixture(alg):
@@ -330,7 +330,9 @@ def test_table_over_laurent_matches_the_ratfunc_reference(monkeypatch, matrix,
 
 def test_inv_e_rules_own_every_pair_whose_word_contains_e(alg):
     # the facts DerivedAlgebra._still_confluent rests on, on the symbolic system
-    assert alg.schur_inv_record["added"]
+    schur_inv = alg.derivations[-1]
+    assert schur_inv["inverse"] == "e"
+    assert rtt.inverse_record(schur_inv, alg.system)["added"]
     rules = alg.system.rule_list()
     assert all(r.tag.startswith("inv:e") for r in rules if "e" in r.lhs)
     assert all("e" in r.lhs for r in rules if any("e" in w for w in r.rhs))

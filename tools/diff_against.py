@@ -118,6 +118,15 @@ COMMANDS = (
     ["qybe", "--matrix", "rq3"],
     ["qybe", "--matrix", "rj2"],
     ["qybe", "--matrix", "rj3"],
+    # bindings to expressions in other parameters, most over denominators
+    # of several terms: substitution clears each bound variable's
+    # denominator to its top exponent in every monomial, also in those
+    # that lack the variable
+    ["contract", "--contraction-matrix", "bigg", "--set", "p=1/(1+k)"],
+    ["all", "--set", "n=1/(1+m)"],
+    ["qybe", "--matrix", "rj2", "--set", "m=1/(n+1)"],
+    ["qybe", "--matrix", "rq3", "--set", "r=1+s"],
+    ["hopf", "--set", "k=1/(m+1)"],
 )
 
 RUN_MAIN = "import sys; from jforge.cli import main; sys.exit(main(sys.argv[1:]))"
