@@ -13,7 +13,7 @@ or a text summary.  Exit codes: 0 all checks pass, 1 a verification
 failed, 2 bad usage or configuration.  The environment variable
 JFORGE_MAX_STEPS overrides the rewrite step bound (see freealg); a value
 that is not an integer of at least 1 exits with status 2.  Under a bound
-the user set, a rational point is derived at the point rather than read
+the user set, --set bindings are derived at the bindings rather than read
 off the symbolic run (see specialize.derive).
 """
 
@@ -85,6 +85,8 @@ def _bindings(pairs) -> dict:
         name, eq, expr = item.partition("=")
         if not eq or not name.isidentifier():
             raise UsageError(f"--set expects NAME=EXPR, got {item!r}")
+        if name in out:
+            raise UsageError(f"--set {name} is given more than once")
         try:
             out[name] = parse(expr)
         except (GrammarError, DivisionByZero) as exc:
@@ -140,8 +142,8 @@ def _emit(report: CheckReport, args) -> int:
 
 
 def _algebra(args, bindings) -> DerivedAlgebra:
-    """The algebra under bindings; a rational point may be read off the
-    symbolic derivation (specialize.derive)."""
+    """The algebra under bindings, which may be read off the symbolic
+    derivation (specialize.derive)."""
     convention = args.convention
     scores = alg = None
     if convention == "auto":

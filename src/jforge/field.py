@@ -87,9 +87,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return not self.num
 
-    def const_value(self) -> Fraction:
-        return P.pconst_value(self.num) / P.pconst_value(self.den)
-
     def variables(self) -> set:
         return P.pvars(self.num) | P.pvars(self.den)
 

@@ -4,12 +4,12 @@ Elements are dicts mapping words (tuples of generator names) to nonzero
 coefficients of the numeric tower in laurent.py: Laurent values in
 Q[m,n,k,p^±1], or RatFunc values where a coefficient leaves that ring.
 laurent.coerce converts coefficients where they enter here: nc_scale's
-factor, RewriteRule and RewriteSystem.from_dict.  Elements of the tensor
-square are the same kind of dict keyed by pairs of words, so nc_add,
-nc_scale, nc_zero and nc_is_zero serve them unchanged; only the
-operations that look inside a key (t_simple, t_mul, tensor_normal_form,
-t_str) are tensor-specific.  Every sum of coefficients goes through
-field.add_into, which drops keys whose coefficient cancels to zero.
+factor and RewriteRule.  Elements of the tensor square are the same kind
+of dict keyed by pairs of words, so nc_add, nc_scale, nc_zero and
+nc_is_zero serve them unchanged; only the operations that look inside a
+key (t_simple, t_mul, tensor_normal_form, t_str) are tensor-specific.
+Every sum of coefficients goes through field.add_into, which drops keys
+whose coefficient cancels to zero.
 
 A RewriteSystem holds oriented rules lhs -> rhs where the lhs is a single
 word and every rhs word is strictly smaller in the graded lexicographic
@@ -20,9 +20,9 @@ resolving all critical pairs (overlap and inclusion ambiguities); each
 pair's verdict is memoized until the next add_rule, so a repeated report
 normalizes nothing.
 
-specialize.SpecializedSystem reads a symbolic system at a rational point
-through two hooks, identities here: evaluate reads an element at the
-point, and reducer is the system whose rules rewrite.
+specialize.SpecializedSystem reads a symbolic system under --set bindings
+through two hooks, identities here: evaluate reads an element under them,
+and reducer is the system whose rules rewrite.
 
 A hard step budget (JFORGE_MAX_STEPS, default one million) backstops the
 termination argument against misbuilt rule sets; a value that is not an
@@ -35,7 +35,7 @@ import os
 
 from .errors import DegreeOverflow, NonTerminating, OrientationFailure, UsageError
 from .field import add_into
-from .grammar import parse, serialize
+from .grammar import serialize
 from .laurent import L_ONE, coerce
 from .report import CheckReport
 
@@ -407,17 +407,6 @@ class RewriteSystem:
             ]
             rules.append({"lhs": list(rule.lhs), "rhs": rhs, "tag": rule.tag})
         return {"order": list(self.generators), "rules": rules}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RewriteSystem":
-        out = cls(tuple(data["order"]))
-        for entry in data["rules"]:
-            rhs = {
-                tuple(t["word"]): coerce(parse(t["coeff"]))
-                for t in entry["rhs"]
-            }
-            out.add_rule(RewriteRule(tuple(entry["lhs"]), rhs, entry.get("tag", "")))
-        return out
 
 
 # -- tensor square --------------------------------------------------------------

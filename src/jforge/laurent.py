@@ -27,12 +27,11 @@ inverse of a single term), and a Laurent with any other operand (RatFunc,
 int, Fraction) goes through the cached to_rf(), equality included.  The
 inverse of several terms is a RatFunc; hash(x) == hash(x.to_rf()).
 coerce() converts where a value enters the algebra: rtt._rf, rtt_entries,
-RewriteRule, RewriteSystem.from_dict, nc_scale, Laurent.substitute and
-Substitution.  A RatFunc with a one-term denominator becomes Laurent, any
-other stays a RatFunc.  from_poly converts a polynomial of poly.py, as
-laurent_expand does with the coefficients of its numerator and
-denominator.  Substitution by rational functions goes through to_rf(), as
-does the unreduced pair that contraction expands.
+RewriteRule, nc_scale, Laurent.substitute and Substitution.  A RatFunc
+with a one-term denominator becomes Laurent, any other stays a RatFunc.
+from_poly converts a polynomial of poly.py, as laurent_expand does with
+the coefficients of its numerator and denominator.  Laurent.substitute
+and the unreduced pair that contraction expands go through to_rf().
 """
 
 from __future__ import annotations
@@ -243,6 +242,14 @@ class Laurent:
             _overflow()
         return Laurent({m: c if c == 1 or c == -1 else _coef(1 / Fraction(c))})
 
+    def __pow__(self, e: int):
+        """self^e; a negative power of several terms is a RatFunc."""
+        base = self if e >= 0 else self.inverse()
+        out = L_ONE
+        for _ in range(abs(e)):
+            out = out * base
+        return out
+
     def __truediv__(self, other):
         if type(other) is not Laurent:
             return self.to_rf() / other
@@ -267,7 +274,7 @@ class Laurent:
     def substitute(self, bindings: dict):
         """Substitution of parameters by rational functions, through to_rf()
         and back through coerce; a pole it meets raises DivisionByZero.
-        A rational point is put into the packed monomials by Substitution.
+        Substitution puts values into the packed monomials instead.
         """
         return coerce(self.to_rf().substitute(bindings))
 
@@ -281,24 +288,31 @@ L_ONE = Laurent({0: 1})
 
 
 class Substitution:
-    """Rational values put in for some parameters, as a map on the tower.
+    """Values put in for some parameters, as the one map on the tower.
 
-    A Laurent value is evaluated monomial by monomial: each packed monomial
-    splits, once per Substitution, into the product of its bound factors
-    and the packed monomial of its unbound exponents, and equal remainders
-    are summed.  A RatFunc goes through RatFunc.substitute and coerce.
+    A value is a constant, a Laurent or a RatFunc, all put in at once; a
+    pole raises DivisionByZero.  Each packed monomial of a Laurent splits,
+    once per Substitution, into its unbound rest and the product of its
+    bound factors: a Fraction at a rational point, which returns a Laurent
+    with no bound parameter as it is, else a Laurent.  A factor that is not
+    a Laurent (a value of several terms inverted, or a RatFunc value) sends
+    x through RatFunc.substitute, as every RatFunc goes.
     """
 
     def __init__(self, bindings: dict):
-        self.bindings = {name: Fraction(v) for name, v in bindings.items()}
-        self._slots = [(SLOT_BITS * _slot(name), v) for name, v in self.bindings.items()]
+        values = {name: coerce(v) for name, v in bindings.items()}
+        self._point = not any(v.variables() for v in values.values())
+        if self._point:
+            values = {name: Fraction(v.terms.get(0, 0)) for name, v in values.items()}
+        self.bindings = values
+        self._slots = [(SLOT_BITS * _slot(name), v) for name, v in values.items()]
         self._split = {}
 
     def _monomial(self, m: int) -> tuple:
         """(product of the bound factors, packed unbound rest) of m."""
         hit = self._split.get(m)
         if hit is None:
-            factor, rest, biased = Fraction(1), m, m + _BIAS
+            factor, rest, biased = Fraction(1) if self._point else L_ONE, m, m + _BIAS
             for shift, value in self._slots:
                 e = ((biased >> shift) & _MASK) - _HALF
                 if e:
@@ -312,6 +326,14 @@ class Substitution:
     def __call__(self, x):
         if type(x) is not Laurent:
             return coerce(x.substitute(self.bindings))
+        if not self._point:
+            out = L_ZERO
+            for m, c in x.terms.items():
+                factor, rest = self._monomial(m)
+                if type(factor) is not Laurent:
+                    return x.substitute(self.bindings)
+                out = out + factor * Laurent({rest: c})
+            return out
         out = {}
         changed = False
         for m, c in x.terms.items():

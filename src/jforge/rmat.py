@@ -30,7 +30,7 @@ import time
 from . import linalg as L
 from .errors import DimensionMismatch
 from .field import RatFunc
-from .grammar import parse, serialize
+from .grammar import serialize
 from .laurent import L_ONE, L_ZERO, Laurent
 from .report import CheckReport
 
@@ -113,11 +113,6 @@ class TensorMat:
             "basis": [list(p) for p in self.basis],
             "entries": [[serialize(x) for x in row] for row in self.rows],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TensorMat":
-        rows = [[parse(x) for x in row] for row in data["entries"]]
-        return cls(data["dim"], tuple(tuple(p) for p in data["basis"]), rows)
 
 
 def _zeros(n: int) -> list:

@@ -18,8 +18,8 @@ inhomogeneous algebra that the coaction checks run against.
 
 Every elimination pivot, collapse coefficient and branch-deciding value
 of a derivation goes to its degeneracy locus; off that locus the algebra
-derived at a rational point is the symbolic one evaluated, which is how
-specialize.derive reads points off the symbolic derivation.
+derived under bindings is the symbolic one evaluated, which is how
+specialize.derive reads bindings off the symbolic derivation.
 
 The derived table is cross-checked against an independently recorded
 set of 27 commutation relations (reference_relations); the verifier
@@ -684,7 +684,7 @@ def resolve_convention(bindings: dict = None):
     """Pick the exchange-identity reading that reproduces the record.
 
     Derives the table under both conventions with specialize.derive, which
-    may read a rational point off the symbolic table, and counts how many
+    may read the bindings off the symbolic table, and counts how many
     recorded relations reduce to zero.  Returns (winner, scores, graded):
     graded is the winner's extend=False algebra, whose extended() is the
     full algebra, or None if the winner's derivation raised.  A convention

@@ -1,24 +1,33 @@
-"""Rational points read off the symbolic derivation.
+"""--set bindings read off the symbolic derivation.
 
-When every --set value is a rational constant, derive() builds the algebra
-once over Q(m,n,k,p) and reads it at the point: the checks run on the
-symbolic rules, and only what they read out (normal forms, critical
-pairs, rules, records) is evaluated there.  read() returns None when the
-point is on the derivation's degeneracy locus, and the algebra is then
-derived at the point instead.
+derive() builds the algebra once over Q(m,n,k,p) and reads it under the
+bindings, rational constants (a point) and expressions alike: the checks
+run on the symbolic rules, and one laurent.Substitution puts the bindings
+into what they read out (normal forms, critical pairs, rules, records).
+read() returns None on the derivation's degeneracy locus, where the
+algebra is derived at the bindings instead.
 
 The locus.  Each entry of DerivedAlgebra.locus (and QuotientAlgebra.locus)
-is a tuple of values; the point is on the locus when every value of some
-entry vanishes there, or when one is undefined.  The derivation appends
-to it the R-matrix's denominators, every pivot an elimination inverts
-(rref_sparse for the table, linalg.solve_dense for the adjoined inverses
-and the block inverse), the collapse coefficient of each adjoined inverse, and for
-each branch taken on a symbolically nonzero value the values that decided
-it: the entries that leave a mover unsolved, the residuals of a failed
-block-inverse check, the differences of the Schur inverse's unresolved
-critical pairs.
+is a tuple of values; the bindings are on the locus when every value of
+some entry vanishes under them, or when one is undefined.  The derivation
+appends to it the R-matrix's denominators, every pivot an elimination
+inverts (rref_sparse for the table, linalg.solve_dense for the adjoined
+inverses and the block inverse), the collapse coefficient of each adjoined
+inverse, and for each branch taken on a symbolically nonzero value the
+values that decided it: the entries that leave a mover unsolved, the
+residuals of a failed block-inverse check, the differences of the Schur
+inverse's unresolved critical pairs.
 
-Exactness.  Off the locus, the algebra derived at the point is the
+Exactness.  Every coefficient of the symbolic derivation lies in the ring
+generated over Q by m, n, k, p and the inverses of the R-matrix's
+denominators and of the pivots.  Putting the bindings in maps that ring
+into a field, Q at a point and Q(remaining parameters) for expressions,
+and is a ring homomorphism wherever no inverted value goes to zero, since
+substituting rational functions respects sums and products.  Off the
+locus, which on_locus decides exactly, it is defined and keeps a value of
+every locus entry nonzero.  The argument below uses only these facts, so
+it holds for points and expressions alike ("at the point" reads "under
+the bindings").  Off the locus, the algebra derived at the point is the
 symbolic one with its coefficients evaluated (cf. comprehensive Groebner
 bases: Weispfenning, JSC 14, 1992; Kalkbrener, JSC 24, 1997):
 
@@ -49,9 +58,9 @@ bases: Weispfenning, JSC 14, 1992; Kalkbrener, JSC 24, 1997):
 
 The results are exact, the rewriting work is not: the symbolic rules keep
 the terms that vanish at the point, so a normal form can take more steps
-than with the rules derived there.  So a point is read off only under the
-default step bound; under a JFORGE_MAX_STEPS the user set, it is derived at
-the point, and the bound applies to the point's own rules.
+than with the rules derived there.  So bindings are read off only under the
+default step bound; under a JFORGE_MAX_STEPS the user set, they are derived
+at the bindings, and the bound applies to their own rules.
 """
 
 from __future__ import annotations
@@ -63,13 +72,13 @@ from .rtt import DerivedAlgebra, QuotientAlgebra
 
 
 class SpecializedSystem(RewriteSystem):
-    """A symbolic rewrite system read at a point.
+    """A symbolic rewrite system read at a point (under bindings).
 
-    value maps a symbolic coefficient to its value at the point.  The
-    system shares the symbolic system's rules, so rule_list(), find_redex
-    and the critical pairs are the symbolic ones, and rewriting runs in the
-    symbolic system and its word cache.  What leaves the system is read at
-    the point: normal_form (and with it reduces_to_zero),
+    value, a Substitution, maps a symbolic coefficient to its value at the
+    point.  The system shares the symbolic system's rules, so rule_list(),
+    find_redex and the critical pairs are the symbolic ones, and rewriting
+    runs in the symbolic system and its word cache.  What leaves the system
+    is read at the point: normal_form (and with it reduces_to_zero),
     tensor_normal_form, the two sides of a critical pair that does not
     resolve symbolically, and the coefficients of to_dict.  Only an element
     that is nonzero symbolically costs an evaluation.
@@ -111,7 +120,7 @@ class SpecializedSystem(RewriteSystem):
 
 
 class SpecializedAlgebra(DerivedAlgebra):
-    """A symbolic DerivedAlgebra read at a rational point (see read).
+    """A symbolic DerivedAlgebra read under bindings (see read).
 
     It shares the source's derivations, exchange entries, determinant and
     block inverse, and its bindings are the source's (none), so the checks
@@ -130,7 +139,9 @@ class SpecializedAlgebra(DerivedAlgebra):
     def extended(self) -> DerivedAlgebra:
         self.source.extend()
         alg = read(self.source, self.point)
-        return alg if alg is not None else _derived_at(self.source, self.point)
+        if alg is None:
+            alg = DerivedAlgebra(self.rmat, self.convention, self.point)
+        return alg
 
     def quotient(self) -> QuotientAlgebra:
         """The symbolic quotient with its system read at the point.
@@ -140,7 +151,7 @@ class SpecializedAlgebra(DerivedAlgebra):
         """
         q = QuotientAlgebra(self.source)
         if on_locus(q.locus, self.system.value):
-            return _derived_at(self.source, self.point).quotient()
+            return DerivedAlgebra(self.rmat, self.convention, self.point).quotient()
         q.system = SpecializedSystem(q.system, self.system.value)
         return q
 
@@ -148,19 +159,6 @@ class SpecializedAlgebra(DerivedAlgebra):
         out = super().to_dict()
         out["bindings"] = {k: str(v) for k, v in sorted(self.point.items())}
         return out
-
-
-def substitution(bindings: dict):
-    """The Substitution of bindings (RatFunc values) if they are a
-    rational point, else None."""
-    if not bindings:
-        return None
-    values = {}
-    for name, v in bindings.items():
-        if v.variables():
-            return None
-        values[name] = v.const_value()
-    return Substitution(values)
 
 
 def on_locus(locus: list, value) -> bool:
@@ -173,41 +171,35 @@ def on_locus(locus: list, value) -> bool:
 
 
 def read(alg: DerivedAlgebra, point: dict):
-    """alg, derived symbolically, read at the rational point, or None on
+    """alg, derived symbolically, read under the bindings point, or None on
     its locus (see the module docstring for why this is exact)."""
-    value = substitution(point)
+    value = Substitution(point)
     if on_locus(alg.locus, value):
         return None
     return SpecializedAlgebra(alg, point, SpecializedSystem(alg.system, value))
 
 
-def _derived_at(symbolic: DerivedAlgebra, point: dict, extend: bool = True):
-    return DerivedAlgebra(symbolic.rmat, symbolic.convention, point, extend)
-
-
 def derive(convention: str = "plain", bindings: dict = None,
            extend: bool = True) -> DerivedAlgebra:
     """DerivedAlgebra(convention=..., bindings=..., extend=...), read off
-    the symbolic derivation when bindings are a rational point off its
-    locus and the step bound is the default.
+    the symbolic derivation when the bindings are off its locus and the
+    step bound is the default.
 
     This is the one place that chooses between the two routes.  The graded
-    table is read before it is extended, so a point on its locus costs no
+    table is read before it is extended, so bindings on its locus cost no
     symbolic extension.  A convention that fails to orient symbolically
-    fails at such a point with the same message.  A point on the locus, a
-    point under a user-set step bound (see the module docstring), and any
-    other bindings are derived at the bindings.
+    fails off its locus with the same message.  Bindings on the locus, and
+    any bindings under a user-set step bound (see the module docstring),
+    are derived at the bindings.
     """
-    value = substitution(bindings) if step_bound() == DEFAULT_MAX_STEPS else None
-    if value is None:
-        return DerivedAlgebra(convention=convention, bindings=bindings, extend=extend)
-    try:
-        graded = DerivedAlgebra(convention=convention, extend=False)
-    except OrientationFailure as exc:
-        if not on_locus(exc.locus, value):
-            raise
-        return DerivedAlgebra(convention=convention, bindings=bindings, extend=extend)
-    alg = read(graded, bindings)
-    if alg is None:
-        return _derived_at(graded, bindings, extend)
-    return alg.extended() if extend else alg
+    if bindings and step_bound() == DEFAULT_MAX_STEPS:
+        try:
+            graded = DerivedAlgebra(convention=convention, extend=False)
+        except OrientationFailure as exc:
+            if not on_locus(exc.locus, Substitution(bindings)):
+                raise
+        else:
+            alg = read(graded, bindings)
+            if alg is not None:
+                return alg.extended() if extend else alg
+    return DerivedAlgebra(convention=convention, bindings=bindings, extend=extend)

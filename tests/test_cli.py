@@ -160,6 +160,10 @@ def test_malformed_set_is_usage_error(capsys):
     code, _, err = run(capsys, "qybe", "--set", "oops")
     assert code == 2
     assert "NAME=EXPR" in err
+    # a name bound twice is ambiguous; the later binding does not win
+    code, _, err = run(capsys, "qybe", "--set", "m=2", "--set", "m=3")
+    assert code == 2
+    assert "--set m is given more than once" in err
 
 
 def test_unparseable_set_is_usage_error(capsys):
@@ -231,7 +235,8 @@ def test_relations_auto_convention_records_scores(capsys):
     (["m=3/2", "n=-2/3", "k=5", "p=7/4"], -1),
     # at m = n = 0 the transposed reading orients too, and loses
     (["m=0", "n=0"], 13),
-], ids=["symbolic", "point", "m-n-zero"])
+    (["p=1+m"], -1),
+], ids=["symbolic", "point", "m-n-zero", "expression"])
 def test_auto_extends_the_winning_graded_table(pairs, transposed_score):
     bindings = cli._bindings(pairs)
     got = cli._algebra(argparse.Namespace(convention="auto"), bindings)

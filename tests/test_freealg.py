@@ -272,13 +272,6 @@ def test_quotient_drops_rules_and_erases_tails():
     assert q.normal_form(nc_word(("z", "x"))) == nc_word(("x", "z"))
 
 
-def test_serialization_roundtrip():
-    rs = plane_like()
-    clone = RewriteSystem.from_dict(rs.to_dict())
-    p = nc_word(("y", "y", "x"))
-    assert clone.normal_form(p) == rs.normal_form(p)
-
-
 def test_word_touches():
     assert word_touches(("a", "theta", "b"), ("theta", "phi"))
     assert not word_touches(("a", "b"), ("theta", "phi"))

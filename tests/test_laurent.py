@@ -107,14 +107,23 @@ def test_equality_and_hash_cross_the_tower(pair):
 
 
 @st.composite
-def rational_bindings(draw):
-    """Values for some of the parameters, zero included."""
-    names = draw(st.sets(st.sampled_from(VARS)))
-    return {v: Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
-            for v in sorted(names)}
+def tower_bindings(draw):
+    """Values for some of the parameters: a rational point, zero included,
+    or values that may also be Laurent values of one term (any monomial) or
+    several, or a RatFunc.  The values of several terms are small, so the
+    RatFunc route's gcds stay quick."""
+    names = sorted(draw(st.sets(st.sampled_from(VARS))))
+    constant = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if not draw(st.booleans()):
+        return {v: draw(constant) for v in names}
+    expression = st.one_of(
+        constant,
+        laurent_text(min_terms=1, max_terms=1).map(parse),
+        st.sampled_from(["1 + m", "k - 1/2", "(n + 1)/n", "1/(1 + m)", "p/(k - 2)"]).map(parse))
+    return {v: draw(expression) for v in names}
 
 
-@given(laurent_pair(), rational_bindings())
+@given(laurent_pair(), tower_bindings())
 @settings(max_examples=150, deadline=None)
 def test_substitute_matches_the_ratfunc_route(pair, bindings):
     x, _r = pair
@@ -125,7 +134,10 @@ def test_substitute_matches_the_ratfunc_route(pair, bindings):
             Substitution(bindings)(x)
         return
     got = Substitution(bindings)(x)
-    assert isinstance(got, Laurent)
+    assert type(got) is type(want)
+    assert got == want
+    if type(got) is not Laurent:
+        return
     assert got.terms == want.terms
     assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
 
@@ -135,6 +147,8 @@ def test_substitute_keeps_unbound_exponents_and_raises_at_a_pole():
     assert Substitution({"p": 2})(x) == coerce(parse("k/2 + m^2/n"))
     assert Substitution({"m": Fraction(1, 2), "n": 3})(x) == coerce(parse("k/p + 1/12"))
     assert Substitution({"q": 5})(x) is x
+    assert Substitution({"m": parse("n"), "n": parse("m")})(x) == coerce(parse("k/p + n^2/m"))
+    assert Substitution({"p": parse("1 + m"), "n": 2})(x) == parse("k/(1 + m) + m^2/2")
     assert Substitution({"m": 0})(x) == coerce(parse("k/p"))
     with pytest.raises(DivisionByZero):
         Substitution({"p": 0})(x)

@@ -137,4 +137,4 @@ def test_solve_dense_matches_sympy_rref(system):
             if value != 0:
                 want[col] = Fraction(int(value.p), int(value.q))
         assert sol is not None
-        assert {j: x.const_value() for j, x in sol.items()} == want
+        assert sol == want

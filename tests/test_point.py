@@ -1,7 +1,8 @@
-"""Rational points read off the symbolic derivation (jforge.specialize).
+"""Bindings read off the symbolic derivation (jforge.specialize).
 
-The reference is the derivation at the point, DerivedAlgebra(bindings=...),
-which the command line takes when every point is put on the locus.
+The bindings are rational points or expressions in the parameters.  The
+reference is the derivation at the bindings, DerivedAlgebra(bindings=...),
+which the command line takes when all bindings are put on the locus.
 """
 
 import contextlib
@@ -51,7 +52,7 @@ def run(argv: list):
 
 @contextlib.contextmanager
 def everywhere_on_the_locus():
-    """Every point derived at the point, as before points were read off."""
+    """All bindings derived at the bindings, as before they were read off."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(specialize, "on_locus", lambda locus, value: True)
         yield
@@ -62,10 +63,11 @@ _rationals = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1,
 
 @st.composite
 def rational_points(draw):
-    """A generic point, or one moved onto a place where verdicts change."""
+    """A generic point, or one moved onto a place where verdicts change,
+    or with one parameter bound to an affine expression in another."""
     point = {v: draw(_rationals) for v in ("m", "n", "k", "p")}
     move = draw(st.sampled_from(
-        ["generic", "m=n", "k=0", "p=1", "p=-1", "m=n=0", "m=0", "subset"]))
+        ["generic", "m=n", "k=0", "p=1", "p=-1", "m=n=0", "m=0", "subset", "affine"]))
     if move == "m=n":
         point["n"] = point["m"]
     elif move == "k=0":
@@ -79,6 +81,10 @@ def rational_points(draw):
     elif move == "subset":
         names = draw(st.sets(st.sampled_from(sorted(point)), min_size=1, max_size=3))
         point = {v: point[v] for v in sorted(names)}
+    elif move == "affine":
+        bound, free = draw(st.permutations(sorted(point)))[:2]
+        del point[free]
+        point[bound] = f"{point[bound]}+({draw(_rationals)})*{free}"
     return point
 
 
@@ -93,6 +99,7 @@ def _point(**values):
 @example(_point(m="3/2", n="-2/3", k="0", p="7/4"))
 @example(_point(m="3/2", n="-2/3", k="5", p="1"))
 @example(_point(m="3/2", n="-2/3", k="5", p="-1"))
+@example({"m": "3/2", "n": "-2/3", "p": "7/4+(2)*k"})
 @settings(max_examples=8, deadline=None)
 def test_point_reports_equal_the_reports_derived_at_the_point(point):
     argv = [a for name, value in point.items() for a in ("--set", f"{name}={value}")]
@@ -152,16 +159,24 @@ def test_pivots_and_denominators_put_points_on_the_locus(alg, point):
     assert read(alg, bindings(point)) is None
 
 
-def test_expression_bindings_are_derived_at_the_bindings():
+def test_expression_bindings_are_read_off_the_symbolic_run():
     for point in ({"p": "1+m"}, {"m": "n+1"}):
-        assert type(derive(bindings=bindings(point))) is DerivedAlgebra
+        assert isinstance(derive(bindings=bindings(point)), SpecializedAlgebra)
+
+
+def test_expression_bindings_on_the_locus_are_derived_at_the_bindings():
+    point = bindings({"m": "0", "p": "1+k"})
+    got = derive(bindings=point)
+    assert type(got) is DerivedAlgebra
+    assert got.bindings == point
 
 
 def test_a_point_under_a_user_set_step_bound_is_derived_at_the_point(monkeypatch):
     monkeypatch.setenv("JFORGE_MAX_STEPS", "1000")
-    got = derive(bindings=bindings(POINT), extend=False)
-    assert type(got) is DerivedAlgebra
-    assert got.bindings == bindings(POINT)
+    for point in (POINT, {"p": "1+m"}):
+        got = derive(bindings=bindings(point), extend=False)
+        assert type(got) is DerivedAlgebra
+        assert got.bindings == bindings(point)
 
 
 def test_collapse_coefficient_is_on_the_locus():

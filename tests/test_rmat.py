@@ -142,12 +142,3 @@ def test_sympy_oracle_on_triangular_r3():
     lhs = r12 * r13 * r23
     rhs = r23 * r13 * r12
     assert sympy.simplify(lhs - rhs) == sympy.zeros(n * mat.dim, n * mat.dim)
-
-
-def test_serialization_roundtrip():
-    mat = jordanian_r3()
-    again = TensorMat.from_dict(mat.to_dict())
-    assert again.basis == mat.basis
-    for rp in mat.basis:
-        for cp in mat.basis:
-            assert again.entry(rp, cp) == mat.entry(rp, cp)

@@ -127,6 +127,15 @@ COMMANDS = (
     ["qybe", "--matrix", "rj2", "--set", "m=1/(n+1)"],
     ["qybe", "--matrix", "rq3", "--set", "r=1+s"],
     ["hopf", "--set", "k=1/(m+1)"],
+    # every binding off the locus is read off the symbolic run: bound
+    # factors that are Laurent powers, a binding whose inverse is not
+    # Laurent, and bindings on the locus, derived at the bindings
+    ["all", "--set", "k=m*n"],
+    ["relations", "--set", "m=n"],
+    ["relations", "--set", "m=0", "--set", "p=1+k"],
+    ["relations", "--convention", "transposed", "--set", "m=n"],
+    ["relations", "--set", "p=(n+1)/n"],
+    ["hopf", "--convention", "auto", "--set", "m=n", "--set", "p=1+k"],
 )
 
 RUN_MAIN = "import sys; from jforge.cli import main; sys.exit(main(sys.argv[1:]))"
