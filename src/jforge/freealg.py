@@ -16,9 +16,9 @@ word and every rhs word is strictly smaller in the graded lexicographic
 order induced by the generator sequence; that ordering is compatible with
 concatenation, so rewriting terminates and normal forms are well defined
 whenever the system is confluent.  Confluence itself is checked by
-resolving all critical pairs (overlap and inclusion ambiguities); each
-pair's verdict is memoized until the next add_rule, so a repeated report
-normalizes nothing.
+resolving all critical pairs (overlap and inclusion ambiguities), found
+through a first-letter index of the lhs words; each pair's verdict is
+memoized until the next add_rule, so a repeated report normalizes nothing.
 
 specialize.SpecializedSystem reads a symbolic system under --set bindings
 through two hooks, identities here: evaluate reads an element under them,
@@ -168,6 +168,19 @@ class RewriteRule:
         return f"RewriteRule({'*'.join(self.lhs)} -> {nc_str(self.rhs)})"
 
 
+def _partners(rules: list):
+    """The function taking a rule r1 to the rules of rules whose lhs starts
+    with a letter of r1.lhs, in the order of rules: the only ones that can
+    overlap r1 or lie inside it (see RewriteSystem.critical_pairs)."""
+    by_first: dict = {}
+    for i, rule in enumerate(rules):
+        by_first.setdefault(rule.lhs[0], []).append(i)
+    def partners(r1: RewriteRule) -> list:
+        return [rules[i] for i in sorted(i for g in set(r1.lhs)
+                                         for i in by_first.get(g, ()))]
+    return partners
+
+
 def _ambiguities(r1: RewriteRule, r2: RewriteRule):
     """The critical pairs of r1 at position 0 and r2 inside or after it."""
     l1, l2 = r1.lhs, r2.lhs
@@ -267,7 +280,7 @@ class RewriteSystem:
                     )
                 piece = self._nf_word(head + rw + tail, budget)
                 for w, c in piece.items():
-                    add_into(acc, w, c * rc)
+                    add_into(acc, w, c if rc is L_ONE else c * rc)
             result = acc
         self._cache[word] = result
         return result
@@ -287,7 +300,7 @@ class RewriteSystem:
                     f"word of length {len(word)} is too deep to rewrite"
                 ) from None
             for w, c in piece.items():
-                add_into(out, w, c * coeff)
+                add_into(out, w, c if coeff is L_ONE else c * coeff)
         return out
 
     def reduces_to_zero(self, poly: NCPoly) -> bool:
@@ -305,11 +318,17 @@ class RewriteSystem:
         """All overlap and inclusion ambiguities between rule lhs words.
 
         Yields (word, pos1, rule1, pos2, rule2) with pos1 <= pos2 and the two
-        applications distinct.
+        applications distinct, rule1 and then rule2 in rule_list() order.
+        rule1 is paired only with the rules whose lhs starts with one of its
+        letters, found in a first-letter index built once per enumeration.
+        No pair is lost: an overlap puts a prefix of rule2's lhs at the end
+        of rule1's, and an inclusion puts all of rule2's lhs inside it, so
+        either way rule2's first letter occurs in rule1's lhs.
         """
         rules = self.rule_list()
+        partners = _partners(rules)
         for r1 in rules:
-            for r2 in rules:
+            for r2 in partners(r1):
                 yield from _ambiguities(r1, r2)
 
     def new_pairs_unresolved(self, rules, max_degree: int = None) -> list:
@@ -324,9 +343,10 @@ class RewriteSystem:
         """
         new = {r.lhs for r in rules}
         every = self.rule_list()
+        any_partner, new_partner = _partners(every), _partners(rules)
         splits = [self._verdict(*pair)
                   for r1 in every
-                  for r2 in (every if r1.lhs in new else rules)
+                  for r2 in (any_partner if r1.lhs in new else new_partner)(r1)
                   for pair in _ambiguities(r1, r2)
                   if max_degree is None or len(pair[0]) <= max_degree]
         return [split for split in splits if split is not None]

@@ -24,6 +24,17 @@ from .field import add_into
 from .laurent import L_ONE, L_ZERO
 
 
+def add_to_locus(locus: list, entry: tuple) -> None:
+    """Append entry to a degeneracy locus (see jforge.specialize) unless an
+    equal entry is there already.
+
+    Entries are compared with tuple ==, not looked up by hash: hashing a
+    Laurent value builds its RatFunc.
+    """
+    if entry not in locus:
+        locus.append(entry)
+
+
 def mat_identity(n: int) -> list:
     return [[L_ONE if i == j else L_ZERO for j in range(n)] for i in range(n)]
 
@@ -148,7 +159,8 @@ def solve_dense(columns: dict, targets: list, locus: list = None) -> list:
                 out[col - m] = None
                 witnesses.setdefault(col, []).append(v)
     if locus is not None:
-        locus.extend(tuple(vs) for vs in witnesses.values())
+        for vs in witnesses.values():
+            add_to_locus(locus, tuple(vs))
     return out
 
 
@@ -160,7 +172,7 @@ def rref_sparse(rows: list, column_order: list, locus: list = None) -> tuple:
     (reduced, pivot labels), with reduced rows monic in their pivot, fully
     inter-reduced, zero rows dropped, and ordered by pivot position.  The
     result is unique for a fixed column order.  With locus given, each pivot value is
-    appended to it as a one-value tuple before it is inverted: wherever
+    added to it as a one-value tuple before it is inverted: wherever
     every entry is defined and every such value nonzero, the same steps
     reduce the specialized rows, so the reduced form specializes (see
     jforge.specialize).
@@ -182,7 +194,7 @@ def rref_sparse(rows: list, column_order: list, locus: list = None) -> tuple:
             continue
         live.remove(hit)
         if locus is not None:
-            locus.append((hit[col],))
+            add_to_locus(locus, (hit[col],))
         inv = hit[col].inverse()
         hit = {c: v * inv for c, v in hit.items()}
         for bucket in (live, reduced):

@@ -11,10 +11,10 @@ On top of the quadratic table the module adjoins formal inverses: of the
 scale generator f, of the lower-block determinant, and of the Schur
 complement of the lower block.  Each inverse's commutation rules are
 derived mechanically by solving small linear systems inside the algebra
-and are then verified by multiplying back, so no relation is ever
-transcribed by hand.  A quotient construction kills the upper-row
-generators and adjoins the inverse of the total determinant, giving the
-inhomogeneous algebra that the coaction checks run against.
+and are verified by multiplying back when their record is rendered, so no
+relation is ever transcribed by hand.  A quotient construction kills the
+upper-row generators and adjoins the inverse of the total determinant,
+giving the inhomogeneous algebra that the coaction checks run against.
 
 Every elimination pivot, collapse coefficient and branch-deciding value
 of a derivation goes to its degeneracy locus; off that locus the algebra
@@ -49,7 +49,7 @@ from .freealg import (
 )
 from .grammar import parse, serialize
 from .laurent import L_ONE, Laurent, coerce
-from .linalg import rref_sparse, solve_dense
+from .linalg import add_to_locus, rref_sparse, solve_dense
 from .report import CheckReport
 from .rmat import TensorMat, jordanian_r3
 
@@ -143,7 +143,8 @@ def derive_relation_table(rmat: TensorMat, convention: str = "plain",
     if entries is None:
         entries = rtt_entries(rmat, convention)
     if locus is not None:
-        locus.extend(_denominators(rmat))
+        for den in _denominators(rmat):
+            add_to_locus(locus, (den,))
     letters = tuple(sorted({g for row in LAYOUT_3 for g in row},
                            key=_GEN_INDEX.__getitem__))
     columns = [(u, v) for u in letters for v in letters]
@@ -171,17 +172,14 @@ def derive_relation_table(rmat: TensorMat, convention: str = "plain",
     return system, rules
 
 
-def _denominators(rmat: TensorMat) -> list:
-    """The distinct nonconstant denominators of rmat's entries, each a
-    RatFunc polynomial in a locus entry of its own."""
-    seen = {}
+def _denominators(rmat: TensorMat):
+    """The nonconstant denominators of rmat's entries, as RatFunc
+    polynomials."""
     for row in rmat.rows:
         for x in row:
             den = (x.to_rf() if type(x) is Laurent else x).den
             if den != RF_ONE.num:
-                seen.setdefault(tuple(sorted(den.items())),
-                                (RatFunc(dict(den), _reduced=True),))
-    return list(seen.values())
+                yield RatFunc(dict(den), _reduced=True)
 
 
 # -- adjoined inverses ---------------------------------------------------------
@@ -201,10 +199,10 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
 
     Returns the derivation, which inverse_record renders: the element's
     normal form, the solved coefficients, the unsolved movers, whether the
-    rules were added and, if so, the residuals of the two unit identities
-    element*inverse -> 1 and inverse*element -> 1 and of the per-mover
-    roundtrips.  With locus given, the eliminations' pivots, the entries
-    that leave a mover unsolved and the collapse coefficient go to it.
+    rules were added and, if so, the system they were added to, in which
+    inverse_record computes the unit identities and per-mover roundtrips.
+    With locus given, the eliminations' pivots, the entries that leave a
+    mover unsolved and the collapse coefficient go to it.
     """
     tag = f"inv:{inv_name}"
     elem = system.normal_form(element)
@@ -247,38 +245,36 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
     prod = {w + (inv_name,): c for w, c in elem.items()}
     wmax = max(prod, key=system.word_key)
     if locus is not None:
-        locus.append((prod[wmax],))
+        add_to_locus(locus, (prod[wmax],))
     rest = {w: c for w, c in prod.items() if w != wmax}
     rhs = nc_scale(nc_sub(nc_one(), rest), prod[wmax].inverse())
     system.add_rule(RewriteRule(wmax, system.normal_form(rhs), f"{tag}:unit"))
     derivation["added"] = True
-    # multiply-back: the two unit identities gate the record's "verified".
-    # Per-mover roundtrips h*element*inverse -> h are recorded but not
-    # gating: for a mover sorting above every letter of the element the
-    # rewrite puts h at the word end, where the collapse pattern can no
-    # longer match, so the roundtrip may stall on a normal word even though
-    # the solved identity itself is exact (each added rule's two sides were
-    # equated through normal forms, hence differ by an ideal member).
-    inv_poly = nc_gen(inv_name)
-    derivation["units"] = [
-        system.normal_form(nc_sub(nc_mul(elem, inv_poly), nc_one())),
-        system.normal_form(nc_sub(nc_mul(inv_poly, elem), nc_one())),
-    ]
-    derivation["roundtrip"] = {
-        h: nc_sub(system.normal_form(nc_product(nc_gen(h), elem, inv_poly)),
-                  system.normal_form(nc_gen(h)))
-        for h in movers if h not in derivation["unsolved"]
-    }
+    derivation["system"] = system
     return derivation
 
 
 def inverse_record(derivation: dict, system: RewriteSystem) -> dict:
     """The JSON record of an append_inverse derivation, read through system.
 
-    "verified" certifies the two unit identities; "mover_roundtrip" holds
-    the per-mover diagnostics.  Every polynomial and coefficient goes
+    "verified" certifies the two unit identities element*inverse -> 1 and
+    inverse*element -> 1; "mover_roundtrip" holds the per-mover
+    diagnostics h*element*inverse -> h.  Both are present when the rules
+    were added, and are normalized here, in the system the derivation added
+    them to.  That gives what append_inverse would have found right after
+    adding them: a rule added later has a later inverse letter (delta_inv
+    or e) in its lhs, which these words never contain, so it never applies
+    to them, and an e rolled back leaves its derivation the system object
+    that still holds its rules.  Every polynomial and coefficient goes
     through system.evaluate, so a SpecializedSystem gives the record at its
     point.
+
+    The roundtrips do not gate "verified": for a mover sorting above every
+    letter of the element the rewrite puts h at the word end, where the
+    collapse pattern can no longer match, so the roundtrip may stall on a
+    normal word even though the solved identity itself is exact (each
+    added rule's two sides were equated through normal forms, hence differ
+    by an ideal member).
     """
     at, gens = system.evaluate, system.generators
     record = {
@@ -290,10 +286,15 @@ def inverse_record(derivation: dict, system: RewriteSystem) -> dict:
         "added": derivation["added"],
         "verified": False,
     }
-    if "units" in derivation:
-        record["verified"] = not any(at(u) for u in derivation["units"])
-        record["mover_roundtrip"] = {h: not at(d)
-                                    for h, d in derivation["roundtrip"].items()}
+    if "system" in derivation:
+        nf = derivation["system"].normal_form
+        elem, inv = derivation["element"], nc_gen(derivation["inverse"])
+        record["verified"] = not any(
+            at(nf(nc_sub(product, nc_one())))
+            for product in (nc_mul(elem, inv), nc_mul(inv, elem)))
+        record["mover_roundtrip"] = {
+            h: not at(nc_sub(nf(nc_product(nc_gen(h), elem, inv)), nf(nc_gen(h))))
+            for h in derivation["solved"]}
     if "rolled_back" in derivation:
         record["rolled_back"] = derivation["rolled_back"]
     return record
@@ -364,7 +365,7 @@ def solve_block_inverse(system: RewriteSystem, locus: list = None):
             residuals.append(system.normal_form(nc_sub(right, want)))
     record["verified"] = not any(residuals)
     if locus is not None and not record["verified"]:
-        locus.append(tuple(c for r in residuals for c in r.values()))
+        add_to_locus(locus, tuple(c for r in residuals for c in r.values()))
     return matrix, record
 
 
@@ -457,8 +458,8 @@ class DerivedAlgebra:
         inv_e = [r for r in self.system.rule_list() if r.tag.startswith("inv:e")]
         splits = self.system.new_pairs_unresolved(inv_e, max_degree=3)
         if splits:
-            self.locus.append(tuple(c for nf1, nf2 in splits
-                                    for c in nc_sub(nf1, nf2).values()))
+            add_to_locus(self.locus, tuple(c for nf1, nf2 in splits
+                                           for c in nc_sub(nf1, nf2).values()))
         return not splits
 
     def _drop_rules(self, tag_prefix: str):

@@ -10,13 +10,14 @@ algebra is derived at the bindings instead.
 The locus.  Each entry of DerivedAlgebra.locus (and QuotientAlgebra.locus)
 is a tuple of values; the bindings are on the locus when every value of
 some entry vanishes under them, or when one is undefined.  The derivation
-appends to it the R-matrix's denominators, every pivot an elimination
+adds to it the R-matrix's denominators, every pivot an elimination
 inverts (rref_sparse for the table, linalg.solve_dense for the adjoined
 inverses and the block inverse), the collapse coefficient of each adjoined
 inverse, and for each branch taken on a symbolically nonzero value the
 values that decided it: the entries that leave a mover unsolved, the
 residuals of a failed block-inverse check, the differences of the Schur
-inverse's unresolved critical pairs.
+inverse's unresolved critical pairs.  linalg.add_to_locus keeps each
+entry once, so on_locus evaluates each distinct entry once.
 
 Exactness.  Every coefficient of the symbolic derivation lies in the ring
 generated over Q by m, n, k, p and the inverses of the R-matrix's

@@ -10,6 +10,7 @@ from jforge.errors import NonTerminating, OrientationFailure
 from jforge.freealg import (
     RewriteRule,
     RewriteSystem,
+    _ambiguities,
     nc_add,
     nc_gen,
     nc_is_zero,
@@ -28,7 +29,8 @@ from jforge.freealg import (
 from jforge.grammar import parse
 from jforge.hopf import LAYOUT_Q, coproduct_poly
 from jforge.laurent import L_ONE, L_ZERO
-from jforge.rtt import LAYOUT_3
+from jforge.rmat import four_param_deformed_r3
+from jforge.rtt import LAYOUT_3, DerivedAlgebra
 
 
 def weyl_like() -> RewriteSystem:
@@ -250,6 +252,52 @@ def test_add_rule_clears_the_pair_verdicts():
     assert report.passed
     assert report.to_dict() == _xyzw(old + new + [joining]).confluence_report(
         max_degree=3).to_dict()
+
+
+def _every_ordered_pair(system, involving=None):
+    """The critical pairs by brute force: the ambiguities of every ordered
+    pair of rules in rule_list() order; with involving, a set of lhs words,
+    only the pairs with one of them."""
+    rules = system.rule_list()
+    return [pair for r1 in rules for r2 in rules
+            if involving is None or {r1.lhs, r2.lhs} & involving
+            for pair in _ambiguities(r1, r2)]
+
+
+def _pair_key(word, p1, r1, p2, r2):
+    return word, p1, r1.lhs, p2, r2.lhs
+
+
+@st.composite
+def lhs_systems(draw):
+    """Rules with lhs words of one to three letters over x < y < z, a
+    subset of them as the new rules, and a degree bound."""
+    words = draw(st.lists(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3)
+                          .map(tuple), min_size=1, max_size=8, unique=True))
+    new = draw(st.sets(st.sampled_from(words)))
+    return words, new, draw(st.sampled_from([None, 3, 4]))
+
+
+@given(lhs_systems())
+@settings(max_examples=150, deadline=None)
+def test_pair_enumeration_matches_every_ordered_pair(case):
+    words, new, max_degree = case
+    rs = RewriteSystem(("x", "y", "z"))
+    for w in words:
+        rs.add_rule(RewriteRule(w, {}, "".join(w)))
+    assert list(rs.critical_pairs()) == _every_ordered_pair(rs)
+    # every pair reported as unresolved, so the list shows which were tried
+    rs._verdict = _pair_key
+    want = [_pair_key(*pair) for pair in _every_ordered_pair(rs, new)
+            if max_degree is None or len(pair[0]) <= max_degree]
+    new_rules = [r for r in rs.rule_list() if r.lhs in new]
+    assert rs.new_pairs_unresolved(new_rules, max_degree) == want
+
+
+def test_derived_systems_pair_every_rule_as_before(alg, quotient):
+    graded_rq3 = DerivedAlgebra(four_param_deformed_r3()).system
+    for system in (alg.system, quotient.system, graded_rq3):
+        assert list(system.critical_pairs()) == _every_ordered_pair(system)
 
 
 def test_step_budget_is_enforced(monkeypatch):

@@ -1,28 +1,40 @@
 """Coalgebra structure, Hopf ideal, antipode, determinant, coaction."""
 
+from fractions import Fraction
+
 from jforge.freealg import (
+    RewriteRule,
+    RewriteSystem,
     nc_add,
     nc_gen,
     nc_mul,
     nc_one,
+    nc_scale,
     nc_sub,
+    nc_word,
     t_simple,
+    t_str,
+    tensor_normal_form,
 )
 from jforge.grammar import parse
 from jforge.hopf import (
     LAYOUT_Q,
+    _rule_images,
     antipode,
     check_antipode_axiom,
     check_bialgebra,
     coaction_covariance,
     coproduct,
+    coproduct_poly,
     counit,
     counit_poly,
     delta_centrality,
     hopf_ideal_check,
     qdet_checks,
 )
+from jforge.laurent import Substitution
 from jforge.rtt import LAYOUT_3, DerivedAlgebra
+from jforge.specialize import SpecializedSystem
 
 
 def test_coproduct_is_matrix_comultiplication():
@@ -67,6 +79,50 @@ def test_bialgebra_axioms_quotient(quotient):
     report = check_bialgebra(quotient.system, LAYOUT_Q)
     assert report.passed
     assert len(report.checks) == 4
+
+
+def _scaled(system, tag, factor):
+    """A copy of system with the rhs of the rule tagged tag scaled by factor."""
+    out = RewriteSystem(system.generators)
+    for rule in system.rule_list():
+        rhs = nc_scale(rule.rhs, factor) if rule.tag == tag else rule.rhs
+        out.add_rule(RewriteRule(rule.lhs, rhs, rule.tag))
+    return out
+
+
+def test_per_word_images_equal_the_direct_tensor_normal_form(alg, quotient):
+    point = Substitution({"m": Fraction(3, 2), "n": Fraction(-2, 3),
+                          "k": Fraction(5), "p": Fraction(7, 4)})
+    cases = [(alg.system, LAYOUT_3), (quotient.system, LAYOUT_Q),
+             (SpecializedSystem(alg.system, point), LAYOUT_3),
+             # a broken rule leaves nonzero images to compare
+             (_scaled(alg.system, "table:c-a", parse("2")), LAYOUT_3)]
+    nonzero = 0
+    for system, layout in cases:
+        images = list(_rule_images(system, layout))
+        assert len(images) == (21 if layout is LAYOUT_Q else 36)
+        for rule, residual, image in images:
+            assert residual == nc_sub(nc_word(rule.lhs), rule.rhs)
+            assert image == tensor_normal_form(coproduct_poly(residual, layout), system)
+            nonzero += bool(image)
+    assert nonzero > 5
+
+
+def test_a_scaled_table_rule_fails_with_the_direct_image(alg):
+    system = _scaled(alg.system, "table:c-a", parse("2"))
+    check = check_bialgebra(system).checks[0]
+    assert check.name == "coproduct-is-algebra-map"
+    assert not check.passed
+    letters = {g for row in LAYOUT_3 for g in row}
+    want = []
+    for rule in system.rule_list():
+        if set(rule.lhs).union(*map(set, rule.rhs)) <= letters:
+            residual = nc_sub(nc_word(rule.lhs), rule.rhs)
+            image = tensor_normal_form(coproduct_poly(residual), system)
+            if image:
+                want.append({"rule": rule.tag, "image": t_str(image, system.generators)})
+    assert check.details["failures"] == want[:5]
+    assert any(f["rule"] == "table:c-a" for f in want)
 
 
 def test_row_vector_spans_a_hopf_ideal(alg):

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from jforge import linalg, rtt
 from jforge.errors import DegreeOverflow, OrientationFailure
 from jforge.freealg import (
+    _ambiguities,
     nc_add,
     nc_gen,
     nc_mul,
     nc_one,
+    nc_product,
     nc_scale,
     nc_str,
     nc_sub,
@@ -35,6 +37,7 @@ from jforge.rtt import (
     rtt_zero_report,
     verify_reference,
 )
+from jforge.specialize import SpecializedAlgebra, derive
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -343,3 +346,83 @@ def test_inv_e_rules_own_every_pair_whose_word_contains_e(alg):
     assert involve == [p for p in pairs if "e" in p[0]]
     inv_e = [r for r in rules if r.tag.startswith("inv:e")]
     assert not alg.system.new_pairs_unresolved(inv_e, max_degree=3)
+
+
+def test_new_pairs_of_inv_e_are_every_pair_involving_it(alg, monkeypatch):
+    system = alg.system
+    rules = system.rule_list()
+    inv_e = [r for r in rules if r.tag.startswith("inv:e")]
+    lhs = {r.lhs for r in inv_e}
+    # brute force: every ordered pair of rules, kept when one is an inv:e rule
+    involving = [pair for r1 in rules for r2 in rules if {r1.lhs, r2.lhs} & lhs
+                 for pair in _ambiguities(r1, r2) if len(pair[0]) <= 3]
+    splits = [system._verdict(*pair) for pair in involving]
+    assert system.new_pairs_unresolved(inv_e, 3) == [s for s in splits if s is not None]
+    # every pair reported as unresolved, so the list shows which were tried
+    monkeypatch.setattr(system, "_verdict",
+                        lambda word, p1, r1, p2, r2: (word, p1, r1.lhs, p2, r2.lhs))
+    assert system.new_pairs_unresolved(inv_e, 3) == [
+        (word, p1, r1.lhs, p2, r2.lhs) for word, p1, r1, p2, r2 in involving]
+
+
+@pytest.fixture
+def eager_diagnostics(monkeypatch):
+    """{id(derivation): (unit residuals, mover roundtrips)}, normalized the
+    way append_inverse once did, right after it adds an inverse's rules."""
+    seen = {}
+    adjoin = rtt.append_inverse
+
+    def eager(system, inv_name, element, movers, locus=None):
+        d = adjoin(system, inv_name, element, movers, locus=locus)
+        if d["added"]:
+            elem, inv = d["element"], nc_gen(inv_name)
+            units = [system.normal_form(nc_sub(nc_mul(elem, inv), nc_one())),
+                     system.normal_form(nc_sub(nc_mul(inv, elem), nc_one()))]
+            roundtrip = {h: nc_sub(system.normal_form(nc_product(nc_gen(h), elem, inv)),
+                                   system.normal_form(nc_gen(h)))
+                         for h in sorted(movers, key=system.index.__getitem__)}
+            seen[id(d)] = units, roundtrip
+        return d
+
+    monkeypatch.setattr(rtt, "append_inverse", eager)
+    return seen
+
+
+def _assert_records_are_eager(alg, quotient, seen):
+    """Each adjoined inverse's rendered diagnostics, read through the
+    system of its algebra, equal the eager ones read the same way; returns
+    how many records were compared."""
+    pairs = [(d, alg.system) for d in alg.derivations]
+    if quotient is not None:
+        pairs.append((quotient.xi_derivation, quotient.system))
+    for d, system in pairs:
+        record = rtt.inverse_record(d, system)
+        units, roundtrip = seen[id(d)]
+        at = system.evaluate
+        assert record["verified"] == (not any(at(u) for u in units))
+        assert list(record["mover_roundtrip"].items()) == [
+            (h, not at(r)) for h, r in roundtrip.items()]
+    return len(pairs)
+
+
+def test_rendered_inverse_records_equal_the_eager_diagnostics(eager_diagnostics):
+    alg = DerivedAlgebra()
+    point = derive(bindings={"m": Fraction(3, 2), "n": Fraction(-2, 3),
+                             "k": Fraction(5), "p": Fraction(7, 4)})
+    assert isinstance(point, SpecializedAlgebra)
+    for a in (alg, point):
+        assert _assert_records_are_eager(a, a.quotient(), eager_diagnostics) == 4
+    # some roundtrips stall, so the comparison is not all True against all True
+    assert not all(all(rec["mover_roundtrip"].values()) for rec in alg.records)
+
+
+def test_a_rolled_back_inverse_renders_in_its_own_system(eager_diagnostics, monkeypatch):
+    monkeypatch.setattr(DerivedAlgebra, "_still_confluent", lambda self: False)
+    alg = DerivedAlgebra()
+    schur_inv = alg.derivations[-1]
+    assert (schur_inv["inverse"], schur_inv["added"]) == ("e", False)
+    assert not any("e" in lhs for lhs in alg.system.rules)
+    assert any("e" in lhs for lhs in schur_inv["system"].rules)
+    assert _assert_records_are_eager(alg, None, eager_diagnostics) == 3
+    record = alg.records[-1]
+    assert record["rolled_back"] and record["verified"]
