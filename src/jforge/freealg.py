@@ -21,8 +21,9 @@ through a first-letter index of the lhs words; each pair's verdict is
 memoized until the next add_rule, so a repeated report normalizes nothing.
 
 specialize.SpecializedSystem reads a symbolic system under --set bindings
-through two hooks, identities here: evaluate reads an element under them,
-and reducer is the system whose rules rewrite.
+through two hooks, identities here: evaluate reads an element under them
+(nc_evaluate with a laurent.Substitution), and reducer is the system whose
+rules rewrite.
 
 A hard step budget (JFORGE_MAX_STEPS, default one million) backstops the
 termination argument against misbuilt rule sets; a value that is not an
@@ -118,12 +119,14 @@ def nc_product(*factors) -> NCPoly:
     return out
 
 
-def nc_substitute_params(a: NCPoly, bindings: dict) -> NCPoly:
-    out: NCPoly = {}
-    for w, c in a.items():
-        cc = c.substitute(bindings)
-        if not cc.is_zero():
-            out[w] = cc
+def nc_evaluate(elem: dict, value) -> dict:
+    """elem, an algebra or tensor element, with value applied to every
+    coefficient; the coefficients it sends to zero are dropped."""
+    out = {}
+    for key, c in elem.items():
+        c = value(c)
+        if not c.is_zero():
+            out[key] = c
     return out
 
 
@@ -475,7 +478,7 @@ def tensor_normal_form(elem: dict, system: RewriteSystem) -> dict:
     return system.evaluate(out)
 
 
-def t_str(a: dict, generators: tuple = ()) -> str:
+def t_str(a: dict) -> str:
     if not a:
         return "0"
     parts = []

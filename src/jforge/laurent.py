@@ -27,11 +27,17 @@ inverse of a single term), and a Laurent with any other operand (RatFunc,
 int, Fraction) goes through the cached to_rf(), equality included.  The
 inverse of several terms is a RatFunc; hash(x) == hash(x.to_rf()).
 coerce() converts where a value enters the algebra: rtt._rf, rtt_entries,
-RewriteRule, nc_scale, Laurent.substitute and Substitution.  A RatFunc
-with a one-term denominator becomes Laurent, any other stays a RatFunc.
-from_poly converts a polynomial of poly.py, as laurent_expand does with
-the coefficients of its numerator and denominator.  Laurent.substitute
-and the unreduced pair that contraction expands go through to_rf().
+RewriteRule, nc_scale and Substitution.  A RatFunc with a one-term
+denominator becomes Laurent, any other stays a RatFunc.  from_poly
+converts a polynomial of poly.py, as laurent_expand does with the
+coefficients of its numerator and denominator.
+
+Substitution is the one map that puts bound values into Laurent values:
+TensorMat.substitute, the read-off route of jforge.specialize and hopf's
+m = n collapse all use it.  RatFunc.substitute stays the map for RatFunc
+values (parsed text, the schedule).  The unreduced pair that contraction
+expands goes through to_rf(), and so does a Substitution whose bound
+factor is not a Laurent.
 """
 
 from __future__ import annotations
@@ -271,13 +277,6 @@ class Laurent:
         return str(self.to_rf())
 
     # -- maps ---------------------------------------------------------------
-    def substitute(self, bindings: dict):
-        """Substitution of parameters by rational functions, through to_rf()
-        and back through coerce; a pole it meets raises DivisionByZero.
-        Substitution puts values into the packed monomials instead.
-        """
-        return coerce(self.to_rf().substitute(bindings))
-
     def substitute_unreduced(self, bindings: dict) -> tuple:
         """The (numerator, denominator) pair of RatFunc.substitute_unreduced."""
         return self.to_rf().substitute_unreduced(bindings)
@@ -331,7 +330,7 @@ class Substitution:
             for m, c in x.terms.items():
                 factor, rest = self._monomial(m)
                 if type(factor) is not Laurent:
-                    return x.substitute(self.bindings)
+                    return coerce(x.to_rf().substitute(self.bindings))
                 out = out + factor * Laurent({rest: c})
             return out
         out = {}

@@ -78,10 +78,6 @@ def mat_eq(a: list, b: list) -> bool:
     )
 
 
-def mat_map(a: list, fn) -> list:
-    return [[fn(x) for x in row] for row in a]
-
-
 def kron(a: list, b: list) -> list:
     """Kronecker product; row/column blocks follow the left factor."""
     n, m = mat_shape(a)

@@ -61,14 +61,6 @@ def pis_const(p: Poly) -> bool:
     return not p or (len(p) == 1 and MONO_ONE in p)
 
 
-def pconst_value(p: Poly) -> Fraction:
-    if not p:
-        return F0
-    if len(p) == 1 and MONO_ONE in p:
-        return p[MONO_ONE]
-    raise ValueError("polynomial is not constant")
-
-
 def pvars(p: Poly) -> set:
     out = set()
     for m in p:

@@ -31,7 +31,7 @@ from . import linalg as L
 from .errors import DimensionMismatch
 from .field import RatFunc
 from .grammar import serialize
-from .laurent import L_ONE, L_ZERO, Laurent
+from .laurent import L_ONE, L_ZERO, Laurent, Substitution
 from .report import CheckReport
 
 KRON_ORDER_2 = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -89,11 +89,11 @@ class TensorMat:
         return cls(dim, basis, rows)
 
     # -- maps ----------------------------------------------------------------
-    def map_entries(self, fn) -> "TensorMat":
-        return TensorMat(self.dim, self.basis, L.mat_map(self.rows, fn))
-
     def substitute(self, bindings: dict) -> "TensorMat":
-        return self.map_entries(lambda x: x.substitute(bindings))
+        """The entries with the bindings put in by one laurent.Substitution."""
+        value = Substitution(bindings)
+        return TensorMat(self.dim, self.basis,
+                         [[value(x) for x in row] for row in self.rows])
 
     # -- structure -------------------------------------------------------------
     def __eq__(self, other):

@@ -127,24 +127,20 @@ def rtt_entries(rmat: TensorMat, convention: str = "plain") -> dict:
     return out
 
 
-def derive_relation_table(rmat: TensorMat, convention: str = "plain",
-                          locus: list = None, entries: dict = None):
+def derive_relation_table(rmat: TensorMat, convention: str, locus: list,
+                          entries: dict) -> RewriteSystem:
     """Row-reduce the exchange identities into an oriented rewrite table.
 
-    Returns (system, rules).  The system lives on the full GEN_ORDER
-    alphabet; the rules normal-order every descending pair of grid
-    generators.  OrientationFailure if the reduced pivots are not exactly
-    the descending pairs, which would mean the identities do not present a
-    normal-ordering system for this matrix and convention.  entries are
-    rtt_entries(rmat, convention) when the caller has built them.
-    With locus given, the denominators of rmat and the pivots are appended
-    to it; an OrientationFailure carries it as its locus.
+    entries are rtt_entries(rmat, convention).  The returned system lives
+    on the full GEN_ORDER alphabet; its rules normal-order every descending
+    pair of grid generators.  OrientationFailure if the reduced pivots are
+    not exactly the descending pairs, which would mean the identities do
+    not present a normal-ordering system for this matrix and convention.
+    The denominators of rmat and the pivots are appended to locus; an
+    OrientationFailure carries it as its locus.
     """
-    if entries is None:
-        entries = rtt_entries(rmat, convention)
-    if locus is not None:
-        for den in _denominators(rmat):
-            add_to_locus(locus, (den,))
+    for den in _denominators(rmat):
+        add_to_locus(locus, (den,))
     letters = tuple(sorted({g for row in LAYOUT_3 for g in row},
                            key=_GEN_INDEX.__getitem__))
     columns = [(u, v) for u in letters for v in letters]
@@ -163,13 +159,10 @@ def derive_relation_table(rmat: TensorMat, convention: str = "plain",
         exc.locus = locus
         raise exc
     system = RewriteSystem(GEN_ORDER)
-    rules = []
     for row, pivot in zip(reduced, pivots):
         rhs = {w: -c for w, c in row.items() if w != pivot}
-        rule = RewriteRule(pivot, rhs, f"table:{pivot[0]}-{pivot[1]}")
-        system.add_rule(rule)
-        rules.append(rule)
-    return system, rules
+        system.add_rule(RewriteRule(pivot, rhs, f"table:{pivot[0]}-{pivot[1]}"))
+    return system
 
 
 def _denominators(rmat: TensorMat):
@@ -185,7 +178,7 @@ def _denominators(rmat: TensorMat):
 # -- adjoined inverses ---------------------------------------------------------
 
 def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
-                   movers, locus: list = None) -> dict:
+                   movers, locus: list) -> dict:
     """Adjoin a two-sided inverse of element to the presented algebra.
 
     For every mover h the commutation of the new inverse past h is derived
@@ -201,8 +194,8 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
     normal form, the solved coefficients, the unsolved movers, whether the
     rules were added and, if so, the system they were added to, in which
     inverse_record computes the unit identities and per-mover roundtrips.
-    With locus given, the eliminations' pivots, the entries that leave a
-    mover unsolved and the collapse coefficient go to it.
+    The eliminations' pivots, the entries that leave a mover unsolved and
+    the collapse coefficient go to locus.
     """
     tag = f"inv:{inv_name}"
     elem = system.normal_form(element)
@@ -244,8 +237,7 @@ def append_inverse(system: RewriteSystem, inv_name: str, element: NCPoly,
     # collapse: element * inverse = 1, oriented at the largest word
     prod = {w + (inv_name,): c for w, c in elem.items()}
     wmax = max(prod, key=system.word_key)
-    if locus is not None:
-        add_to_locus(locus, (prod[wmax],))
+    add_to_locus(locus, (prod[wmax],))
     rest = {w: c for w, c in prod.items() if w != wmax}
     rhs = nc_scale(nc_sub(nc_one(), rest), prod[wmax].inverse())
     system.add_rule(RewriteRule(wmax, system.normal_form(rhs), f"{tag}:unit"))
@@ -311,7 +303,7 @@ def block_determinant(bindings: dict = None) -> NCPoly:
     return out
 
 
-def solve_block_inverse(system: RewriteSystem, locus: list = None):
+def solve_block_inverse(system: RewriteSystem, locus: list):
     """Inverse of BLOCK as words (letters) * delta_inv, the adjoined
     inverse of the block determinant.
 
@@ -320,10 +312,10 @@ def solve_block_inverse(system: RewriteSystem, locus: list = None):
     both columns of I in one linalg.solve_dense call, and M*T = I is
     verified independently.  Returns (matrix, record); matrix is None if
     the ansatz has no solution, and record["verified"] says whether the
-    solution inverts the block (block_record renders the entries).  With
-    locus given, the pivots go to it, and so do the residuals'
-    coefficients, as one tuple, when the verification fails: it keeps
-    failing wherever one of them is nonzero.
+    solution inverts the block (block_record renders the entries).  The
+    pivots go to locus, and so do the residuals' coefficients, as one
+    tuple, when the verification fails: it keeps failing wherever one of
+    them is nonzero.
     """
     inv = "delta_inv"
     letters = tuple(sorted({g for row in BLOCK for g in row},
@@ -364,7 +356,7 @@ def solve_block_inverse(system: RewriteSystem, locus: list = None):
             residuals.append(system.normal_form(nc_sub(left, want)))
             residuals.append(system.normal_form(nc_sub(right, want)))
     record["verified"] = not any(residuals)
-    if locus is not None and not record["verified"]:
+    if not record["verified"]:
         add_to_locus(locus, tuple(c for r in residuals for c in r.values()))
     return matrix, record
 
@@ -410,8 +402,8 @@ class DerivedAlgebra:
         self.convention = convention
         self.locus = []
         self.entries = rtt_entries(self.rmat, convention)
-        self.system, self.table_rules = derive_relation_table(
-            self.rmat, convention, self.locus, self.entries)
+        self.system = derive_relation_table(self.rmat, convention, self.locus,
+                                            self.entries)
         self.delta = block_determinant(self.bindings)
         self.derivations = []
         self.block_inv = None
@@ -527,19 +519,9 @@ class QuotientAlgebra:
         self.determinant = self.system.normal_form(
             nc_mul(nc_gen("f"), parent.delta))
         movers = ("f", "f_inv", "x", "y", "a", "b", "c", "d", "delta_inv")
-        self.xi_derivation = append_inverse(
-            self.system, "xi", nc_mul(nc_gen("f"), parent.delta), movers,
-            locus=self.locus)
+        append_inverse(self.system, "xi", nc_mul(nc_gen("f"), parent.delta), movers,
+                       locus=self.locus)
         self.block_inv = parent.block_inv
-
-    def confluence(self, max_degree: int = 3) -> CheckReport:
-        return self.system.confluence_report(max_degree=max_degree)
-
-    def normal_form(self, poly: NCPoly) -> NCPoly:
-        return self.system.normal_form(poly)
-
-    def reduces_to_zero(self, poly: NCPoly) -> bool:
-        return self.system.reduces_to_zero(poly)
 
 
 # -- reference relation set ------------------------------------------------------

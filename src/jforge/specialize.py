@@ -3,7 +3,8 @@
 derive() builds the algebra once over Q(m,n,k,p) and reads it under the
 bindings, rational constants (a point) and expressions alike: the checks
 run on the symbolic rules, and one laurent.Substitution puts the bindings
-into what they read out (normal forms, critical pairs, rules, records).
+into what they read out (normal forms, critical pairs, rules, records),
+through freealg.nc_evaluate.
 read() returns None on the derivation's degeneracy locus, where the
 algebra is derived at the bindings instead.
 
@@ -16,8 +17,11 @@ inverses and the block inverse), the collapse coefficient of each adjoined
 inverse, and for each branch taken on a symbolically nonzero value the
 values that decided it: the entries that leave a mover unsolved, the
 residuals of a failed block-inverse check, the differences of the Schur
-inverse's unresolved critical pairs.  linalg.add_to_locus keeps each
-entry once, so on_locus evaluates each distinct entry once.
+inverse's unresolved critical pairs.  derive_relation_table,
+append_inverse and solve_block_inverse take the locus as a required
+argument, so no step of a derivation leaves its pivots out.
+linalg.add_to_locus keeps each entry once, so on_locus evaluates each
+distinct entry once.
 
 Exactness.  Every coefficient of the symbolic derivation lies in the ring
 generated over Q by m, n, k, p and the inverses of the R-matrix's
@@ -67,7 +71,8 @@ at the bindings, and the bound applies to their own rules.
 from __future__ import annotations
 
 from .errors import DivisionByZero, OrientationFailure
-from .freealg import DEFAULT_MAX_STEPS, NCPoly, RewriteRule, RewriteSystem, step_bound
+from .freealg import (DEFAULT_MAX_STEPS, NCPoly, RewriteRule, RewriteSystem, nc_evaluate,
+                      step_bound)
 from .laurent import Substitution
 from .rtt import DerivedAlgebra, QuotientAlgebra
 
@@ -97,13 +102,7 @@ class SpecializedSystem(RewriteSystem):
                         "add the rule to its symbolic system")
 
     def evaluate(self, elem: dict) -> dict:
-        value = self.value
-        out = {}
-        for key, c in elem.items():
-            c = value(c)
-            if not c.is_zero():
-                out[key] = c
-        return out
+        return nc_evaluate(elem, self.value)
 
     def reducer(self) -> RewriteSystem:
         return self.symbolic

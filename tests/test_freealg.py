@@ -12,6 +12,7 @@ from jforge.freealg import (
     RewriteSystem,
     _ambiguities,
     nc_add,
+    nc_evaluate,
     nc_gen,
     nc_is_zero,
     nc_mul,
@@ -19,7 +20,6 @@ from jforge.freealg import (
     nc_scale,
     nc_str,
     nc_sub,
-    nc_substitute_params,
     nc_word,
     t_mul,
     t_simple,
@@ -28,7 +28,7 @@ from jforge.freealg import (
 )
 from jforge.grammar import parse
 from jforge.hopf import LAYOUT_Q, coproduct_poly
-from jforge.laurent import L_ONE, L_ZERO
+from jforge.laurent import L_ONE, L_ZERO, Substitution
 from jforge.rmat import four_param_deformed_r3
 from jforge.rtt import LAYOUT_3, DerivedAlgebra
 
@@ -327,7 +327,7 @@ def test_word_touches():
 
 def test_parameter_substitution_in_coefficients():
     p = nc_word(("x", "y"), parse("m - n"))
-    assert nc_is_zero(nc_substitute_params(p, {"m": parse("n")}))
+    assert nc_is_zero(nc_evaluate(p, Substitution({"m": parse("n")})))
 
 
 def test_tensor_product_is_componentwise():

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from jforge.freealg import (
     RewriteRule,
     RewriteSystem,
@@ -34,7 +36,7 @@ from jforge.hopf import (
 )
 from jforge.laurent import Substitution
 from jforge.rtt import LAYOUT_3, DerivedAlgebra
-from jforge.specialize import SpecializedSystem
+from jforge.specialize import SpecializedAlgebra, SpecializedSystem, read
 
 
 def test_coproduct_is_matrix_comultiplication():
@@ -120,7 +122,7 @@ def test_a_scaled_table_rule_fails_with_the_direct_image(alg):
             residual = nc_sub(nc_word(rule.lhs), rule.rhs)
             image = tensor_normal_form(coproduct_poly(residual), system)
             if image:
-                want.append({"rule": rule.tag, "image": t_str(image, system.generators)})
+                want.append({"rule": rule.tag, "image": t_str(image)})
     assert check.details["failures"] == want[:5]
     assert any(f["rule"] == "table:c-a" for f in want)
 
@@ -136,7 +138,52 @@ def test_row_vector_spans_a_hopf_ideal(alg):
 def test_antipode_of_scale_is_its_inverse(quotient):
     assert antipode("f", quotient) == nc_gen("f_inv")
     prod = nc_mul(antipode("f", quotient), nc_gen("f"))
-    assert quotient.reduces_to_zero(nc_sub(prod, nc_one()))
+    assert quotient.system.reduces_to_zero(nc_sub(prod, nc_one()))
+
+
+POINT = {"m": Fraction(3, 2), "n": Fraction(-2, 3), "k": Fraction(5), "p": Fraction(7, 4)}
+
+
+def _inverse_grid(alg, quotient: bool) -> dict:
+    """S of each grid generator written out from the block inverse M, read
+    at alg's point: s = f_inv on the quotient and e on the full algebra,
+    col_i = M[i][0]*x + M[i][1]*y and row_j = theta*M[0][j] + phi*M[1][j]."""
+    at = alg.system.evaluate
+    m = [[at(alg.block_inv[i][j]) for j in (0, 1)] for i in (0, 1)]
+    x, y, theta, phi = (nc_gen(g) for g in ("x", "y", "theta", "phi"))
+    col = [nc_add(nc_mul(m[i][0], x), nc_mul(m[i][1], y)) for i in (0, 1)]
+    if quotient:
+        s = nc_gen("f_inv")
+        return {"f": s,
+                "x": nc_scale(nc_mul(col[0], s), -1),
+                "y": nc_scale(nc_mul(col[1], s), -1),
+                "a": m[0][0], "b": m[0][1], "c": m[1][0], "d": m[1][1]}
+    s = nc_gen("e")
+    row = [nc_add(nc_mul(theta, m[0][j]), nc_mul(phi, m[1][j])) for j in (0, 1)]
+    return {"f": s,
+            "x": nc_scale(nc_mul(col[0], s), -1),
+            "y": nc_scale(nc_mul(col[1], s), -1),
+            "theta": nc_scale(nc_mul(s, row[0]), -1),
+            "phi": nc_scale(nc_mul(s, row[1]), -1),
+            "a": nc_add(m[0][0], nc_mul(nc_mul(col[0], s), row[0])),
+            "b": nc_add(m[0][1], nc_mul(nc_mul(col[0], s), row[1])),
+            "c": nc_add(m[1][0], nc_mul(nc_mul(col[1], s), row[0])),
+            "d": nc_add(m[1][1], nc_mul(nc_mul(col[1], s), row[1]))}
+
+
+def test_antipode_is_the_inverse_grid_formula(alg, quotient):
+    point = read(alg, POINT)
+    assert isinstance(point, SpecializedAlgebra)
+    for a, is_quotient in ((alg, False), (quotient, True),
+                           (point, False), (point.quotient(), True)):
+        want = _inverse_grid(a, is_quotient)
+        assert len(want) == (7 if is_quotient else 9)
+        for g, image in want.items():
+            assert a.system.evaluate(antipode(g, a)) == image, (g, is_quotient)
+        if is_quotient:
+            for g in ("theta", "phi"):
+                with pytest.raises(ValueError, match=f"'{g}' is not a quotient grid generator"):
+                    antipode(g, a)
 
 
 def test_antipode_axiom_in_quotient(quotient):

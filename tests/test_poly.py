@@ -22,7 +22,6 @@ def test_construction_and_degree():
     assert P.pvars(p) == {"x", "y"}
     assert not P.pis_const(p)
     assert P.pis_const(P.pconst(5))
-    assert P.pconst_value(P.pconst(5)) == 5
 
 
 def test_exact_division_and_remainder():

@@ -9,10 +9,13 @@ identity for the 9x9 triangular matrix.
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
+from jforge.errors import DivisionByZero
 from jforge.grammar import parse, serialize
+from jforge.laurent import coerce
 from jforge.rmat import (
     TensorMat,
     conjugate,
@@ -62,6 +65,30 @@ def test_braid_consistency_numeric_points(name):
     mat = ALL_BUILDERS[name]()
     for _ in range(20):
         assert qybe_check(random_point(mat, rng)).passed
+
+
+VALUES = {"m": Fraction(3, 2), "n": Fraction(-2, 3), "k": Fraction(5), "p": Fraction(7, 4),
+          "r": Fraction(5, 3), "s": Fraction(-3, 4), "q": Fraction(2)}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BUILDERS))
+def test_substitute_maps_every_entry_as_the_ratfunc_route(name):
+    mat = ALL_BUILDERS[name]()
+    point = {v: VALUES[v] for v in mat.params()}
+    poles = []
+    for binds in (point, {"p": parse("1 + m")}, {"r": parse("1 + s")}, {"p": 0}):
+        try:
+            want = [[coerce(x.to_rf().substitute(binds)) for x in row] for row in mat.rows]
+        except DivisionByZero as exc:
+            assert str(exc) == "substitution sends denominator to zero"
+            with pytest.raises(DivisionByZero, match="^substitution sends denominator to zero$"):
+                mat.substitute(binds)
+            poles.append(binds)
+            continue
+        got = mat.substitute(binds).rows
+        assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
+        assert got == want
+    assert poles == ([{"p": 0}] if "p" in mat.params() else [])
 
 
 def test_parameter_inventories():

@@ -110,7 +110,9 @@ def test_table_spans_the_exchange_ideal(alg):
     # consequence, checked by reducing it with a fresh table built from
     # the same matrix (the nontrivial direction is the rtt zero report)
     fresh = DerivedAlgebra(extend=False)
-    for rule in alg.table_rules:
+    table = [rule for rule in alg.system.rule_list() if rule.tag.startswith("table:")]
+    assert len(table) == 36
+    for rule in table:
         diff = nc_sub(nc_word(rule.lhs), rule.rhs)
         assert fresh.reduces_to_zero(diff)
 
@@ -119,7 +121,7 @@ def test_confluence_of_full_and_quotient(alg, quotient):
     full = alg.confluence(max_degree=3)
     assert full.passed
     assert full.checks[0].details["candidates"] == 232
-    quot = quotient.confluence(max_degree=3)
+    quot = quotient.system.confluence_report(max_degree=3)
     assert quot.passed
     assert quot.checks[0].details["candidates"] == 130
 
@@ -132,7 +134,9 @@ def test_adjoined_inverses_are_verified(alg, quotient):
         assert rec["verified"], rec["inverse"]
         assert not rec["unsolved"], rec["inverse"]
         assert "mover_roundtrip" in rec
-    assert rtt.inverse_record(quotient.xi_derivation, quotient.system)["verified"]
+    xi, det = nc_gen("xi"), quotient.determinant
+    for unit in (nc_mul(xi, det), nc_mul(det, xi)):
+        assert quotient.system.reduces_to_zero(nc_sub(unit, nc_one()))
 
 
 def test_block_inverse_matches_fixture(alg):
@@ -256,7 +260,7 @@ def test_block_inverse_is_one_elimination(alg, monkeypatch):
         return rref_sparse(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "rref_sparse", counted)
-    matrix, record = rtt.solve_block_inverse(alg.system)
+    matrix, record = rtt.solve_block_inverse(alg.system, [])
     assert record["verified"]
     assert matrix == alg.block_inv
     assert len(calls) == 1
@@ -289,7 +293,7 @@ def test_four_param_derivation_records(convention):
 
 def _table_or_error(rmat, convention):
     try:
-        system, _rules = derive_relation_table(rmat, convention)
+        system = derive_relation_table(rmat, convention, [], rtt_entries(rmat, convention))
     except OrientationFailure as exc:
         return "error", str(exc)
     return "table", system.to_dict()
@@ -368,12 +372,15 @@ def test_new_pairs_of_inv_e_are_every_pair_involving_it(alg, monkeypatch):
 @pytest.fixture
 def eager_diagnostics(monkeypatch):
     """{id(derivation): (unit residuals, mover roundtrips)}, normalized the
-    way append_inverse once did, right after it adds an inverse's rules."""
+    way append_inverse once did, right after it adds an inverse's rules;
+    "xi" holds the latest quotient's derivation of xi."""
     seen = {}
     adjoin = rtt.append_inverse
 
-    def eager(system, inv_name, element, movers, locus=None):
+    def eager(system, inv_name, element, movers, locus):
         d = adjoin(system, inv_name, element, movers, locus=locus)
+        if inv_name == "xi":
+            seen["xi"] = d
         if d["added"]:
             elem, inv = d["element"], nc_gen(inv_name)
             units = [system.normal_form(nc_sub(nc_mul(elem, inv), nc_one())),
@@ -391,10 +398,10 @@ def eager_diagnostics(monkeypatch):
 def _assert_records_are_eager(alg, quotient, seen):
     """Each adjoined inverse's rendered diagnostics, read through the
     system of its algebra, equal the eager ones read the same way; returns
-    how many records were compared."""
+    how many records were compared; quotient's xi is the latest one seen."""
     pairs = [(d, alg.system) for d in alg.derivations]
     if quotient is not None:
-        pairs.append((quotient.xi_derivation, quotient.system))
+        pairs.append((seen["xi"], quotient.system))
     for d, system in pairs:
         record = rtt.inverse_record(d, system)
         units, roundtrip = seen[id(d)]

@@ -142,6 +142,16 @@ COMMANDS = (
     ["relations", "--max-degree", "6"],
     # the bialgebra images, computed word by word, read at a point
     ["hopf", "--no-braiding", *POINT],
+    # a pole met where the bindings enter the matrices (TensorMat.substitute)
+    ["all", "--set", "p=0"],
+    ["relations", "--set", "p=0"],
+    ["qybe", "--matrix", "rq3", "--set", "q=0"],
+    # m = 0 is on the locus, so the algebra is derived at the bindings and
+    # the antipode and the m = n collapse run on its own rules
+    ["hopf", "--set", "m=0"],
+    ["hopf", "--set", "m=0", "--no-braiding"],
+    # a rational point in some of the parameters, Laurent in the rest
+    ["qybe", "--matrix", "rj3", "--set", "m=3/2", "--set", "p=7/4"],
 )
 
 RUN_MAIN = "import sys; from jforge.cli import main; sys.exit(main(sys.argv[1:]))"
