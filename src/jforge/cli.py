@@ -12,9 +12,9 @@ Reports render as deterministic JSON (sorted keys, schema_version field)
 or a text summary.  Exit codes: 0 all checks pass, 1 a verification
 failed, 2 bad usage or configuration.  The environment variable
 JFORGE_MAX_STEPS overrides the rewrite step bound (see freealg); a value
-that is not an integer of at least 1 exits with status 2.  Under a bound
-the user set, --set bindings are derived at the bindings rather than read
-off the symbolic run (see specialize.derive).
+that is not an integer of at least 1 exits with status 2.  It bounds the
+run that makes the report, so --set bindings take the same route under
+any bound (see specialize.derive).
 """
 
 from __future__ import annotations
@@ -208,13 +208,24 @@ def cmd_contract(args) -> int:
     return _emit(report, args)
 
 
+def _relations_stage(alg: DerivedAlgebra, max_degree: int):
+    """The recorded relations, the exchange entries and confluence.
+
+    Degree 3 covers all ambiguities among the quadratic rules and the
+    adjoined commutation rules.  Longer collapse patterns only overlap at
+    degree 4 and beyond, where localized words are deliberately left stuck
+    rather than completed (the presentation stays finite).
+    """
+    return (verify_reference(alg), rtt_zero_report(alg),
+            alg.system.confluence_report(max_degree=max_degree))
+
+
 def cmd_relations(args) -> int:
     bindings = _bindings(args.set)
     alg = _algebra(args, bindings)
     report = CheckReport("relations")
-    report.extend(verify_reference(alg))
-    report.extend(rtt_zero_report(alg))
-    report.extend(alg.confluence(args.max_degree))
+    for stage in _relations_stage(alg, args.max_degree):
+        report.extend(stage)
     report.metadata["convention"] = alg.convention
     if alg.resolution_scores:
         report.metadata["convention_scores"] = {
@@ -279,8 +290,7 @@ def cmd_all(args) -> int:
         report.metadata["schedule_sha256"] = stage.metadata["schedule_sha256"]
 
     alg = _algebra(args, bindings)
-    for stage in (verify_reference(alg), rtt_zero_report(alg),
-                  alg.confluence(args.max_degree)):
+    for stage in _relations_stage(alg, args.max_degree):
         _absorb(report, "relations:", stage)
     report.metadata["convention"] = alg.convention
 

@@ -347,7 +347,7 @@ def qdet_checks(q: QuotientAlgebra) -> CheckReport:
     report.add("determinant-group-like",
                nc_is_zero(tensor_normal_form(diff, system)))
 
-    delta = system.normal_form(q.delta)
+    delta = system.normal_form(q.parent.delta)
     image = coproduct_poly(delta, LAYOUT_Q)
     diff = nc_sub(image, t_simple(delta, delta))
     report.add("block-determinant-group-like",

@@ -471,22 +471,6 @@ class DerivedAlgebra:
         return self._block and block_record(*self._block, self.system)
 
     # -- convenience -------------------------------------------------------
-    def confluence(self, max_degree: int = 3) -> CheckReport:
-        """Resolve every overlap word up to max_degree; see the system docs.
-
-        Degree 3 covers all ambiguities among the quadratic rules and the
-        adjoined commutation rules.  Longer collapse patterns only overlap
-        at degree 4 and beyond, where localized words are deliberately
-        left stuck rather than completed (the presentation stays finite).
-        """
-        return self.system.confluence_report(max_degree=max_degree)
-
-    def normal_form(self, poly: NCPoly) -> NCPoly:
-        return self.system.normal_form(poly)
-
-    def reduces_to_zero(self, poly: NCPoly) -> bool:
-        return self.system.reduces_to_zero(poly)
-
     def quotient(self) -> "QuotientAlgebra":
         return QuotientAlgebra(self)
 
@@ -515,7 +499,6 @@ class QuotientAlgebra:
         self.parent = parent
         self.locus = []
         self.system = parent.system.quotient(self.KILLED)
-        self.delta = parent.delta
         self.determinant = self.system.normal_form(
             nc_mul(nc_gen("f"), parent.delta))
         movers = ("f", "f_inv", "x", "y", "a", "b", "c", "d", "delta_inv")
@@ -638,12 +621,12 @@ def verify_reference(alg: DerivedAlgebra) -> CheckReport:
     report = CheckReport("reference-relations")
     gens = alg.system.generators
     for tag, poly in reference_relations(alg.bindings):
-        residual = alg.normal_form(poly)
+        residual = alg.system.normal_form(poly)
         details = {}
         if residual:
             details["residual"] = nc_str(residual, gens)
         if tag == "ref:f-y":
-            flipped = alg.normal_form(_flipped_f_y(alg.bindings))
+            flipped = alg.system.normal_form(_flipped_f_y(alg.bindings))
             details["recorded_residual"] = nc_str(residual, gens)
             details["sign_flipped_residual"] = nc_str(flipped, gens)
         report.add(tag, not residual, **details)
@@ -656,7 +639,7 @@ def rtt_zero_report(alg: DerivedAlgebra) -> CheckReport:
     entries = alg.entries
     failures = []
     for pos, poly in entries.items():
-        if not alg.reduces_to_zero(poly):
+        if not alg.system.reduces_to_zero(poly):
             failures.append({"row": list(pos[0]), "col": list(pos[1])})
     report.add("entries-reduce-to-zero", not failures,
                total=len(entries), failures=failures[:5])
@@ -685,7 +668,7 @@ def resolve_convention(bindings: dict = None):
             continue
         count = 0
         for _tag, poly in reference_relations(alg.bindings):
-            if alg.reduces_to_zero(poly):
+            if alg.system.reduces_to_zero(poly):
                 count += 1
         scores[conv] = {"score": count}
         graded[conv] = alg

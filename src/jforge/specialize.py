@@ -63,16 +63,14 @@ bases: Weispfenning, JSC 14, 1992; Kalkbrener, JSC 24, 1997):
 
 The results are exact, the rewriting work is not: the symbolic rules keep
 the terms that vanish at the point, so a normal form can take more steps
-than with the rules derived there.  So bindings are read off only under the
-default step bound; under a JFORGE_MAX_STEPS the user set, they are derived
-at the bindings, and the bound applies to their own rules.
+than with the rules derived there.  A JFORGE_MAX_STEPS bound counts the
+steps of the run that makes the report, on either route.
 """
 
 from __future__ import annotations
 
 from .errors import DivisionByZero, OrientationFailure
-from .freealg import (DEFAULT_MAX_STEPS, NCPoly, RewriteRule, RewriteSystem, nc_evaluate,
-                      step_bound)
+from .freealg import NCPoly, RewriteRule, RewriteSystem, nc_evaluate
 from .laurent import Substitution
 from .rtt import DerivedAlgebra, QuotientAlgebra
 
@@ -182,17 +180,15 @@ def read(alg: DerivedAlgebra, point: dict):
 def derive(convention: str = "plain", bindings: dict = None,
            extend: bool = True) -> DerivedAlgebra:
     """DerivedAlgebra(convention=..., bindings=..., extend=...), read off
-    the symbolic derivation when the bindings are off its locus and the
-    step bound is the default.
+    the symbolic derivation when the bindings are off its locus.
 
-    This is the one place that chooses between the two routes.  The graded
-    table is read before it is extended, so bindings on its locus cost no
-    symbolic extension.  A convention that fails to orient symbolically
-    fails off its locus with the same message.  Bindings on the locus, and
-    any bindings under a user-set step bound (see the module docstring),
-    are derived at the bindings.
+    The graded table is read before it is extended, so bindings on its
+    locus cost no symbolic extension; those on the locus of the extension
+    or the quotient fall back in SpecializedAlgebra.extended and .quotient.
+    A convention that fails to orient symbolically fails off its locus with
+    the same message.  Bindings on the locus are derived at the bindings.
     """
-    if bindings and step_bound() == DEFAULT_MAX_STEPS:
+    if bindings:
         try:
             graded = DerivedAlgebra(convention=convention, extend=False)
         except OrientationFailure as exc:

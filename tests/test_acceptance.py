@@ -250,7 +250,7 @@ def test_criterion_3_recorded_relation_set():
 def test_criterion_4_overlap_words_resolve():
     alg = DerivedAlgebra()
     bound = len(GEN_ORDER) ** 3
-    full = alg.confluence(max_degree=3)
+    full = alg.system.confluence_report(max_degree=3)
     quot = alg.quotient().system.confluence_report(max_degree=3)
     candidates = (full.checks[0].details["candidates"],
                   quot.checks[0].details["candidates"])
@@ -326,7 +326,7 @@ def test_criterion_9_classical_limits():
         bindings={k: parse(v) for k, v in classical["rj3"][1].items()},
         extend=False)
     commutative = all(
-        table.reduces_to_zero(nc_sub(nc_mul(nc_gen(u), nc_gen(v)),
+        table.system.reduces_to_zero(nc_sub(nc_mul(nc_gen(u), nc_gen(v)),
                                      nc_mul(nc_gen(v), nc_gen(u))))
         for u in LETTERS for v in LETTERS)
     ok = matrices_ok and commutative

@@ -18,11 +18,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from jforge.contraction import contraction_report, probe_divergence, standard_schedule
 from jforge.freealg import nc_str
-from jforge.grammar import serialize
 from jforge.rmat import (
     conjugate,
     four_param_deformed_r3,
-    jordanian_r2,
     jordanian_r3,
     twist_2x2,
     twist_3x3,
