@@ -12,9 +12,9 @@ Reports render as deterministic JSON (sorted keys, schema_version field)
 or a text summary.  Exit codes: 0 all checks pass, 1 a verification
 failed, 2 bad usage or configuration.  The environment variable
 JFORGE_MAX_STEPS overrides the rewrite step bound (see freealg); a value
-that is not an integer of at least 1 exits with status 2.  It bounds the
-run that makes the report, so --set bindings take the same route under
-any bound (see specialize.derive).
+that is not an integer of at least 1 exits with status 2 before any stage
+runs.  It bounds the run that makes the report, so --set bindings take the
+same route under any bound (see specialize.derive).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .errors import (
     ScheduleError,
     UsageError,
 )
+from .freealg import step_bound
 from .grammar import parse
 from .hopf import (
     LAYOUT_Q,
@@ -160,9 +161,7 @@ def _algebra(args, bindings) -> DerivedAlgebra:
 
 def cmd_qybe(args) -> int:
     bindings = _bindings(args.set)
-    rmat = MATRICES[args.matrix]()
-    if bindings:
-        rmat = rmat.substitute(bindings)
+    rmat = MATRICES[args.matrix]().substitute(bindings)
     report = qybe_check(rmat, name=args.matrix)
     report.metadata["matrix"] = args.matrix
     return _emit(report, args)
@@ -176,9 +175,7 @@ def _contract_stage(args, bindings) -> tuple:
     """
     schedule, digest = _load_schedule(args.schedule, bindings)
     source, twist, target = LANES[args.contraction_matrix]
-    tm = source()
-    if bindings:
-        tm = tm.substitute(bindings)
+    tm = source().substitute(bindings)
     if target is None:
         # exploratory lane: record the limit behaviour, assert nothing
         result, report = None, CheckReport("contract")
@@ -186,18 +183,10 @@ def _contract_stage(args, bindings) -> tuple:
         report.add("probe-recorded", True, note="no target asserted",
                    records=records)
     else:
-        goal = target()
-        if bindings:
-            goal = goal.substitute(bindings)
+        goal = target().substitute(bindings)
         result, report = contraction_report(tm, twist(), schedule, goal)
     report.metadata["schedule_sha256"] = digest
     return result, report
-
-
-def _absorb(report: CheckReport, prefix: str, stage: CheckReport) -> None:
-    """Append the checks of stage to report, each name under prefix."""
-    for c in stage.checks:
-        report.add(prefix + c.name, c.passed, ms=c.ms, **c.details)
 
 
 def cmd_contract(args) -> int:
@@ -238,7 +227,7 @@ def _hopf_report(alg: DerivedAlgebra, groups, braiding: bool) -> CheckReport:
     q = alg.quotient()
     report = CheckReport("hopf")
     if "bialgebra" in groups:
-        _absorb(report, "full:", check_bialgebra(alg.system, LAYOUT_3))
+        report.extend(check_bialgebra(alg.system, LAYOUT_3), "full:")
         report.extend(check_bialgebra(q.system, LAYOUT_Q))
     if "hopf-ideal" in groups:
         report.extend(hopf_ideal_check(alg))
@@ -272,9 +261,7 @@ def cmd_all(args) -> int:
     report = CheckReport("all")
 
     for name in ("rq2", "rq3", "rj2", "rj3"):
-        rmat = MATRICES[name]()
-        if bindings:
-            rmat = rmat.substitute(bindings)
+        rmat = MATRICES[name]().substitute(bindings)
         report.extend(qybe_check(rmat, name=name))
 
     # contract stage failures must not block the later stages
@@ -286,16 +273,16 @@ def cmd_all(args) -> int:
         # a pole the schedule's own substitution meets, e.g. s = 0
         report.add("contract:finite-limit", False, error=str(exc))
     else:
-        _absorb(report, "contract:", stage)
+        report.extend(stage, "contract:")
         report.metadata["schedule_sha256"] = stage.metadata["schedule_sha256"]
 
     alg = _algebra(args, bindings)
     for stage in _relations_stage(alg, args.max_degree):
-        _absorb(report, "relations:", stage)
+        report.extend(stage, "relations:")
     report.metadata["convention"] = alg.convention
 
-    _absorb(report, "hopf:",
-            _hopf_report(alg, HOPF_GROUPS, braiding=not args.no_braiding))
+    report.extend(_hopf_report(alg, HOPF_GROUPS, braiding=not args.no_braiding),
+                  "hopf:")
     return _emit(report, args)
 
 
@@ -371,6 +358,7 @@ def main(argv=None) -> int:
     if getattr(args, "max_degree", 3) < 3:
         parser.exit(2, "jforge: --max-degree must be at least 3\n")
     try:
+        step_bound()  # a bad JFORGE_MAX_STEPS exits 2 before any stage runs
         return args.func(args)
     except (UsageError, ScheduleError) as exc:
         print(f"jforge: {exc}", file=sys.stderr)

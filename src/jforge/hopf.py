@@ -52,7 +52,6 @@ from .rtt import (
     ROW_VECTOR,
     DerivedAlgebra,
     QuotientAlgebra,
-    _rf,
 )
 
 # Quotient grid: the row vector is projected away, the corner survives.
@@ -355,7 +354,7 @@ def qdet_checks(q: QuotientAlgebra) -> CheckReport:
 
     report.add("counit-of-determinant", counit_poly(system.evaluate(D)) == L_ONE)
 
-    p = _rf("p", q.parent.bindings)
+    p = Laurent.var("p")
     graded = nc_sub(nc_word(("f", "x")), nc_word(("x", "f"), p))
     plain = nc_sub(nc_word(("f", "x")), nc_word(("x", "f")))
     witness = system.normal_form(plain)
@@ -374,9 +373,7 @@ def delta_centrality(alg: DerivedAlgebra) -> CheckReport:
     """Block determinant commutators match, and die when m equals n."""
     system = alg.system
     delta = alg.delta
-    m = _rf("m", alg.bindings)
-    n = _rf("n", alg.bindings)
-    mn = m - n
+    mn = Laurent.var("m") - Laurent.var("n")
 
     def com(u):
         return nc_sub(nc_mul(delta, nc_gen(u)), nc_mul(nc_gen(u), delta))
@@ -432,7 +429,7 @@ def coaction_covariance(q: QuotientAlgebra, braiding: bool = True) -> CheckRepor
     become naive flips and the residual survives, scaled by the plane
     deformation parameter.
     """
-    m = _rf("m", q.parent.bindings)
+    m = Laurent.var("m")
     xp = coproduct("x", LAYOUT_Q)
     yp = coproduct("y", LAYOUT_Q)
     expr = nc_add(nc_sub(t_mul(xp, yp), t_mul(yp, xp)),

@@ -9,7 +9,7 @@ downstream consumers can detect format changes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 SCHEMA_VERSION = 1
 
@@ -41,8 +41,9 @@ class CheckReport:
         self.checks.append(result)
         return result
 
-    def extend(self, other: "CheckReport"):
-        self.checks.extend(other.checks)
+    def extend(self, other: "CheckReport", prefix: str = ""):
+        """Append the checks of other, each name under prefix."""
+        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
 
     def to_dict(self) -> dict:
         return {

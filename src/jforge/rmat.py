@@ -90,7 +90,10 @@ class TensorMat:
 
     # -- maps ----------------------------------------------------------------
     def substitute(self, bindings: dict) -> "TensorMat":
-        """The entries with the bindings put in by one laurent.Substitution."""
+        """The entries with the bindings put in by one laurent.Substitution;
+        self when there are none."""
+        if not bindings:
+            return self
         value = Substitution(bindings)
         return TensorMat(self.dim, self.basis,
                          [[value(x) for x in row] for row in self.rows])

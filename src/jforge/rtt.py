@@ -19,7 +19,9 @@ giving the inhomogeneous algebra that the coaction checks run against.
 Every elimination pivot, collapse coefficient and branch-deciding value
 of a derivation goes to its degeneracy locus; off that locus the algebra
 derived under bindings is the symbolic one evaluated, which is how
-specialize.derive reads bindings off the symbolic derivation.
+specialize.derive reads bindings off the symbolic derivation.  The
+hand-written coefficients are built symbolically; bindings go into the
+R-matrix and the block determinant only.
 
 The derived table is cross-checked against an independently recorded
 set of 27 commutation relations (reference_relations); the verifier
@@ -36,6 +38,7 @@ from .freealg import (
     RewriteRule,
     RewriteSystem,
     nc_add,
+    nc_evaluate,
     nc_gen,
     nc_is_zero,
     nc_mul,
@@ -48,7 +51,7 @@ from .freealg import (
     nc_zero,
 )
 from .grammar import parse, serialize
-from .laurent import L_ONE, Laurent, coerce
+from .laurent import L_ONE, Laurent, Substitution, coerce
 from .linalg import add_to_locus, rref_sparse, solve_dense
 from .report import CheckReport
 from .rmat import TensorMat, jordanian_r3
@@ -83,9 +86,8 @@ CONVENTIONS = ("plain", "transposed")
 _GEN_INDEX = {g: i for i, g in enumerate(GEN_ORDER)}
 
 
-def _rf(text: str, bindings: dict = None):
-    value = parse(text)
-    return coerce(value.substitute(bindings) if bindings else value)
+def _rf(text: str):
+    return coerce(parse(text))
 
 
 # -- the exchange identity -----------------------------------------------------
@@ -294,9 +296,9 @@ def inverse_record(derivation: dict, system: RewriteSystem) -> dict:
 
 # -- distinguished elements ----------------------------------------------------
 
-def block_determinant(bindings: dict = None) -> NCPoly:
+def block_determinant() -> NCPoly:
     """Determinant of the lower 2x2 block, in normal-ordered words."""
-    n = _rf("n", bindings)
+    n = Laurent.var("n")
     out = nc_word(("a", "d"))
     out = nc_sub(out, nc_word(("b", "c")))
     out = nc_sub(out, nc_scale(nc_word(("b", "d")), n))
@@ -391,20 +393,21 @@ class DerivedAlgebra:
     determinant, the solved block inverse, the Schur complement of the
     block, the per-step derivations (rendered through the system by the
     records properties) and the derivation's degeneracy locus (see
-    specialize).
+    specialize).  bindings go into the R-matrix and the block determinant,
+    so the derivation is the one at the bindings.
     """
 
     def __init__(self, rmat: TensorMat = None, convention: str = "plain",
                  bindings: dict = None, extend: bool = True):
         base = rmat if rmat is not None else jordanian_r3()
         self.bindings = dict(bindings or {})
-        self.rmat = base.substitute(self.bindings) if self.bindings else base
+        self.rmat = base.substitute(self.bindings)
         self.convention = convention
         self.locus = []
         self.entries = rtt_entries(self.rmat, convention)
         self.system = derive_relation_table(self.rmat, convention, self.locus,
                                             self.entries)
-        self.delta = block_determinant(self.bindings)
+        self.delta = nc_evaluate(block_determinant(), Substitution(self.bindings))
         self.derivations = []
         self.block_inv = None
         self._block = None
@@ -509,7 +512,7 @@ class QuotientAlgebra:
 
 # -- reference relation set ------------------------------------------------------
 
-def reference_relations(bindings: dict = None):
+def reference_relations():
     """Independently recorded commutation relations, as residuals.
 
     Returns (tag, poly) pairs; each poly must reduce to zero under the
@@ -524,22 +527,19 @@ def reference_relations(bindings: dict = None):
     the quotient coproduct of f*y - p*y*f + s*k*x*f is compatible only
     with s = -1, the flipped sign, unless k = 0.
     """
-    def rf(text):
-        return _rf(text, bindings)
-
     def com(u, v):
         return nc_sub(nc_word((u, v)), nc_word((v, u)))
 
     def pcom(u, v):
-        return nc_sub(nc_word((u, v)), nc_word((v, u), rf("p")))
+        return nc_sub(nc_word((u, v)), nc_word((v, u), _rf("p")))
 
     def words(*terms):
         out = nc_zero()
         for coeff, word in terms:
-            out = nc_add(out, nc_word(word, rf(coeff)))
+            out = nc_add(out, nc_word(word, _rf(coeff)))
         return out
 
-    delta = block_determinant(bindings)
+    delta = block_determinant()
 
     def dcom(u):
         return nc_sub(nc_mul(delta, nc_gen(u)), nc_mul(nc_gen(u), delta))
@@ -548,23 +548,23 @@ def reference_relations(bindings: dict = None):
     # lower-block pairs
     rels.append(("ref:a-b", nc_sub(com("a", "b"), words(("n", ("b", "b"))))))
     rels.append(("ref:a-c", nc_sub(com("a", "c"),
-                 nc_sub(nc_scale(delta, rf("m")), words(("m", ("a", "a")))))))
+                 nc_sub(nc_scale(delta, _rf("m")), words(("m", ("a", "a")))))))
     rels.append(("ref:a-d", nc_sub(com("a", "d"),
                  words(("n", ("b", "d")), ("-m", ("b", "a"))))))
     rels.append(("ref:b-d", nc_sub(com("b", "d"), words(("-m", ("b", "b"))))))
     rels.append(("ref:b-c", nc_sub(com("b", "c"),
                  words(("-m", ("b", "a")), ("-n", ("d", "b"))))))
     rels.append(("ref:c-d", nc_sub(com("c", "d"),
-                 nc_sub(words(("n", ("d", "d"))), nc_scale(delta, rf("n"))))))
+                 nc_sub(words(("n", ("d", "d"))), nc_scale(delta, _rf("n"))))))
     # block determinant against the block
     rels.append(("ref:det-a", nc_sub(dcom("a"),
-                 nc_scale(nc_mul(delta, nc_gen("b")), rf("m - n")))))
+                 nc_scale(nc_mul(delta, nc_gen("b")), _rf("m - n")))))
     rels.append(("ref:det-b", dcom("b")))
     rels.append(("ref:det-c", nc_sub(dcom("c"), nc_scale(
         nc_sub(nc_mul(delta, nc_gen("d")), nc_mul(nc_gen("a"), delta)),
-        rf("m - n")))))
+        _rf("m - n")))))
     rels.append(("ref:det-d", nc_sub(dcom("d"),
-                 nc_scale(nc_mul(delta, nc_gen("b")), rf("n - m")))))
+                 nc_scale(nc_mul(delta, nc_gen("b")), _rf("n - m")))))
     # block against the scale
     rels.append(("ref:a-f", nc_sub(com("a", "f"), words(("k/p", ("f", "b"))))))
     rels.append(("ref:b-f", com("b", "f")))
@@ -587,11 +587,11 @@ def reference_relations(bindings: dict = None):
                  words(("n", ("d", "x")), ("-n", ("b", "y")),
                        ("-m*n", ("b", "x"))))))
     rels.append(("ref:det-x", nc_sub(nc_mul(delta, nc_gen("x")),
-                 nc_scale(nc_mul(nc_gen("x"), delta), rf("p^2")))))
+                 nc_scale(nc_mul(nc_gen("x"), delta), _rf("p^2")))))
     rels.append(("ref:det-y", nc_sub(
         nc_mul(delta, nc_gen("y")),
-        nc_add(nc_scale(nc_mul(nc_gen("y"), delta), rf("p^2")),
-               nc_scale(nc_mul(delta, nc_gen("x")), rf("n - m"))))))
+        nc_add(nc_scale(nc_mul(nc_gen("y"), delta), _rf("p^2")),
+               nc_scale(nc_mul(delta, nc_gen("x")), _rf("n - m"))))))
     # scale against the column; f-y is as recorded, see the docstring
     rels.append(("ref:f-x", pcom("f", "x")))
     rels.append(("ref:f-y", nc_sub(pcom("f", "y"), words(("-k", ("x", "f"))))))
@@ -600,11 +600,11 @@ def reference_relations(bindings: dict = None):
     return rels
 
 
-def _flipped_f_y(bindings: dict) -> NCPoly:
+def _flipped_f_y() -> NCPoly:
     """The recorded f-y entry with the sign of its k*x*f term flipped."""
     return nc_sub(
-        nc_sub(nc_word(("f", "y")), nc_word(("y", "f"), _rf("p", bindings))),
-        nc_word(("x", "f"), _rf("k", bindings)))
+        nc_sub(nc_word(("f", "y")), nc_word(("y", "f"), Laurent.var("p"))),
+        nc_word(("x", "f"), Laurent.var("k")))
 
 
 def verify_reference(alg: DerivedAlgebra) -> CheckReport:
@@ -620,13 +620,13 @@ def verify_reference(alg: DerivedAlgebra) -> CheckReport:
     """
     report = CheckReport("reference-relations")
     gens = alg.system.generators
-    for tag, poly in reference_relations(alg.bindings):
+    for tag, poly in reference_relations():
         residual = alg.system.normal_form(poly)
         details = {}
         if residual:
             details["residual"] = nc_str(residual, gens)
         if tag == "ref:f-y":
-            flipped = alg.system.normal_form(_flipped_f_y(alg.bindings))
+            flipped = alg.system.normal_form(_flipped_f_y())
             details["recorded_residual"] = nc_str(residual, gens)
             details["sign_flipped_residual"] = nc_str(flipped, gens)
         report.add(tag, not residual, **details)
@@ -658,6 +658,7 @@ def resolve_convention(bindings: dict = None):
     """
     from .specialize import derive  # specialize builds on this module
 
+    relations = [poly for _tag, poly in reference_relations()]
     scores = {}
     graded = {}
     for conv in CONVENTIONS:
@@ -666,10 +667,7 @@ def resolve_convention(bindings: dict = None):
         except OrientationFailure as exc:
             scores[conv] = {"score": -1, "error": str(exc)}
             continue
-        count = 0
-        for _tag, poly in reference_relations(alg.bindings):
-            if alg.system.reduces_to_zero(poly):
-                count += 1
+        count = sum(1 for poly in relations if alg.system.reduces_to_zero(poly))
         scores[conv] = {"score": count}
         graded[conv] = alg
     winner = max(CONVENTIONS, key=lambda c: scores[c]["score"])

@@ -1,12 +1,15 @@
-"""--set bindings read off the symbolic derivation.
+"""--set bindings, put in by one laurent.Substitution on every route.
 
-derive() builds the algebra once over Q(m,n,k,p) and reads it under the
-bindings, rational constants (a point) and expressions alike: the checks
-run on the symbolic rules, and one laurent.Substitution puts the bindings
-into what they read out (normal forms, critical pairs, rules, records),
-through freealg.nc_evaluate.
-read() returns None on the derivation's degeneracy locus, where the
-algebra is derived at the bindings instead.
+derive() returns a SpecializedAlgebra for any bindings, rational constants
+(a point) and expressions alike.  Its source is the algebra derived once
+over Q(m,n,k,p) when the bindings are off that derivation's degeneracy
+locus, and the algebra derived at the bindings when they are on it.
+Either way its system is the source's read through one SpecializedSystem:
+rewriting runs on the source's rules, and the Substitution puts the
+bindings into what the checks read out (normal forms, critical pairs,
+rules, records), through freealg.nc_evaluate.  The checks build every
+hand-written coefficient symbolically, so their inputs are the same on
+both routes.  read() returns None on the locus.
 
 The locus.  Each entry of DerivedAlgebra.locus (and QuotientAlgebra.locus)
 is a tuple of values; the bindings are on the locus when every value of
@@ -61,10 +64,17 @@ bases: Weispfenning, JSC 14, 1992; Kalkbrener, JSC 24, 1997):
 * The quotient's rules are the kept rules with the killed words erased,
   which commutes with evaluation; adjoining xi adds its own locus.
 
-The results are exact, the rewriting work is not: the symbolic rules keep
-the terms that vanish at the point, so a normal form can take more steps
-than with the rules derived there.  A JFORGE_MAX_STEPS bound counts the
-steps of the run that makes the report, on either route.
+On the locus the source is derived at the bindings, so its coefficients
+hold no bound parameter and reading them gives them back unchanged.  A
+symbolic input sum c_w*w then has the normal form sum c_w*NF(w) with
+every NF(w) free of the bound parameters, and reading it puts the
+bindings into the c_w alone: it is the normal form of the evaluated input.
+
+The results are exact, the rewriting work is not: the symbolic rules, and
+on the locus the symbolic inputs, keep the terms that vanish at the point,
+so a normal form can take more steps than with everything evaluated.  A
+JFORGE_MAX_STEPS bound counts the steps of the run that makes the report,
+on either route.
 """
 
 from __future__ import annotations
@@ -76,10 +86,11 @@ from .rtt import DerivedAlgebra, QuotientAlgebra
 
 
 class SpecializedSystem(RewriteSystem):
-    """A symbolic rewrite system read at a point (under bindings).
+    """A rewrite system read at a point (under bindings).
 
-    value, a Substitution, maps a symbolic coefficient to its value at the
-    point.  The system shares the symbolic system's rules, so rule_list(),
+    The wrapped system, here called symbolic, is the symbolic one, or on
+    the locus the one derived at the point (see SpecializedAlgebra).  value,
+    a Substitution, maps a symbolic coefficient to its value at the point.  The system shares the symbolic system's rules, so rule_list(),
     find_redex and the critical pairs are the symbolic ones, and rewriting
     runs in the symbolic system and its word cache.  What leaves the system
     is read at the point: normal_form (and with it reduces_to_zero),
@@ -118,45 +129,33 @@ class SpecializedSystem(RewriteSystem):
 
 
 class SpecializedAlgebra(DerivedAlgebra):
-    """A symbolic DerivedAlgebra read under bindings (see read).
+    """A DerivedAlgebra, source, read under bindings (see derive).
 
     It shares the source's derivations, exchange entries, determinant and
-    block inverse, and its bindings are the source's (none), so the checks
-    build their inputs symbolically and most residuals vanish before any
-    evaluation.  Its system reads every normal form, rule and record at
-    point, which to_dict reports as the bindings.
+    block inverse; its system is the source's read through one
+    Substitution.  source.bindings are the bindings when the source was
+    derived at them, on the locus, and empty when it is symbolic.
     """
 
-    def __init__(self, source: DerivedAlgebra, point: dict,
-                 system: SpecializedSystem):
+    def __init__(self, source: DerivedAlgebra, point: dict, value: Substitution):
         self.__dict__.update(source.__dict__)
         self.source = source
-        self.point = dict(point)
-        self.system = system
+        self.bindings = dict(point)
+        self.system = SpecializedSystem(source.system, value)
 
-    def extended(self) -> DerivedAlgebra:
+    def extended(self) -> "SpecializedAlgebra":
         self.source.extend()
-        alg = read(self.source, self.point)
-        if alg is None:
-            alg = DerivedAlgebra(self.rmat, self.convention, self.point)
-        return alg
+        return _specialized(self.source, self.bindings, self.system.value, extend=True)
 
     def quotient(self) -> QuotientAlgebra:
-        """The symbolic quotient with its system read at the point.
-
-        Its parent stays the symbolic algebra, whose bindings (none) are
-        what the quotient's checks read.
-        """
+        """The source's quotient read at the point; on the locus of a
+        symbolic source's quotient, that of the algebra derived there."""
         q = QuotientAlgebra(self.source)
-        if on_locus(q.locus, self.system.value):
-            return DerivedAlgebra(self.rmat, self.convention, self.point).quotient()
-        q.system = SpecializedSystem(q.system, self.system.value)
+        value = self.system.value
+        if not self.source.bindings and on_locus(q.locus, value):
+            q = QuotientAlgebra(DerivedAlgebra(self.rmat, self.convention, self.bindings))
+        q.system = SpecializedSystem(q.system, value)
         return q
-
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        out["bindings"] = {k: str(v) for k, v in sorted(self.point.items())}
-        return out
 
 
 def on_locus(locus: list, value) -> bool:
@@ -174,28 +173,39 @@ def read(alg: DerivedAlgebra, point: dict):
     value = Substitution(point)
     if on_locus(alg.locus, value):
         return None
-    return SpecializedAlgebra(alg, point, SpecializedSystem(alg.system, value))
+    return SpecializedAlgebra(alg, point, value)
+
+
+def _specialized(source: DerivedAlgebra, point: dict, value: Substitution,
+                 extend: bool) -> SpecializedAlgebra:
+    """source read at point.  A source derived at the point is read as it
+    is; a symbolic one is read off its locus and, on it, replaced by the
+    algebra derived at the point (extended when extend)."""
+    if not source.bindings and on_locus(source.locus, value):
+        source = DerivedAlgebra(source.rmat, source.convention, point, extend)
+    return SpecializedAlgebra(source, point, value)
 
 
 def derive(convention: str = "plain", bindings: dict = None,
            extend: bool = True) -> DerivedAlgebra:
-    """DerivedAlgebra(convention=..., bindings=..., extend=...), read off
-    the symbolic derivation when the bindings are off its locus.
+    """The algebra of DerivedAlgebra(convention=..., extend=...) under
+    bindings: with none, that algebra; else a SpecializedAlgebra.
 
-    The graded table is read before it is extended, so bindings on its
-    locus cost no symbolic extension; those on the locus of the extension
-    or the quotient fall back in SpecializedAlgebra.extended and .quotient.
-    A convention that fails to orient symbolically fails off its locus with
-    the same message.  Bindings on the locus are derived at the bindings.
+    Its source is the symbolic derivation off the locus and the algebra
+    derived at the bindings on it.  The graded table is read before it is
+    extended, so bindings on its locus cost no symbolic extension; those on
+    the locus of the extension or the quotient fall back in
+    SpecializedAlgebra.extended and .quotient.  A convention that fails to
+    orient symbolically fails off its locus with the same message.
     """
-    if bindings:
-        try:
-            graded = DerivedAlgebra(convention=convention, extend=False)
-        except OrientationFailure as exc:
-            if not on_locus(exc.locus, Substitution(bindings)):
-                raise
-        else:
-            alg = read(graded, bindings)
-            if alg is not None:
-                return alg.extended() if extend else alg
-    return DerivedAlgebra(convention=convention, bindings=bindings, extend=extend)
+    if not bindings:
+        return DerivedAlgebra(convention=convention, extend=extend)
+    value = Substitution(bindings)
+    try:
+        graded = DerivedAlgebra(convention=convention, extend=False)
+    except OrientationFailure as exc:
+        if not on_locus(exc.locus, value):
+            raise
+        graded = DerivedAlgebra(convention=convention, bindings=bindings, extend=False)
+    alg = _specialized(graded, bindings, value, extend=False)
+    return alg.extended() if extend else alg

@@ -185,11 +185,17 @@ def test_pole_under_substitution_keeps_exit_1(capsys):
     assert "--set" not in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
-def test_bad_max_steps_is_usage_error(capsys, monkeypatch, value):
+# the relations cases are named by the value alone, the names they already had
+@pytest.mark.parametrize("argv, value", [
+    pytest.param(argv, value, id=value if argv[0] == "relations" else f"{argv[0]}-{value}")
+    for argv in (["relations"], ["qybe", "--matrix", "rj3"], ["contract"], ["all"])
+    for value in ("abc", "0", "-5")])
+def test_bad_max_steps_is_usage_error(capsys, monkeypatch, argv, value):
+    # checked before any stage runs, also by stages that do no rewriting
     monkeypatch.setenv("JFORGE_MAX_STEPS", value)
-    code, _, err = run(capsys, "relations")
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert "JFORGE_MAX_STEPS" in err
 
 

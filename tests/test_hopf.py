@@ -35,8 +35,8 @@ from jforge.hopf import (
     qdet_checks,
 )
 from jforge.laurent import Substitution
-from jforge.rtt import LAYOUT_3, DerivedAlgebra
-from jforge.specialize import SpecializedAlgebra, SpecializedSystem, read
+from jforge.rtt import LAYOUT_3
+from jforge.specialize import SpecializedAlgebra, SpecializedSystem, derive, read
 
 
 def test_coproduct_is_matrix_comultiplication():
@@ -240,7 +240,7 @@ def test_coaction_fails_without_braiding(quotient):
 
 
 def test_coaction_needs_no_braiding_on_undeformed_plane():
-    classical_plane = DerivedAlgebra(bindings={"m": parse("0")})
+    classical_plane = derive(bindings={"m": parse("0")})
     quotient = classical_plane.quotient()
     assert coaction_covariance(quotient).passed
     assert coaction_covariance(quotient, braiding=False).passed

@@ -2,7 +2,8 @@
 
 The bindings are rational points or expressions in the parameters.  The
 reference is the derivation at the bindings, DerivedAlgebra(bindings=...),
-which the command line takes when all bindings are put on the locus.
+read through the same Substitution; the command line takes it when all
+bindings are put on the locus.
 """
 
 import contextlib
@@ -48,6 +49,13 @@ def run(argv: list):
     with contextlib.redirect_stdout(out):
         code = main(argv + ["--format", "json"])
     return code, strip_ms(json.loads(out.getvalue()))
+
+
+def derived_at(alg, point: dict) -> bool:
+    """Whether alg is read off the algebra derived at point, the route of
+    bindings on the locus."""
+    return (type(alg) is SpecializedAlgebra and type(alg.source) is DerivedAlgebra
+            and alg.source.bindings == point)
 
 
 @contextlib.contextmanager
@@ -133,21 +141,20 @@ def test_loci_met_after_the_first_reading_fall_back_to_the_point():
     with everywhere_on_the_locus():
         extended = graded.extended()
         quotient = full.quotient()
-    assert type(extended) is DerivedAlgebra
+    assert derived_at(extended, point)
     assert extended.to_dict() == derived.to_dict()
     assert type(quotient.parent) is DerivedAlgebra
+    assert quotient.parent.bindings == point
     assert quotient.system.to_dict() == derived.quotient().system.to_dict()
 
 
 def test_m_equals_n_equals_zero_is_on_the_locus(alg):
     point = bindings({"m": "0", "n": "0"})
     assert read(alg, point) is None
-    got = derive(bindings=point)
-    assert type(got) is DerivedAlgebra
-    assert got.bindings == point
+    assert derived_at(derive(bindings=point), point)
     # there the transposed convention orients, symbolically it does not
-    assert type(derive(convention="transposed", bindings=point, extend=False)) \
-        is DerivedAlgebra
+    assert derived_at(derive(convention="transposed", bindings=point, extend=False),
+                      point)
     assert isinstance(derive(bindings=bindings(POINT)), SpecializedAlgebra)
 
 
@@ -169,9 +176,7 @@ def test_expression_bindings_are_read_off_the_symbolic_run():
 
 def test_expression_bindings_on_the_locus_are_derived_at_the_bindings():
     point = bindings({"m": "0", "p": "1+k"})
-    got = derive(bindings=point)
-    assert type(got) is DerivedAlgebra
-    assert got.bindings == point
+    assert derived_at(derive(bindings=point), point)
 
 
 def test_a_user_set_step_bound_leaves_the_route_to_the_locus(monkeypatch):
@@ -179,7 +184,8 @@ def test_a_user_set_step_bound_leaves_the_route_to_the_locus(monkeypatch):
     for point in (POINT, {"p": "1+m"}):
         assert isinstance(derive(bindings=bindings(point), extend=False),
                           SpecializedAlgebra)
-    assert type(derive(bindings=bindings({"m": "0"}), extend=False)) is DerivedAlgebra
+    point = bindings({"m": "0"})
+    assert derived_at(derive(bindings=point, extend=False), point)
 
 
 def test_collapse_coefficient_is_on_the_locus():
@@ -222,8 +228,7 @@ def test_a_point_on_the_table_locus_is_extended_only_at_the_point(monkeypatch):
 
     monkeypatch.setattr(DerivedAlgebra, "extend", counted)
     point = bindings({"m": "0"})
-    got = derive(bindings=point)
-    assert type(got) is DerivedAlgebra
+    assert derived_at(derive(bindings=point), point)
     assert calls == [point]
 
 

@@ -160,7 +160,7 @@ def test_block_inverse_products(alg):
 
 
 def test_determinant_commutators_in_the_block(alg):
-    delta = block_determinant(alg.bindings)
+    delta = block_determinant()
 
     def comm(g):
         return nc_sub(nc_mul(delta, nc_gen(g)), nc_mul(nc_gen(g), delta))

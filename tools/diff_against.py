@@ -77,6 +77,9 @@ COMMANDS = (
     ["JFORGE_MAX_STEPS=999999", "all", "--set", "p=1+m"],
     ["JFORGE_MAX_STEPS=1000", "hopf", "--set", "m=0"],
     ["JFORGE_MAX_STEPS=20", "relations", "--convention", "auto", *POINT],
+    # a bound that is not an integer >= 1 exits 2 before any stage runs,
+    # also on a stage that does no rewriting (exit 0 before that check)
+    ["JFORGE_MAX_STEPS=abc", "qybe", "--matrix", "rj3"],
     ["relations", "--convention", "auto", *P_ONE],
     ["hopf", "--convention", "auto", *P_ONE],
     ["relations", "--convention", "auto", *M_EQUALS_N],
@@ -153,9 +156,14 @@ COMMANDS = (
     ["relations", "--set", "p=0"],
     ["qybe", "--matrix", "rq3", "--set", "q=0"],
     # m = 0 is on the locus, so the algebra is derived at the bindings and
-    # the antipode and the m = n collapse run on its own rules
+    # the antipode and the m = n collapse run on its own rules; the
+    # hand-written coefficients of the checks (the recorded relations, the
+    # block determinant, the plane relation) are built symbolically and
+    # read at the bindings as on the symbolic route
     ["hopf", "--set", "m=0"],
     ["hopf", "--set", "m=0", "--no-braiding"],
+    ["all", "--set", "m=0"],
+    ["hopf", "--set", "m=0", "--set", "p=1+k"],
     # a rational point in some of the parameters, Laurent in the rest
     ["qybe", "--matrix", "rj3", "--set", "m=3/2", "--set", "p=7/4"],
 )
