@@ -15,6 +15,19 @@ JFORGE_MAX_STEPS overrides the rewrite step bound (see freealg); a value
 that is not an integer of at least 1 exits with status 2 before any stage
 runs.  It bounds the run that makes the report, so --set bindings take the
 same route under any bound (see specialize.derive).
+
+Where os.fork exists and more than one CPU is usable, ``all`` overlaps
+its independent stages in forked workers: one runs the qybe and contract
+stages while the parent derives the algebra, and one, forked once the
+algebra is derived, runs the hopf checks while the parent runs the
+relations.  Each worker sends back its report or its exception, pickled
+over a pipe, and leaves with os._exit.  The report is the one of the
+in-process order (qybe, contract, derive, relations, hopf), which runs
+unchanged on one CPU, and so are the errors: an error of the first worker
+wins over one of the derivation, and an error in the relations kills the
+hopf worker.  Every worker is reaped before ``main`` returns, on every
+path, and one that exits without a payload is a JforgeError naming its
+stage.
 """
 
 from __future__ import annotations
@@ -256,10 +269,9 @@ def cmd_hopf(args) -> int:
     return _emit(report, args)
 
 
-def cmd_all(args) -> int:
-    bindings = _bindings(args.set)
+def _qybe_and_contract(args, bindings) -> CheckReport:
+    """The qybe checks of the four matrices and the contract stage of all."""
     report = CheckReport("all")
-
     for name in ("rq2", "rq3", "rj2", "rj3"):
         rmat = MATRICES[name]().substitute(bindings)
         report.extend(qybe_check(rmat, name=name))
@@ -275,14 +287,107 @@ def cmd_all(args) -> int:
     else:
         report.extend(stage, "contract:")
         report.metadata["schedule_sha256"] = stage.metadata["schedule_sha256"]
+    return report
 
-    alg = _algebra(args, bindings)
-    for stage in _relations_stage(alg, args.max_degree):
+
+def _overlaps() -> bool:
+    """Whether all runs its independent stages in forked workers: on one
+    usable CPU the workers would only take turns, and forking costs more
+    than it saves."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+class _Worker:
+    """work(*args) run in a forked child, its outcome pickled over a pipe."""
+
+    def __init__(self, stage: str, work, *args):
+        import pickle
+
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            # never return into the caller's frames, and leave stdout's
+            # buffer, a copy of the parent's, unflushed
+            code = 1
+            try:
+                os.close(read)
+                try:
+                    outcome = (True, work(*args))
+                except BaseException as exc:
+                    outcome = (False, exc)
+                with open(write, "wb") as pipe:
+                    pipe.write(pickle.dumps(outcome))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self.stage, self.pid, self.pipe = stage, pid, open(read, "rb")
+
+    def result(self):
+        """What work returned, or the exception it raised, raised here."""
+        import pickle
+
+        try:
+            payload = self.pipe.read()
+        except BaseException:
+            self.stop(kill=True)
+            raise
+        status = self.stop()
+        if not payload:
+            raise JforgeError(f"the {self.stage} worker exited with status "
+                              f"{status} before it sent its report")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
+
+    def stop(self, kill: bool = False) -> int:
+        """Reap the worker, killed first if kill is set; its exit status."""
+        self.pipe.close()
+        if kill:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def _overlapped(args, bindings, braiding: bool) -> tuple:
+    """(qybe and contract report, algebra, relations stages, hopf report)
+    of all, with workers beside the derivation and the relations."""
+    front = _Worker("qybe and contract", _qybe_and_contract, args, bindings)
+    try:
+        alg = _algebra(args, bindings)
+    finally:
+        # the qybe and contract stages come first, so an error of theirs
+        # replaces the derivation's
+        report = front.result()
+    hopf = _Worker("hopf", _hopf_report, alg, HOPF_GROUPS, braiding)
+    try:
+        relations = _relations_stage(alg, args.max_degree)
+    except BaseException:
+        hopf.stop(kill=True)
+        raise
+    return report, alg, relations, hopf.result()
+
+
+def cmd_all(args) -> int:
+    bindings = _bindings(args.set)
+    braiding = not args.no_braiding
+    if _overlaps():
+        report, alg, relations, hopf = _overlapped(args, bindings, braiding)
+    else:
+        report = _qybe_and_contract(args, bindings)
+        alg = _algebra(args, bindings)
+        relations = _relations_stage(alg, args.max_degree)
+        hopf = _hopf_report(alg, HOPF_GROUPS, braiding)
+    for stage in relations:
         report.extend(stage, "relations:")
     report.metadata["convention"] = alg.convention
-
-    report.extend(_hopf_report(alg, HOPF_GROUPS, braiding=not args.no_braiding),
-                  "hopf:")
+    report.extend(hopf, "hopf:")
     return _emit(report, args)
 
 

@@ -31,6 +31,8 @@ residual, so a wrong sign in the recorded set is visible at a glance.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import MissingInverse, OrientationFailure
 from .field import RF_ONE, RatFunc, add_into
 from .freealg import (
@@ -512,11 +514,14 @@ class QuotientAlgebra:
 
 # -- reference relation set ------------------------------------------------------
 
-def reference_relations():
+@cache
+def reference_relations() -> tuple:
     """Independently recorded commutation relations, as residuals.
 
-    Returns (tag, poly) pairs; each poly must reduce to zero under the
-    derived table if the record and the derivation agree.  Tags name the
+    Returns a tuple of (tag, poly) pairs, built once per process and
+    shared by every caller, who only reads the polynomials; each poly
+    must reduce to zero under the derived table if the record and the
+    derivation agree.  Tags name the
     generator pair.  The f-y entry is kept exactly as recorded even though
     the derived table supports only its sign-flipped variant; the verifier
     shows both residuals side by side.  Two certificates show that the
@@ -597,7 +602,7 @@ def reference_relations():
     rels.append(("ref:f-y", nc_sub(pcom("f", "y"), words(("-k", ("x", "f"))))))
     # the column plane
     rels.append(("ref:x-y", nc_sub(com("x", "y"), words(("-m", ("x", "x"))))))
-    return rels
+    return tuple(rels)
 
 
 def _flipped_f_y() -> NCPoly:

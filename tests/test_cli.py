@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from jforge import cli, contraction
 from jforge.cli import main
+from jforge.errors import JforgeError
 from jforge.rtt import DerivedAlgebra
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -331,6 +333,122 @@ def test_all_default_run(capsys):
     failing = [c["name"] for c in data["checks"] if not c["pass"]]
     assert failing == ["relations:ref:f-y"]
     assert data["metadata"]["schedule_sha256"].startswith("a2051b1ba8981de7")
+
+
+# -- the stages of all in forked workers ---------------------------------------
+
+K_ZERO = ["--set", "m=3/2", "--set", "n=-2/3", "--set", "k=0", "--set", "p=7/4"]
+
+
+def usable_cpus(monkeypatch, count: int) -> list:
+    """Make count CPUs usable to cli; the list collects each os.fork's pid."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    forks = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return forks
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [
+    [], K_ZERO, ["--set", "p=1+m"], ["--no-braiding"], ["--contraction-matrix", "gprime"],
+], ids=["default", "k-zero", "expression", "no-braiding", "gprime"])
+def test_all_in_workers_reports_as_in_process(capsys, monkeypatch, time_limit, argv):
+    runs = []
+    # two workers with two usable CPUs; with one, os.fork is never called
+    for cpus, workers in ((2, 2), (1, 0)):
+        forks = usable_cpus(monkeypatch, cpus)
+        with time_limit(120):
+            code, out, err = run(capsys, "all", *argv, "--format", "json")
+        assert len(forks) == workers
+        stripped = json.dumps(report_diff.strip_ms(json.loads(out)), indent=2, sort_keys=True)
+        runs.append((code, stripped, err))
+    assert runs[0] == runs[1]
+    no_children_left()
+
+
+def test_an_error_of_the_first_worker_wins_over_the_derivation(capsys, monkeypatch,
+                                                               time_limit):
+    forks = usable_cpus(monkeypatch, 2)
+
+    def qybe_fails(*args, **kwargs):
+        raise JforgeError("qybe failed in the worker")
+
+    def derivation_fails(*args, **kwargs):
+        raise JforgeError("the derivation failed")
+
+    monkeypatch.setattr(cli, "qybe_check", qybe_fails)
+    monkeypatch.setattr(cli, "_algebra", derivation_fails)
+    with time_limit(60):
+        assert run(capsys, "all") == (1, "", "jforge: qybe failed in the worker\n")
+    assert len(forks) == 1
+    no_children_left()
+
+
+def test_a_derivation_error_reaps_the_first_worker(capsys, monkeypatch, time_limit):
+    forks = usable_cpus(monkeypatch, 2)
+    qybe_check = cli.qybe_check
+
+    def slow_qybe(*args, **kwargs):
+        time.sleep(0.05)  # still running when the derivation gives up
+        return qybe_check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "qybe_check", slow_qybe)
+    monkeypatch.setenv("JFORGE_MAX_STEPS", "50")
+    with time_limit(60):
+        assert run(capsys, "all") == (1, "", "jforge: rewriting exceeded 50 steps\n")
+    assert len(forks) == 1
+    no_children_left()
+
+
+def test_a_relations_error_kills_the_hopf_worker(capsys, monkeypatch, time_limit):
+    forks = usable_cpus(monkeypatch, 2)
+
+    def hangs(*args, **kwargs):
+        time.sleep(5)
+
+    def relations_fail(*args, **kwargs):
+        raise JforgeError("the relations failed")
+
+    monkeypatch.setattr(cli, "_hopf_report", hangs)
+    monkeypatch.setattr(cli, "_relations_stage", relations_fail)
+    with time_limit(60):
+        assert run(capsys, "all") == (1, "", "jforge: the relations failed\n")
+    assert len(forks) == 2
+    no_children_left()
+
+
+@pytest.mark.parametrize("target, stage", [
+    ("qybe_check", "qybe and contract"),
+    ("_hopf_report", "hopf"),
+])
+def test_a_worker_that_dies_is_an_error_that_names_its_stage(capsys, monkeypatch,
+                                                             time_limit, target, stage):
+    usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def dies(*args, **kwargs):
+        assert os.getpid() != parent, "the stage ran in the parent"
+        os._exit(3)
+
+    monkeypatch.setattr(cli, target, dies)
+    with time_limit(60):
+        code, out, err = run(capsys, "all")
+    assert (code, out) == (1, "")
+    assert err == f"jforge: the {stage} worker exited with status 3 before it sent its report\n"
+    no_children_left()
 
 
 @pytest.mark.parametrize("lane", ["g", "bigg"])

@@ -245,15 +245,20 @@ def test_the_read_route_can_take_more_steps_than_the_point_route(monkeypatch):
 
 
 def test_a_user_set_bound_counts_the_steps_of_the_reported_run(monkeypatch, capsys):
-    # the read route's relations run at k = 0 takes 132 steps (see above)
-    argv = ["relations", "--convention", "auto",
-            *(a for name, value in K_ZERO.items() for a in ("--set", f"{name}={value}"))]
-    unbounded = run(argv)
-    monkeypatch.setenv("JFORGE_MAX_STEPS", "131")
-    assert main(argv) == 1
-    assert "rewriting exceeded 131 steps" in capsys.readouterr().err
-    monkeypatch.setenv("JFORGE_MAX_STEPS", "132")
-    assert run(argv) == unbounded
+    point = [a for name, value in K_ZERO.items() for a in ("--set", f"{name}={value}")]
+    for argv, steps in (
+            # the read route's relations run at k = 0 takes 132 steps (see above)
+            (["relations", "--convention", "auto", *point], 132),
+            # the derivation, which runs before all forks a worker, takes 122;
+            # the largest normal form of the hopf stage takes 114, as in hopf
+            (["all", *point], 122)):
+        monkeypatch.delenv("JFORGE_MAX_STEPS", raising=False)
+        unbounded = run(argv)
+        monkeypatch.setenv("JFORGE_MAX_STEPS", str(steps - 1))
+        assert main(argv) == 1
+        assert f"rewriting exceeded {steps - 1} steps" in capsys.readouterr().err
+        monkeypatch.setenv("JFORGE_MAX_STEPS", str(steps))
+        assert run(argv) == unbounded
 
 
 def test_a_point_over_the_step_bound_at_the_point_fails_as_there(monkeypatch, capsys):

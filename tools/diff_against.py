@@ -5,7 +5,8 @@ directory, so the repository's ``.git`` is never written to.  Each command
 runs in a fresh interpreter against the ``src`` of either tree.  A pair
 matches when the exit codes agree and the two JSON reports are equal with
 every ``ms`` key removed (the comparison of ``tools/report_diff.py``); a
-command whose stdout is not JSON is compared byte for byte, with stderr.
+command whose stdout is not JSON, such as one that asks for ``--format
+text``, is compared byte for byte, with stderr.
 Commands that name a schedule as ``{rescaled}``, ``{wrong-slope}``,
 ``{misplaced-pole}`` or ``{zero-pole}`` get one file derived from this
 tree's bundled schedule, written once to the temporary directory and
@@ -166,6 +167,14 @@ COMMANDS = (
     ["hopf", "--set", "m=0", "--set", "p=1+k"],
     # a rational point in some of the parameters, Laurent in the rest
     ["qybe", "--matrix", "rj3", "--set", "m=3/2", "--set", "p=7/4"],
+    # the stages of all that may run in forked workers: only the qybe stage
+    # raises (q is no parameter of the algebra); the derivation raises at
+    # bound 121 while the qybe and contract stages run; bound 122 reports;
+    # the text rendering of the unbraided control
+    ["all", "--set", "q=0"],
+    ["JFORGE_MAX_STEPS=121", "all"],
+    ["JFORGE_MAX_STEPS=122", "all"],
+    ["all", "--format", "text", "--no-braiding"],
 )
 
 RUN_MAIN = "import sys; from jforge.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -205,13 +214,16 @@ def extract(ref: str, dest: Path) -> None:
 
 def run(tree: Path, argv: list) -> tuple:
     """(exit code, stdout, stderr) of one jforge command against tree/src;
-    leading NAME=VALUE items of argv go into its environment."""
+    leading NAME=VALUE items of argv go into its environment, and the
+    report is JSON unless argv names a --format."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     while "=" in argv[0]:
         name, _, value = argv[0].partition("=")
         env[name] = value
         argv = argv[1:]
-    proc = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv, "--format", "json"],
+    if "--format" not in argv:
+        argv = [*argv, "--format", "json"]
+    proc = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv],
                           cwd=tree, env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
