@@ -16,23 +16,32 @@ that is not an integer of at least 1 exits with status 2 before any stage
 runs.  It bounds the run that makes the report, so --set bindings take the
 same route under any bound (see specialize.derive).
 
-Where os.fork exists and more than one CPU is usable, ``all`` overlaps
-its independent stages in forked workers: one runs the qybe and contract
-stages while the parent derives the algebra, and one, forked once the
-algebra is derived, runs the hopf checks while the parent runs the
-relations.  Each worker sends back its report or its exception, pickled
-over a pipe, and leaves with os._exit.  The report is the one of the
-in-process order (qybe, contract, derive, relations, hopf), which runs
-unchanged on one CPU, and so are the errors: an error of the first worker
-wins over one of the derivation, and an error in the relations kills the
-hopf worker.  Every worker is reaped before ``main`` returns, on every
-path, and one that exits without a payload is a JforgeError naming its
-stage.
+Where os.fork exists and more than one CPU is usable, ``relations``,
+``hopf`` and ``all`` overlap their independent stages in forked workers,
+through one stage runner, _spawn.  ``relations`` checks confluence in a
+worker while the parent checks the recorded relations and the exchange
+entries and renders the table.  ``hopf`` runs the full bialgebra checks in
+a worker while the parent builds the quotient and runs the other groups,
+and forks nothing when --check leaves out bialgebra.  ``all`` runs the
+qybe and contract stages in a worker while the parent derives the
+algebra, and the hopf checks, forked once the algebra is derived, while
+the parent runs the relations.  A worker never forks, so ``all``'s hopf
+worker runs its stages in one process.  Each worker sends back its report
+with marshal, or its exception pickled, over a pipe, and leaves with
+os._exit.  The report is the one of the in-process order, which runs on
+one CPU, and so are the errors: an error of the parent kills the worker
+when it comes before the worker's stage in that order, and waits for it
+when it comes after, so the worker's error wins.  Every worker is reaped
+before ``main`` returns, on every path, and one that exits without a
+payload is a JforgeError naming its stage.  The step bound counts each
+normal form's rewrite tree (see freealg), so it does not depend on which
+process ran which stage.
 """
 
 from __future__ import annotations
 
 import argparse
+import marshal
 import os
 import sys
 
@@ -61,7 +70,7 @@ from .hopf import (
     hopf_ideal_check,
     qdet_checks,
 )
-from .report import CheckReport
+from .report import CheckReport, CheckResult
 from .rmat import (
     four_param_deformed_r3,
     jordanian_r2,
@@ -210,48 +219,83 @@ def cmd_contract(args) -> int:
     return _emit(report, args)
 
 
-def _relations_stage(alg: DerivedAlgebra, max_degree: int):
-    """The recorded relations, the exchange entries and confluence.
+def _confluence(alg: DerivedAlgebra, max_degree: int) -> CheckReport:
+    """The critical pairs of alg's rules up to max_degree letters.
 
     Degree 3 covers all ambiguities among the quadratic rules and the
     adjoined commutation rules.  Longer collapse patterns only overlap at
     degree 4 and beyond, where localized words are deliberately left stuck
     rather than completed (the presentation stays finite).
     """
-    return (verify_reference(alg), rtt_zero_report(alg),
-            alg.system.confluence_report(max_degree=max_degree))
+    return alg.system.confluence_report(max_degree=max_degree)
+
+
+def _relations_stage(alg: DerivedAlgebra, max_degree: int) -> tuple:
+    """The recorded relations, the exchange entries and confluence, in one
+    process: the relations stage of all."""
+    return (verify_reference(alg), rtt_zero_report(alg), _confluence(alg, max_degree))
 
 
 def cmd_relations(args) -> int:
     bindings = _bindings(args.set)
     alg = _algebra(args, bindings)
+    confluence = _spawn("confluence", _confluence, alg, args.max_degree)
+    try:
+        stages = [verify_reference(alg), rtt_zero_report(alg)]
+    except BaseException:
+        confluence.stop(kill=True)
+        raise
+    try:
+        table = alg.to_dict()
+    finally:
+        # confluence comes before the table, so an error of its worker
+        # replaces the table's
+        stages.append(confluence.result())
     report = CheckReport("relations")
-    for stage in _relations_stage(alg, args.max_degree):
+    for stage in stages:
         report.extend(stage)
     report.metadata["convention"] = alg.convention
     if alg.resolution_scores:
         report.metadata["convention_scores"] = {
             k: v["score"] for k, v in alg.resolution_scores.items()}
-    report.metadata["table"] = alg.to_dict()
+    report.metadata["table"] = table
     return _emit(report, args)
 
 
 def _hopf_report(alg: DerivedAlgebra, groups, braiding: bool) -> CheckReport:
-    q = alg.quotient()
-    report = CheckReport("hopf")
+    """The checks of groups, in the order of HOPF_GROUPS.  The full
+    bialgebra check runs in a worker while the quotient is built and the
+    other groups run; errors surface in the order quotient, full
+    bialgebra, the rest."""
+    full = None
     if "bialgebra" in groups:
-        report.extend(check_bialgebra(alg.system, LAYOUT_3), "full:")
-        report.extend(check_bialgebra(q.system, LAYOUT_Q))
-    if "hopf-ideal" in groups:
-        report.extend(hopf_ideal_check(alg))
-    if "antipode" in groups:
-        report.extend(check_antipode_axiom(q))
-    if "qdet" in groups:
-        report.extend(qdet_checks(q))
-    if "delta-centrality" in groups:
-        report.extend(delta_centrality(alg))
-    if "coaction" in groups:
-        report.extend(coaction_covariance(q, braiding=braiding))
+        full = _spawn("full bialgebra", check_bialgebra, alg.system, LAYOUT_3)
+    try:
+        q = alg.quotient()
+    except BaseException:
+        if full is not None:
+            full.stop(kill=True)
+        raise
+    report = CheckReport("hopf")
+    rest = []
+    try:
+        if "bialgebra" in groups:
+            rest.append(check_bialgebra(q.system, LAYOUT_Q))
+        if "hopf-ideal" in groups:
+            rest.append(hopf_ideal_check(alg))
+        if "antipode" in groups:
+            rest.append(check_antipode_axiom(q))
+        if "qdet" in groups:
+            rest.append(qdet_checks(q))
+        if "delta-centrality" in groups:
+            rest.append(delta_centrality(alg))
+        if "coaction" in groups:
+            rest.append(coaction_covariance(q, braiding=braiding))
+    finally:
+        if full is not None:
+            report.extend(full.result(), "full:")
+    for stage in rest:
+        report.extend(stage)
     return report
 
 
@@ -290,11 +334,39 @@ def _qybe_and_contract(args, bindings) -> CheckReport:
     return report
 
 
+def cmd_all(args) -> int:
+    bindings = _bindings(args.set)
+    braiding = not args.no_braiding
+    front = _spawn("qybe and contract", _qybe_and_contract, args, bindings)
+    try:
+        alg = _algebra(args, bindings)
+    finally:
+        # the qybe and contract stages come first, so an error of theirs
+        # replaces the derivation's
+        report = front.result()
+    hopf = _spawn("hopf", _hopf_report, alg, HOPF_GROUPS, braiding)
+    try:
+        relations = _relations_stage(alg, args.max_degree)
+    except BaseException:
+        hopf.stop(kill=True)
+        raise
+    for stage in relations:
+        report.extend(stage, "relations:")
+    report.metadata["convention"] = alg.convention
+    report.extend(hopf.result(), "hopf:")
+    return _emit(report, args)
+
+
+# -- stages in forked workers ------------------------------------------------
+
+_FORKED = False  # set in a worker, which runs its stages in one process
+
+
 def _overlaps() -> bool:
-    """Whether all runs its independent stages in forked workers: on one
-    usable CPU the workers would only take turns, and forking costs more
-    than it saves."""
-    if not hasattr(os, "fork"):
+    """Whether stages run in forked workers: not inside a worker, and not
+    on one usable CPU, where the workers would only take turns and forking
+    costs more than it saves."""
+    if _FORKED or not hasattr(os, "fork"):
         return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
@@ -302,48 +374,60 @@ def _overlaps() -> bool:
 
 
 class _Worker:
-    """work(*args) run in a forked child, its outcome pickled over a pipe."""
+    """work(*args), a CheckReport, run in a forked child.
+
+    The report comes back over a pipe with marshal, as (tool, [(name,
+    passed, details, ms), ...], metadata): details are JSON-ready, and
+    marshal keeps tuples and lists apart.  An exception comes back
+    pickled, and only that path imports pickle.
+    """
 
     def __init__(self, stage: str, work, *args):
-        import pickle
-
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:
             # never return into the caller's frames, and leave stdout's
             # buffer, a copy of the parent's, unflushed
+            global _FORKED
+            _FORKED = True
             code = 1
             try:
                 os.close(read)
                 try:
-                    outcome = (True, work(*args))
+                    report = work(*args)
+                    payload = b"M" + marshal.dumps((
+                        report.tool,
+                        [(c.name, c.passed, c.details, c.ms) for c in report.checks],
+                        report.metadata))
                 except BaseException as exc:
-                    outcome = (False, exc)
+                    import pickle
+
+                    payload = b"P" + pickle.dumps(exc)
                 with open(write, "wb") as pipe:
-                    pipe.write(pickle.dumps(outcome))
+                    pipe.write(payload)
                 code = 0
             finally:
                 os._exit(code)
         os.close(write)
         self.stage, self.pid, self.pipe = stage, pid, open(read, "rb")
 
-    def result(self):
-        """What work returned, or the exception it raised, raised here."""
-        import pickle
-
+    def result(self) -> CheckReport:
+        """The report of work, or the exception it raised, raised here."""
         try:
             payload = self.pipe.read()
         except BaseException:
             self.stop(kill=True)
             raise
         status = self.stop()
-        if not payload:
+        if status or not payload:
             raise JforgeError(f"the {self.stage} worker exited with status "
                               f"{status} before it sent its report")
-        ok, value = pickle.loads(payload)
-        if not ok:
-            raise value
-        return value
+        if payload[:1] == b"P":
+            import pickle
+
+            raise pickle.loads(payload[1:])
+        tool, checks, metadata = marshal.loads(payload[1:])
+        return CheckReport(tool, [CheckResult(*c) for c in checks], metadata)
 
     def stop(self, kill: bool = False) -> int:
         """Reap the worker, killed first if kill is set; its exit status."""
@@ -355,40 +439,24 @@ class _Worker:
         return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
-def _overlapped(args, bindings, braiding: bool) -> tuple:
-    """(qybe and contract report, algebra, relations stages, hopf report)
-    of all, with workers beside the derivation and the relations."""
-    front = _Worker("qybe and contract", _qybe_and_contract, args, bindings)
-    try:
-        alg = _algebra(args, bindings)
-    finally:
-        # the qybe and contract stages come first, so an error of theirs
-        # replaces the derivation's
-        report = front.result()
-    hopf = _Worker("hopf", _hopf_report, alg, HOPF_GROUPS, braiding)
-    try:
-        relations = _relations_stage(alg, args.max_degree)
-    except BaseException:
-        hopf.stop(kill=True)
-        raise
-    return report, alg, relations, hopf.result()
+class _InProcess:
+    """The stand-in for a _Worker where stages do not overlap: work(*args)
+    runs here when its result is asked for, and never if it is stopped."""
+
+    def __init__(self, stage: str, work, *args):
+        self.work, self.args = work, args
+
+    def result(self) -> CheckReport:
+        return self.work(*self.args)
+
+    def stop(self, kill: bool = False) -> int:
+        return 0
 
 
-def cmd_all(args) -> int:
-    bindings = _bindings(args.set)
-    braiding = not args.no_braiding
-    if _overlaps():
-        report, alg, relations, hopf = _overlapped(args, bindings, braiding)
-    else:
-        report = _qybe_and_contract(args, bindings)
-        alg = _algebra(args, bindings)
-        relations = _relations_stage(alg, args.max_degree)
-        hopf = _hopf_report(alg, HOPF_GROUPS, braiding)
-    for stage in relations:
-        report.extend(stage, "relations:")
-    report.metadata["convention"] = alg.convention
-    report.extend(hopf, "hopf:")
-    return _emit(report, args)
+def _spawn(stage: str, work, *args):
+    """work(*args) as a stage beside the caller's own: in a forked _Worker
+    where _overlaps() holds, else run in process by result()."""
+    return (_Worker if _overlaps() else _InProcess)(stage, work, *args)
 
 
 # -- argument plumbing -------------------------------------------------------

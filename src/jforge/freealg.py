@@ -28,6 +28,11 @@ rules rewrite.
 A hard step budget (JFORGE_MAX_STEPS, default one million) backstops the
 termination argument against misbuilt rule sets; a value that is not an
 integer of at least 1 is a UsageError.  step_bound() is its one parser.
+Each normal form gets the whole budget and spends one step per rhs term
+rewritten.  The word cache keeps each word's steps beside its normal form
+and charges them again on every hit, so a normal form costs the size of
+its rewrite tree, counted as if nothing were cached: the budget depends on
+the input alone, not on what was normalized before.
 """
 
 from __future__ import annotations
@@ -262,46 +267,63 @@ class RewriteSystem:
     def is_normal_word(self, word: Word) -> bool:
         return self.find_redex(word) is None
 
-    def _nf_word(self, word: Word, budget: list) -> NCPoly:
-        """budget is [steps left]."""
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
+    def _exceeded(self) -> NonTerminating:
+        return NonTerminating(f"rewriting exceeded {self.max_steps} steps")
+
+    def _nf_word(self, word: Word, left: int) -> tuple:
+        """(normal form, steps) of word, where steps is the size of its
+        rewrite tree; the cache keeps the same pair, so a hit costs what
+        the rewriting did.  Raises once its own rewrites overrun left; the
+        caller checks the steps of a hit (see normal_form)."""
+        entry = self._cache.get(word)
+        if entry is not None:
+            return entry
         hit = self.find_redex(word)
         if hit is None:
-            result = {word: L_ONE}
+            entry = ({word: L_ONE}, 0)
         else:
             pos, rule = hit
             head = word[:pos]
             tail = word[pos + len(rule.lhs):]
             acc: NCPoly = {}
+            steps = 0
             for rw, rc in rule.rhs.items():
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise NonTerminating(
-                        f"rewriting exceeded {self.max_steps} steps"
-                    )
-                piece = self._nf_word(head + rw + tail, budget)
+                steps += 1
+                if steps > left:
+                    raise self._exceeded()
+                piece, n = self._nf_word(head + rw + tail, left - steps)
+                steps += n
                 for w, c in piece.items():
                     add_into(acc, w, c if rc is L_ONE else c * rc)
-            result = acc
-        self._cache[word] = result
-        return result
+            entry = (acc, steps)
+        self._cache[word] = entry
+        return entry
 
     def normal_form(self, poly: NCPoly) -> NCPoly:
-        budget = [self.max_steps]
+        """The normal form of poly, within max_steps steps.
+
+        The steps of a cached word count again, so a bound is exceeded
+        exactly when the rewrite trees of poly's words, as if nothing were
+        cached, have more than max_steps edges together.  _nf_word checks
+        only its own rewrites; the steps a hit adds are checked at the next
+        rewrite of its caller, or here.
+        """
+        left = self.max_steps
         out: NCPoly = {}
         for word, coeff in poly.items():
             if coeff.is_zero():
                 continue
             try:
-                piece = self._nf_word(tuple(word), budget)
+                piece, steps = self._nf_word(tuple(word), left)
             except RecursionError:
                 # _nf_word recurses once per rewrite along a word; _cache
                 # only holds finished words, so nothing half-built remains
                 raise DegreeOverflow(
                     f"word of length {len(word)} is too deep to rewrite"
                 ) from None
+            left -= steps
+            if left < 0:
+                raise self._exceeded()
             for w, c in piece.items():
                 add_into(out, w, c if coeff is L_ONE else c * coeff)
         return out

@@ -74,7 +74,8 @@ The results are exact, the rewriting work is not: the symbolic rules, and
 on the locus the symbolic inputs, keep the terms that vanish at the point,
 so a normal form can take more steps than with everything evaluated.  A
 JFORGE_MAX_STEPS bound counts the steps of the run that makes the report,
-on either route.
+on either route, each normal form's rewrite tree as if nothing were
+cached (see freealg), so the shared word cache does not change the count.
 """
 
 from __future__ import annotations

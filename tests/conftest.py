@@ -1,5 +1,10 @@
-"""Shared fixtures: the derived algebra is built once per session."""
+"""Shared fixtures: the derived algebra is built once per session.
 
+usable_cpus and no_children_left are plain helpers for the tests of the
+forked workers of jforge.cli; test modules import them from here.
+"""
+
+import os
 import signal
 from contextlib import contextmanager
 
@@ -40,3 +45,27 @@ def time_limit():
     Session-scoped so hypothesis tests can take it and bound each example.
     """
     return _time_limit
+
+
+def usable_cpus(monkeypatch, count: int) -> list:
+    """Make count CPUs usable to cli; the list collects each os.fork's pid."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    forks = []
+    fork = os.fork
+    parent = os.getpid()
+
+    def recorded():
+        assert os.getpid() == parent, "a worker forked"
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return forks
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -16,6 +16,8 @@ from jforge.cli import main
 from jforge.errors import JforgeError
 from jforge.rtt import DerivedAlgebra
 
+from conftest import no_children_left, usable_cpus
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import report_diff  # noqa: E402
@@ -340,28 +342,6 @@ def test_all_default_run(capsys):
 K_ZERO = ["--set", "m=3/2", "--set", "n=-2/3", "--set", "k=0", "--set", "p=7/4"]
 
 
-def usable_cpus(monkeypatch, count: int) -> list:
-    """Make count CPUs usable to cli; the list collects each os.fork's pid."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-    forks = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    return forks
-
-
-def no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("argv", [
     [], K_ZERO, ["--set", "p=1+m"], ["--no-braiding"], ["--contraction-matrix", "gprime"],
 ], ids=["default", "k-zero", "expression", "no-braiding", "gprime"])
@@ -446,6 +426,122 @@ def test_a_worker_that_dies_is_an_error_that_names_its_stage(capsys, monkeypatch
     monkeypatch.setattr(cli, target, dies)
     with time_limit(60):
         code, out, err = run(capsys, "all")
+    assert (code, out) == (1, "")
+    assert err == f"jforge: the {stage} worker exited with status 3 before it sent its report\n"
+    no_children_left()
+
+
+# -- the stages of relations and hopf in forked workers --------------------------
+
+POINT = ["--set", "m=3/2", "--set", "n=-2/3", "--set", "k=5", "--set", "p=7/4"]
+BINDINGS = {"default": [], "point": ["--convention", "auto", *POINT],
+            "k-zero": ["--convention", "auto", *K_ZERO], "expression": ["--set", "p=1+m"],
+            "on-locus": ["--set", "m=0"]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv, workers", [
+    *((["relations", *argv], 1) for argv in BINDINGS.values()),
+    *((["hopf", *argv], 1) for argv in BINDINGS.values()),
+    (["hopf", "--no-braiding"], 1),
+    (["hopf", "--check", "bialgebra"], 1),
+    (["hopf", "--check", "antipode"], 0),
+], ids=[*(f"relations-{name}" for name in BINDINGS), *(f"hopf-{name}" for name in BINDINGS),
+        "hopf-no-braiding", "hopf-bialgebra", "hopf-antipode"])
+def test_relations_and_hopf_in_workers_report_as_in_process(capsys, monkeypatch, time_limit,
+                                                            argv, workers, fmt):
+    runs = []
+    for cpus in (2, 1):
+        forks = usable_cpus(monkeypatch, cpus)
+        with time_limit(120):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+        assert len(forks) == (workers if cpus > 1 else 0)
+        if fmt == "json":
+            out = json.dumps(report_diff.strip_ms(json.loads(out)), indent=2, sort_keys=True)
+        runs.append((code, out, err))
+    assert runs[0] == runs[1]
+    no_children_left()
+
+
+def hangs(*args, **kwargs):
+    time.sleep(600)
+
+
+def fails(message):
+    def raises(*args, **kwargs):
+        raise JforgeError(message)
+    return raises
+
+
+def test_a_reference_error_kills_the_confluence_worker(capsys, monkeypatch, time_limit):
+    forks = usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_confluence", hangs)
+    monkeypatch.setattr(cli, "verify_reference", fails("the reference relations failed"))
+    with time_limit(30):
+        assert run(capsys, "relations") == (1, "", "jforge: the reference relations failed\n")
+    assert len(forks) == 1
+    no_children_left()
+
+
+def test_a_confluence_error_wins_over_the_table(capsys, monkeypatch, time_limit):
+    # confluence comes before the table in the in-process order
+    monkeypatch.setattr(cli, "_confluence", fails("confluence failed"))
+    monkeypatch.setattr(DerivedAlgebra, "to_dict", fails("the table failed"))
+    for cpus in (2, 1):
+        forks = usable_cpus(monkeypatch, cpus)
+        with time_limit(60):
+            assert run(capsys, "relations") == (1, "", "jforge: confluence failed\n")
+        assert len(forks) == cpus - 1
+    no_children_left()
+
+
+def test_a_quotient_error_kills_the_bialgebra_worker(capsys, monkeypatch, time_limit):
+    forks = usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "check_bialgebra", hangs)
+    monkeypatch.setattr(DerivedAlgebra, "quotient", fails("the quotient failed"))
+    with time_limit(30):
+        assert run(capsys, "hopf") == (1, "", "jforge: the quotient failed\n")
+    assert len(forks) == 1
+    no_children_left()
+
+
+def test_a_full_bialgebra_error_wins_over_the_other_groups(capsys, monkeypatch, time_limit):
+    check_bialgebra = cli.check_bialgebra
+
+    def full_fails(system, layout):
+        if layout is cli.LAYOUT_3:
+            raise JforgeError("the full bialgebra check failed")
+        return check_bialgebra(system, layout)
+
+    monkeypatch.setattr(cli, "check_bialgebra", full_fails)
+    monkeypatch.setattr(cli, "qdet_checks", fails("qdet failed"))
+    for cpus in (2, 1):
+        forks = usable_cpus(monkeypatch, cpus)
+        with time_limit(60):
+            assert run(capsys, "hopf") == (1, "", "jforge: the full bialgebra check failed\n")
+        assert len(forks) == cpus - 1
+    no_children_left()
+
+
+@pytest.mark.parametrize("command, target, stage", [
+    ("relations", "_confluence", "confluence"),
+    ("hopf", "check_bialgebra", "full bialgebra"),
+])
+def test_a_relations_or_hopf_worker_that_dies_names_its_stage(capsys, monkeypatch, time_limit,
+                                                              command, target, stage):
+    usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    work = getattr(cli, target)
+
+    def dies(*args, **kwargs):
+        if args[-1] is cli.LAYOUT_Q:  # the quotient's bialgebra check
+            return work(*args, **kwargs)
+        assert os.getpid() != parent, "the stage ran in the parent"
+        os._exit(3)
+
+    monkeypatch.setattr(cli, target, dies)
+    with time_limit(60):
+        code, out, err = run(capsys, command)
     assert (code, out) == (1, "")
     assert err == f"jforge: the {stage} worker exited with status 3 before it sent its report\n"
     no_children_left()

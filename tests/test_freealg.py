@@ -1,11 +1,15 @@
 """Noncommutative rewriting: normal forms, critical pairs, tensor layer."""
 
+import contextlib
+import io
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jforge.cli import main
 from jforge.errors import NonTerminating, OrientationFailure
 from jforge.freealg import (
     RewriteRule,
@@ -30,7 +34,7 @@ from jforge.grammar import parse
 from jforge.hopf import LAYOUT_Q, coproduct_poly
 from jforge.laurent import L_ONE, L_ZERO, Substitution
 from jforge.rmat import four_param_deformed_r3
-from jforge.rtt import LAYOUT_3, DerivedAlgebra
+from jforge.rtt import LAYOUT_3, DerivedAlgebra, inverse_record
 
 
 def weyl_like() -> RewriteSystem:
@@ -306,6 +310,56 @@ def test_step_budget_is_enforced(monkeypatch):
     deep = nc_word(tuple("yx" * 12))
     with pytest.raises(NonTerminating, match="exceeded 3 steps"):
         rs.normal_form(deep)
+
+
+def under_bound(system: RewriteSystem, steps: int, work):
+    """work() with system's step bound set to steps; whether it finished."""
+    system.max_steps = steps
+    try:
+        work()
+    except NonTerminating as exc:
+        assert str(exc) == f"rewriting exceeded {steps} steps"
+        return False
+    return True
+
+
+@pytest.mark.parametrize("before", [None, "confluence_report"])
+def test_the_e_roundtrips_cost_the_same_after_any_earlier_work(before):
+    # a cached word is charged the steps its rewriting took, so a normal
+    # form costs its rewrite tree whatever the cache already holds
+    alg = DerivedAlgebra()
+    if before:
+        alg.system.confluence_report(max_degree=3)
+    e = alg.derivations[-1]
+    assert e["inverse"] == "e"
+    record = lambda: inverse_record(e, alg.system)  # noqa: E731
+    assert not under_bound(alg.system, 405, record)
+    assert under_bound(alg.system, 406, record)
+    assert not under_bound(alg.system, 405, record)
+
+
+def test_a_linear_chain_is_charged_its_length_from_the_cache_too():
+    # x^600*f moves f left one letter per rewrite: 600 steps, also when
+    # every word of the chain is read from the cache
+    system = DerivedAlgebra(extend=False).system
+    word = nc_word(("x",) * 600 + ("f",))
+    normal_form = lambda: system.normal_form(word)  # noqa: E731
+    assert not under_bound(system, 599, normal_form)
+    assert under_bound(system, 600, normal_form)
+    assert not under_bound(system, 599, normal_form)
+    assert under_bound(system, 600, normal_form)
+
+
+@pytest.mark.parametrize("degree", ["4", "5"])
+def test_deeper_confluence_checks_finish_under_the_default_bound(monkeypatch, degree):
+    monkeypatch.delenv("JFORGE_MAX_STEPS", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["relations", "--max-degree", degree, "--format", "json"]) == 1
+    report = json.loads(out.getvalue())
+    # beyond degree 3 localized words are left stuck by design
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == [
+        "ref:f-y", "critical-pairs-resolve"]
 
 
 def test_quotient_drops_rules_and_erases_tails():

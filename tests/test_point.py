@@ -29,6 +29,8 @@ from jforge.specialize import SpecializedAlgebra, derive, on_locus, read
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from report_diff import strip_ms  # noqa: E402
 
+from conftest import no_children_left, usable_cpus  # noqa: E402
+
 POINT = {"m": "3/2", "n": "-2/3", "k": "5", "p": "7/4"}
 K_ZERO = {"m": "3/2", "n": "-2/3", "k": "0", "p": "7/4"}
 POINTS = [
@@ -233,32 +235,37 @@ def test_a_point_on_the_table_locus_is_extended_only_at_the_point(monkeypatch):
 
 
 def test_the_read_route_can_take_more_steps_than_the_point_route(monkeypatch):
-    # at k = 0 the symbolic rules keep terms that vanish there: the normal
-    # forms of the derivation take up to 122 steps with them and 71 with
+    # at k = 0 the symbolic rules keep terms that vanish there: the largest
+    # normal form of the derivation takes 406 steps with them and 236 with
     # the rules derived at k = 0.  K_ZERO is off the locus, so derive()
     # takes the read route under any bound, and the bound counts its steps.
-    monkeypatch.setattr(freealg, "step_bound", lambda: 100)
+    monkeypatch.setattr(freealg, "step_bound", lambda: 300)
     point = bindings(K_ZERO)
-    with pytest.raises(NonTerminating, match="rewriting exceeded 100 steps"):
+    with pytest.raises(NonTerminating, match="rewriting exceeded 300 steps"):
         derive(bindings=point)
     assert type(DerivedAlgebra(bindings=point)) is DerivedAlgebra
 
 
 def test_a_user_set_bound_counts_the_steps_of_the_reported_run(monkeypatch, capsys):
+    # a step counts the rewrite tree of one normal form, cached words too,
+    # so the boundary is the same whether the stages share a process or not
     point = [a for name, value in K_ZERO.items() for a in ("--set", f"{name}={value}")]
     for argv, steps in (
-            # the read route's relations run at k = 0 takes 132 steps (see above)
-            (["relations", "--convention", "auto", *point], 132),
-            # the derivation, which runs before all forks a worker, takes 122;
-            # the largest normal form of the hopf stage takes 114, as in hopf
-            (["all", *point], 122)):
-        monkeypatch.delenv("JFORGE_MAX_STEPS", raising=False)
-        unbounded = run(argv)
-        monkeypatch.setenv("JFORGE_MAX_STEPS", str(steps - 1))
-        assert main(argv) == 1
-        assert f"rewriting exceeded {steps - 1} steps" in capsys.readouterr().err
-        monkeypatch.setenv("JFORGE_MAX_STEPS", str(steps))
-        assert run(argv) == unbounded
+            # the read route's derivation at k = 0 takes 406 steps (see above)
+            (["relations", "--convention", "auto", *point], 406),
+            # the largest normal form of the hopf checks takes 1464
+            (["hopf", "--convention", "auto", *point], 1464),
+            (["all", *point], 1464)):
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            monkeypatch.delenv("JFORGE_MAX_STEPS", raising=False)
+            unbounded = run(argv)
+            monkeypatch.setenv("JFORGE_MAX_STEPS", str(steps - 1))
+            assert main(argv) == 1, (argv[0], cpus)
+            assert f"rewriting exceeded {steps - 1} steps" in capsys.readouterr().err
+            monkeypatch.setenv("JFORGE_MAX_STEPS", str(steps))
+            assert run(argv) == unbounded, (argv[0], cpus)
+    no_children_left()
 
 
 def test_a_point_over_the_step_bound_at_the_point_fails_as_there(monkeypatch, capsys):

@@ -15,8 +15,11 @@ of its slope flipped (the limit exists and misses the target), eta =
 1/eps^2 (the twist pole is of the wrong order, so entries diverge), and
 s = 0 (the substitution itself meets a pole).  A command may start
 with NAME=VALUE items, each set in that command's environment on both
-trees.  Prints one line per command and exits 1 on any difference, else 0.
-Run from anywhere inside the repository:
+trees.  Each command runs once more on this tree, pinned to one usable CPU
+by os.sched_setaffinity in the launcher, so that its stages run in one
+process instead of in forked workers; a difference between the two layouts
+is a failure too.  Prints one line per command and exits 1 on any
+difference, else 0.  Run from anywhere inside the repository:
 
     python3 tools/diff_against.py HEAD~1
 """
@@ -67,14 +70,19 @@ COMMANDS = (
     ["hopf", "--convention", "auto", "--set", "m=0", "--set", "n=0"],
     ["relations", "--convention", "auto", *K_ZERO],
     ["hopf", "--convention", "auto", *K_ZERO],
-    # a step bound counts the steps of the run that makes the report, and
-    # bindings take the same route under any bound: off the locus K_ZERO is
-    # read off the symbolic run and needs 132 steps for relations and 122
-    # for all; m=0 is on the locus and is derived at the bindings
+    # a step bound counts the steps of the run that makes the report, one
+    # normal form's rewrite tree as if nothing were cached, and bindings
+    # take the same route under any bound: off the locus K_ZERO is read off
+    # the symbolic run and needs 406 steps for relations and 1464 for hopf
+    # and all; m=0 is on the locus and is derived at the bindings
     ["JFORGE_MAX_STEPS=100", "relations", "--convention", "auto", *K_ZERO],
     ["JFORGE_MAX_STEPS=100", "all", *K_ZERO],
-    ["JFORGE_MAX_STEPS=132", "relations", "--convention", "auto", *K_ZERO],
-    ["JFORGE_MAX_STEPS=122", "all", *K_ZERO],
+    ["JFORGE_MAX_STEPS=405", "relations", "--convention", "auto", *K_ZERO],
+    ["JFORGE_MAX_STEPS=406", "relations", "--convention", "auto", *K_ZERO],
+    ["JFORGE_MAX_STEPS=1463", "hopf", "--convention", "auto", *K_ZERO],
+    ["JFORGE_MAX_STEPS=1464", "hopf", "--convention", "auto", *K_ZERO],
+    ["JFORGE_MAX_STEPS=1463", "all", *K_ZERO],
+    ["JFORGE_MAX_STEPS=1464", "all", *K_ZERO],
     ["JFORGE_MAX_STEPS=999999", "all", "--set", "p=1+m"],
     ["JFORGE_MAX_STEPS=1000", "hopf", "--set", "m=0"],
     ["JFORGE_MAX_STEPS=20", "relations", "--convention", "auto", *POINT],
@@ -167,17 +175,23 @@ COMMANDS = (
     ["hopf", "--set", "m=0", "--set", "p=1+k"],
     # a rational point in some of the parameters, Laurent in the rest
     ["qybe", "--matrix", "rj3", "--set", "m=3/2", "--set", "p=7/4"],
-    # the stages of all that may run in forked workers: only the qybe stage
-    # raises (q is no parameter of the algebra); the derivation raises at
-    # bound 121 while the qybe and contract stages run; bound 122 reports;
-    # the text rendering of the unbraided control
+    # the stages that may run in forked workers: only the qybe stage of all
+    # raises (q is no parameter of the algebra); all stops at bound 1463 and
+    # reports at 1464; the text renderings, and hopf with and without its
+    # full bialgebra worker
     ["all", "--set", "q=0"],
-    ["JFORGE_MAX_STEPS=121", "all"],
-    ["JFORGE_MAX_STEPS=122", "all"],
+    ["JFORGE_MAX_STEPS=1463", "all"],
+    ["JFORGE_MAX_STEPS=1464", "all"],
     ["all", "--format", "text", "--no-braiding"],
+    ["relations", "--format", "text"],
+    ["hopf", "--check", "bialgebra"],
+    ["hopf", "--check", "antipode", "--format", "text"],
 )
 
 RUN_MAIN = "import sys; from jforge.cli import main; sys.exit(main(sys.argv[1:]))"
+# the same, pinned to one usable CPU, where jforge runs its stages in one process
+RUN_ON_ONE_CPU = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                  + RUN_MAIN)
 BUNDLED_SCHEDULE = ROOT / "src" / "jforge" / "data" / "jordanian_gl3.schedule"
 EPS = re.compile(r"\beps\b")
 
@@ -212,10 +226,10 @@ def extract(ref: str, dest: Path) -> None:
         archive.extractall(dest, **safe)
 
 
-def run(tree: Path, argv: list) -> tuple:
-    """(exit code, stdout, stderr) of one jforge command against tree/src;
-    leading NAME=VALUE items of argv go into its environment, and the
-    report is JSON unless argv names a --format."""
+def run(tree: Path, argv: list, launcher: str = RUN_MAIN) -> tuple:
+    """(exit code, stdout, stderr) of one jforge command against tree/src,
+    started by launcher; leading NAME=VALUE items of argv go into its
+    environment, and the report is JSON unless argv names a --format."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     while "=" in argv[0]:
         name, _, value = argv[0].partition("=")
@@ -223,7 +237,7 @@ def run(tree: Path, argv: list) -> tuple:
         argv = argv[1:]
     if "--format" not in argv:
         argv = [*argv, "--format", "json"]
-    proc = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv],
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv],
                           cwd=tree, env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -252,10 +266,11 @@ def main(argv=None) -> int:
         for argv_ in COMMANDS:
             concrete = [a.format_map(schedules) for a in argv_]
             ref_run, new_run = run(ref_tree, concrete), run(ROOT, concrete)
-            problem = compare(ref_run, new_run)
-            status = "identical" if problem is None else problem
-            failures += problem is not None
-            print(f"{' '.join(argv_)}: exit {new_run[0]}, {status}")
+            layout = compare(new_run, run(ROOT, concrete, RUN_ON_ONE_CPU))
+            problems = [problem for problem in (
+                compare(ref_run, new_run), layout and f"on one CPU, {layout}") if problem]
+            failures += bool(problems)
+            print(f"{' '.join(argv_)}: exit {new_run[0]}, {'; '.join(problems) or 'identical'}")
     print(f"{len(COMMANDS) - failures}/{len(COMMANDS)} commands identical")
     return 1 if failures else 0
 
