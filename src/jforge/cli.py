@@ -26,16 +26,17 @@ and forks nothing when --check leaves out bialgebra.  ``all`` runs the
 qybe and contract stages in a worker while the parent derives the
 algebra, and the hopf checks, forked once the algebra is derived, while
 the parent runs the relations.  A worker never forks, so ``all``'s hopf
-worker runs its stages in one process.  Each worker sends back its report
-with marshal, or its exception pickled, over a pipe, and leaves with
-os._exit.  The report is the one of the in-process order, which runs on
-one CPU, and so are the errors: an error of the parent kills the worker
-when it comes before the worker's stage in that order, and waits for it
-when it comes after, so the worker's error wins.  Every worker is reaped
-before ``main`` returns, on every path, and one that exits without a
-payload is a JforgeError naming its stage.  The step bound counts each
-normal form's rewrite tree (see freealg), so it does not depend on which
-process ran which stage.
+worker runs its stages in one process, and a stage whose fork fails runs
+in process.  Each worker sends back its report with marshal, or its
+exception pickled, over a pipe, and leaves with os._exit.  The report
+is the one of the in-process order, which runs on one CPU, and so are
+the errors: an error of the parent kills the worker when it comes before
+the worker's stage in that order, and waits for it when it comes after,
+so the worker's error wins.  Every worker is reaped before ``main``
+returns, on every path, and one that exits without a payload is a
+JforgeError naming its stage.  The step bound counts each normal form's
+rewrite tree (see freealg), so it does not depend on which process ran
+which stage.
 """
 
 from __future__ import annotations
@@ -384,7 +385,12 @@ class _Worker:
 
     def __init__(self, stage: str, work, *args):
         read, write = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
         if pid == 0:
             # never return into the caller's frames, and leave stdout's
             # buffer, a copy of the parent's, unflushed
@@ -455,8 +461,14 @@ class _InProcess:
 
 def _spawn(stage: str, work, *args):
     """work(*args) as a stage beside the caller's own: in a forked _Worker
-    where _overlaps() holds, else run in process by result()."""
-    return (_Worker if _overlaps() else _InProcess)(stage, work, *args)
+    where _overlaps() holds and the fork succeeds, else run in process by
+    result(), in the one-CPU order."""
+    if _overlaps():
+        try:
+            return _Worker(stage, work, *args)
+        except OSError:
+            pass  # no process or no pipe to be had (EAGAIN, EMFILE)
+    return _InProcess(stage, work, *args)
 
 
 # -- argument plumbing -------------------------------------------------------

@@ -20,12 +20,23 @@ expanded as the unreduced pair of substitute_unreduced, as a common factor
 does not change the series.  Every entry is substituted before any
 is expanded, so a pole that the substitution meets raises before any entry
 is read; the expansion never divides by zero.
+
+A schedule's digest is the SHA-256 of its file, from the interpreter's
+built-in module: hashlib would load OpenSSL for one small file.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import os
+
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import PoleError, ScheduleError
 from .field import RatFunc, laurent_expand, limit_at_zero
@@ -96,15 +107,13 @@ def read_schedule(path: str) -> tuple:
         data = json.loads(raw.decode("utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScheduleError(f"cannot read schedule {path}: {exc}") from exc
-    return Schedule.from_dict(data), hashlib.sha256(raw).hexdigest()
+    return Schedule.from_dict(data), sha256(raw).hexdigest()
 
 
 def bundled_schedule() -> tuple:
     """(standard_schedule(), sha256 hex digest of its file), from one read."""
-    from importlib.resources import files
-
-    raw = files("jforge").joinpath("data/jordanian_gl3.schedule").read_bytes()
-    return Schedule.from_dict(json.loads(raw)), hashlib.sha256(raw).hexdigest()
+    return read_schedule(os.path.join(os.path.dirname(__file__), "data",
+                                      "jordanian_gl3.schedule"))
 
 
 def standard_schedule() -> Schedule:

@@ -18,8 +18,8 @@ One path reaches the canonical form, poly's: the constructors, the field
 operations and every product or sum run pgcd, pdiv_exact, then
 pint_normalize.  For a one-term operand these run no remainder sequence
 (pgcd returns the shared monomial, pdiv_exact subtracts exponents,
-pint_normalize scales by 1/c); several-term ones run pgcd's remainder
-sequence, long division and the content pass.
+pint_normalize scales by 1/c, and is skipped when c is 1); several-term
+ones run pgcd's remainder sequence, long division and the content pass.
 
 Substitution works on the polynomials: each bound parameter's
 denominator is cleared to its top exponent, so RatFunc.substitute_unreduced
@@ -34,7 +34,7 @@ size.  Values are immutable and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import poly as P
@@ -66,7 +66,8 @@ class RatFunc:
             if g != P.PONE:
                 num = P.pdiv_exact(num, g)
                 den = P.pdiv_exact(den, g)
-        if not P.pis_zero(num):
+        # a monic one-term denominator, as Laurent.to_rf builds, is canonical
+        if not P.pis_zero(num) and (len(den) > 1 or next(iter(den.values())) != 1):
             den, scale = P.pint_normalize(den)
             if scale != 1:
                 num = P.pscale(num, scale)
@@ -301,9 +302,10 @@ def add_into(out: dict, key, value) -> None:
         out[key] = acc
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
-    """Truncated Laurent expansion in one variable.
+class LaurentSeries(namedtuple("LaurentSeries",
+                               "variable min_degree coeffs truncation_order")):
+    """Truncated Laurent expansion in one variable: an immutable value,
+    equal to another with the same fields.
 
     coeffs[i] is the coefficient of variable**(min_degree + i); coefficients
     are free of the expansion variable, Laurent values, or RatFunc ones
@@ -316,10 +318,7 @@ class LaurentSeries:
     cuts off below the valuation.
     """
 
-    variable: str
-    min_degree: int
-    coeffs: tuple
-    truncation_order: int
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return not self.coeffs

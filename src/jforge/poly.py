@@ -9,18 +9,19 @@ The zero polynomial is the empty dict.  All functions treat their inputs as
 immutable and return fresh dicts, so values can be shared freely and used as
 building blocks for hashable wrappers.
 
-The only nontrivial algorithm here is the primitive polynomial remainder
-sequence used by pgcd.  Polynomials are viewed recursively as univariate in
-the alphabetically first variable with polynomial coefficients; contents are
-split off and the PRS runs on the primitive parts.  Degrees and variable
-counts in this project are small, so the classical algorithm is adequate.
+The only nontrivial algorithm here is pgcd.  It first bounds the gcd's
+degree in each variable by the gcd of images in GF(p)[v], every other
+variable set to a fixed point: a coprime pair, the common case, ends there,
+and a gcd free of some variables is the gcd of the coefficients over them.
+Otherwise the polynomials are viewed as univariate in the alphabetically
+first variable with polynomial coefficients, contents are split off, and
+the subresultant remainder sequence runs on the primitive parts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable
 
 from .errors import DivisionByZero
 
@@ -303,10 +304,12 @@ def from_univariate(u: dict, v: str) -> Poly:
 
 
 def _uprem(f: dict, g: dict) -> dict:
-    """Pseudo remainder of univariate-with-Poly-coefficient dicts."""
+    """Pseudo remainder lc(g)^(deg f - deg g + 1) * f mod g of
+    univariate-with-Poly-coefficient dicts, deg f >= deg g."""
     dg = max(g)
     lg = g[dg]
     r = dict(f)
+    steps = max(f) - dg + 1
     while r and max(r) >= dg:
         dr = max(r)
         lr = r[dr]
@@ -319,6 +322,10 @@ def _uprem(f: dict, g: dict) -> dict:
                 t = d + dr - dg
                 nr[t] = psub(nr.get(t, {}), pmul(c, lr))
         r = {d: c for d, c in nr.items() if c}
+        steps -= 1
+    if r and steps:
+        scale = ppow(lg, steps)
+        r = {d: pmul(c, scale) for d, c in r.items()}
     return r
 
 
@@ -328,6 +335,67 @@ def _pgcd_list(polys: Iterable[Poly]) -> Poly:
         out = pgcd(out, p)
         if out == PONE:
             break
+    return out
+
+
+_PRIME = 2_147_483_647  # 2^31 - 1: images of the gcd bound are taken mod this
+
+
+def _image_degree(a: Poly, b: Poly, v: str, point: dict):
+    """Degree of gcd(a, b) mod _PRIME with every variable but v set to
+    point, or None when a leading coefficient in v vanishes there.
+
+    The gcd of a and b divides both, and its leading coefficient in v
+    divides theirs, so its degree in v is at most this image's degree.
+    """
+    images = []
+    for p in (a, b):
+        u: dict = {}
+        for m, c in p.items():
+            if c.denominator % _PRIME == 0:
+                return None
+            x = c.numerator * pow(c.denominator, -1, _PRIME)
+            e = 0
+            for vv, ee in m:
+                if vv == v:
+                    e = ee
+                else:
+                    x = x * pow(point[vv], ee, _PRIME)
+            u[e] = (u.get(e, 0) + x) % _PRIME
+        top = max(u)
+        if not u[top]:
+            return None
+        images.append([u.get(d, 0) for d in range(top + 1)])
+    f, g = images
+    while g:
+        # f := f mod g, coefficients low to high, g's lead nonzero
+        inv = pow(g[-1], -1, _PRIME)
+        while len(f) >= len(g):
+            q = f[-1] * inv % _PRIME
+            shift = len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - q * c) % _PRIME
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _gcd_variables(a: Poly, b: Poly) -> set:
+    """The variables that can occur in gcd(a, b): those of both a and b
+    whose bound from _image_degree, at two fixed points, is not 0."""
+    names = sorted(pvars(a) | pvars(b))
+    out = set()
+    for v in sorted(pvars(a) & pvars(b)):
+        for seed in (1, 2):
+            point = {u: pow(7919 * seed + 104729 * i, 3, _PRIME) + 2
+                     for i, u in enumerate(names)}
+            d = _image_degree(a, b, v, point)
+            if d is not None:
+                break
+        if d != 0:
+            out.add(v)
     return out
 
 
@@ -351,7 +419,20 @@ def pgcd(a: Poly, b: Poly) -> Poly:
         b = {mono_div(m, mc): c for m, c in b.items()}
         inner = pgcd(a, b)
         return {mono_mul(m, mc): c for m, c in inner.items()}
-    v = sorted(pvars(a) | pvars(b))[0]
+    live = _gcd_variables(a, b)
+    if not live:
+        return dict(PONE)
+    if live != pvars(a) | pvars(b):
+        # the gcd lies in Q[live], so it is the gcd of the coefficients of
+        # a and b as polynomials in the other variables
+        parts: dict = {}
+        for i, p in enumerate((a, b)):
+            for m, c in p.items():
+                key = (i, tuple(ve for ve in m if ve[0] not in live))
+                part = parts.setdefault(key, {})
+                part[tuple(ve for ve in m if ve[0] in live)] = c
+        return _pgcd_list(parts.values())
+    v = min(live)
     au = as_univariate(a, v)
     bu = as_univariate(b, v)
     cont_a = _pgcd_list(au.values())
@@ -360,16 +441,21 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     fa = {e: pdiv_exact(c, cont_a) for e, c in au.items()}
     fb = {e: pdiv_exact(c, cont_b) for e, c in bu.items()}
     f, g = (fa, fb) if max(fa) >= max(fb) else (fb, fa)
-    while g:
+    # subresultant remainder sequence: each remainder is divided by a
+    # factor known in advance, so no content is taken until the end
+    lead = step = PONE
+    while True:
+        delta = max(f) - max(g)
         r = _uprem(f, g)
-        if r:
-            # strip the polynomial and then the rational content; left in,
-            # the coefficients grow exponentially with the degree
-            rc = _pgcd_list(r.values())
-            r = {e: pdiv_exact(c, rc) for e, c in r.items()}
-            s = _content_scale(c for cc in r.values() for c in cc.values())
-            r = {e: pscale(c, s) for e, c in r.items()}
-        f, g = g, r
+        if not r:
+            break
+        div = pmul(lead, ppow(step, delta))
+        f, g = g, {e: pdiv_exact(c, div) for e, c in r.items()}
+        lead = f[max(f)]
+        if delta:
+            step = pdiv_exact(ppow(lead, delta), ppow(step, delta - 1))
+    content = _pgcd_list(g.values())
+    f = {e: pdiv_exact(c, content) for e, c in g.items()}
     prim = from_univariate(f, v)
     out = pmul(cont, prim)
     return pint_normalize(out)[0]

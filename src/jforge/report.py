@@ -3,34 +3,36 @@
 Every verification entry point returns a CheckReport so the command line,
 the test suite and the fixtures all read the same structure.  JSON output is
 deterministic (sorted keys, stable ordering) and carries a schema_version so
-downstream consumers can detect format changes.
+downstream consumers can detect format changes.  The records are plain
+slotted classes: dataclasses would load inspect and ast into every run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class CheckResult:
     """A single named check.  details holds JSON-ready context values."""
 
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    ms: float = 0.0
+    __slots__ = ("name", "passed", "details", "ms")
+
+    def __init__(self, name: str, passed: bool, details: dict = None, ms: float = 0.0):
+        self.name, self.passed, self.ms = name, passed, ms
+        self.details = {} if details is None else details
 
 
-@dataclass
 class CheckReport:
     """A group of checks produced by one tool invocation."""
 
-    tool: str
-    checks: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("tool", "checks", "metadata")
+
+    def __init__(self, tool: str, checks: list = None, metadata: dict = None):
+        self.tool = tool
+        self.checks = [] if checks is None else checks
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def passed(self) -> bool:
@@ -43,7 +45,8 @@ class CheckReport:
 
     def extend(self, other: "CheckReport", prefix: str = ""):
         """Append the checks of other, each name under prefix."""
-        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
+        self.checks.extend(CheckResult(prefix + c.name, c.passed, c.details, c.ms)
+                           for c in other.checks)
 
     def to_dict(self) -> dict:
         return {

@@ -1,6 +1,7 @@
 """Command line driver: exit codes, report schema, output modes."""
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -547,6 +548,36 @@ def test_a_relations_or_hopf_worker_that_dies_names_its_stage(capsys, monkeypatc
     no_children_left()
 
 
+def open_fds() -> list:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("command, attempts", [("relations", 1), ("hopf", 1), ("all", 3)])
+def test_a_failed_fork_runs_the_stage_in_process(capsys, monkeypatch, time_limit,
+                                                 command, attempts):
+    runs = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        tried = []
+
+        def no_fork():
+            tried.append(1)
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = open_fds()
+        with time_limit(120):
+            code, out, err = run(capsys, command, "--format", "json")
+        assert open_fds() == before
+        # all's hopf stage, run in process, tries to fork its full bialgebra
+        assert len(tried) == (attempts if cpus > 1 else 0)
+        out = json.dumps(report_diff.strip_ms(json.loads(out)), indent=2, sort_keys=True)
+        runs.append((code, out, err))
+    assert runs[0] == runs[1]
+    no_children_left()
+
+
 @pytest.mark.parametrize("lane", ["g", "bigg"])
 def test_contract_set_binds_the_schedule_too(capsys, lane):
     # q = p + k*eps in the schedule must read q = 2 + k*eps once p = 2
@@ -622,3 +653,29 @@ def test_relations_do_not_depend_on_the_slot_registry(tmp_path):
         runs[mode] = names, str(out)
     assert runs["fresh"][0][:4] != runs["qybe-first"][0][:4]
     assert report_diff.main([runs["fresh"][1], runs["qybe-first"][1]]) == 0
+
+
+_FOOTPRINT = """
+import contextlib, io, json, os, sys
+before = set(sys.modules)
+import jforge.cli
+jforge.cli.build_parser()
+loaded = {"import": set(sys.modules) - before}
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+for argv in (["contract"], ["all"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        jforge.cli.main(argv)
+    loaded[argv[0]] = set(sys.modules) - before
+print(json.dumps({step: sorted(names & set(sys.argv[1:])) for step, names in loaded.items()}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_a_jforge_process_loads_neither_openssl_nor_the_inspect_stack():
+    # hashlib loads OpenSSL's libcrypto, dataclasses loads inspect, ast,
+    # dis and tokenize: each costs a fresh process memory and set-up time
+    heavy = ["hashlib", "_hashlib", "dataclasses", "inspect", "typing"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *heavy], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert json.loads(proc.stdout) == {"import": [], "contract": [], "all": []}

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -78,6 +80,27 @@ def test_repo_and_packaged_schedules_agree():
     with open(REPO_SCHEDULE, "rb") as fh:
         assert digest == hashlib.sha256(fh.read()).hexdigest()
     assert bundled_schedule()[1] == digest
+
+
+_NO_BUILTIN_SHA256 = """
+import hashlib, json, sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+from jforge import contraction
+print(json.dumps([contraction.bundled_schedule()[1], contraction.sha256 is hashlib.sha256]))
+"""
+
+
+def test_the_digest_falls_back_to_hashlib():
+    # without the interpreter's built-in SHA-256 module the digest comes
+    # from hashlib, and is the same
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_BUILTIN_SHA256], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    digest, from_hashlib = json.loads(proc.stdout)
+    assert from_hashlib
+    assert contraction.sha256 is not hashlib.sha256
+    with open(REPO_SCHEDULE, "rb") as fh:
+        assert digest == bundled_schedule()[1] == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_contraction_hits_triangular_target_exactly():

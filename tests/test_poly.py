@@ -129,3 +129,40 @@ def test_one_term_division_is_exact_or_raises(a, bm, bc):
     else:
         with pytest.raises(ValueError):
             P.pdiv_exact(a, b)
+
+
+def test_substituted_pair_reduces_without_stalling(time_limit):
+    # a 49-term numerator over a 12-term denominator, coprime: the
+    # remainder sequence alone ran for minutes on this pair
+    x = parse("(1/2)*m^3*k*p^3/n^2 + (3/4)*n^3/(m^3*p^2) + 5*m^2/k^3")
+    bindings = {"m": parse("1/(1 + n^3*p^3/k^2)"),
+                "n": parse("(2/3)*k^3/m^2 - (5/4)/p^3")}
+    num, den = x.substitute_unreduced(bindings)
+    with time_limit(10):
+        got = x.substitute(bindings)
+        assert P.pgcd(got.num, got.den) == P.PONE
+    assert P.pmul(got.num, den) == P.pmul(got.den, num)
+
+
+def test_gcd_in_fewer_variables_than_its_operands(time_limit):
+    h = parse("(k - 2)^2*(m + 1)").num
+    a = P.pmul(h, parse("k^3*n^2*p - 5*m^2*n*p^4 + 7/2*k*m^3 + n^5").num)
+    b = P.pmul(h, parse("2*k^4*p^3 + m*n^3 - 3/4*k^2*m^2*n*p + 1").num)
+    with time_limit(10):
+        assert P.pgcd(a, b) == P.pint_normalize(h)[0]
+        assert P.pgcd(P.pmul(a, parse("n*p^2").num), P.pmul(b, parse("n^3").num)) \
+            == P.pint_normalize(P.pmul(h, parse("n").num))[0]
+
+
+@given(rand_mpoly(), rand_mpoly(), rand_mpoly())
+@settings(max_examples=100, deadline=None)
+def test_gcd_is_the_greatest_common_divisor(a, b, h):
+    if not (a and b and h):
+        return
+    ah, bh = P.pmul(a, h), P.pmul(b, h)
+    g = P.pgcd(ah, bh)
+    assert g == P.pint_normalize(g)[0]
+    # h divides g, g divides both, and the cofactors share nothing more;
+    # pdiv_exact raises ValueError on an inexact division
+    P.pdiv_exact(g, h)
+    assert P.pgcd(P.pdiv_exact(ah, g), P.pdiv_exact(bh, g)) == P.PONE
