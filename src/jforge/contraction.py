@@ -11,15 +11,26 @@ coefficients.
 
 contract() and probe_divergence() read the same entries, from one loop
 (_entries) that conjugates, substitutes and expands each entry only as far
-as its reader looks (the series is exact through the order passed, see
-field.laurent_expand): order 0 for contract(), because the limit reads the
+as its reader looks: order 0 for contract(), because the limit reads the
 pole terms for its diagnostics and the constant term for the value, and
 order -1 for probe_divergence(), because a record holds only pole terms.
-Both list pole terms through LaurentSeries.pole_terms().  Each entry is
-expanded as the unreduced pair of substitute_unreduced, as a common factor
-does not change the series.  Every entry is substituted before any
-is expanded, so a pole that the substitution meets raises before any entry
-is read; the expansion never divides by zero.
+Both list pole terms through LaurentSeries.pole_terms().
+
+The substitution and the expansion are one step, on truncated power
+series (_Expansion).  Each bound value v is x^val(v) times a power series
+B_v with B_v(0) != 0, val(v) read exactly from the lowest degrees in x of
+its numerator and denominator.  A term c*x^e*u*prod v^(e_v) of a Laurent
+entry (u free of x and of the bound v) is x^V * c*u*prod B_v^(e_v) with
+V = e + sum e_v*val(v), so its coefficients through degree order are those
+of the product through relative degree order - V; it is skipped when V >
+order.  A product, power or inverse of series known through relative
+degree R is known through R (coefficient t depends on coefficients 0..t
+of the factors), so each bound value is expanded once, through the
+largest relative degree a term needs, and the sum of the terms is the
+entry's series, exact through the order whatever cancels.  An entry that
+is no Laurent is substituted and reduced as a RatFunc.  Every entry is
+checked before any is expanded, so a pole that the substitution meets (a
+bound value 0 under a negative power) raises before any entry is read.
 
 A schedule's digest is the SHA-256 of its file, from the interpreter's
 built-in module: hashlib would load OpenSSL for one small file.
@@ -38,9 +49,11 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .errors import PoleError, ScheduleError
-from .field import RatFunc, laurent_expand, limit_at_zero
+from .errors import DivisionByZero, PoleError, ScheduleError
+from .field import (LaurentSeries, RatFunc, laurent_expand, limit_at_zero,
+                    series_inverse, series_mul)
 from .grammar import GrammarError, parse, serialize
+from .laurent import L_ONE, L_ZERO, Laurent, split_monomial
 from .report import CheckReport
 from .rmat import KRON_ORDER_2, TensorMat, conjugate
 
@@ -111,16 +124,104 @@ def read_schedule(path: str) -> tuple:
 
 
 def bundled_schedule() -> tuple:
-    """(standard_schedule(), sha256 hex digest of its file), from one read."""
+    """(the bundled schedule contracting the deformed family to the
+    triangular one, sha256 hex digest of its file), from one read: eta =
+    1/eps, r and s collapse to 1 with slopes set by the target parameters
+    m and n, and q approaches p with slope k."""
     return read_schedule(os.path.join(os.path.dirname(__file__), "data",
                                       "jordanian_gl3.schedule"))
 
 
-def standard_schedule() -> Schedule:
-    """The bundled schedule contracting the deformed family to the
-    triangular one: eta = 1/eps, r and s collapse to 1 with slopes set by
-    the target parameters m and n, and q approaches p with slope k."""
-    return bundled_schedule()[0]
+def _valuation(f: RatFunc, var: str):
+    """The exact valuation of f in var, None for f = 0."""
+    if f.is_zero():
+        return None
+    low = [min(dict(m).get(var, 0) for m in p) for p in (f.num, f.den)]
+    return low[0] - low[1]
+
+
+class _Expansion:
+    """The conjugated entries as series in the schedule's limit variable,
+    exact through order, in two passes (see the module text)."""
+
+    def __init__(self, schedule: Schedule, order: int):
+        self.schedule, self.order = schedule, order
+        self.names = sorted(schedule.bindings)
+        self.valuations = {name: _valuation(b, schedule.limit_var)
+                           for name, b in schedule.bindings.items()}
+        self.precision = -1  # the largest relative precision a term needs
+        self._split = {}  # packed monomial -> (bound exponents, valuation, rest)
+        self._series = {(): [L_ONE]}  # bound exponents -> series of their product
+
+    def _monomial(self, m: int) -> tuple:
+        """(bound exponents, valuation or None, packed rest) of m."""
+        exps, rest = split_monomial(m, [*self.names, self.schedule.limit_var])
+        val = exps[-1]  # the limit variable's own exponent
+        bound = []
+        for name, e in zip(self.names, exps):
+            if e:
+                valuation = self.valuations[name]
+                if valuation is None:
+                    if e < 0:
+                        raise DivisionByZero("substitution sends denominator to zero")
+                    val = None  # a zero factor
+                elif val is not None:
+                    val += e * valuation
+                bound.append((name, e))
+        return tuple(bound), val, rest
+
+    def check(self, value):
+        """Pass 1: raise where the bindings send a denominator of value to
+        zero, else return what expand() reads: for a Laurent, its terms
+        that reach the order as {(valuation, bound exponents): {packed
+        rest: coefficient}}; any other value substituted and reduced."""
+        if type(value) is not Laurent:
+            return value.substitute(self.schedule.bindings)
+        groups = {}
+        for m, c in value.terms.items():
+            hit = self._split.get(m)
+            if hit is None:
+                hit = self._split[m] = self._monomial(m)
+            bound, val, rest = hit
+            if val is not None and val <= self.order:
+                self.precision = max(self.precision, self.order - val)
+                groups.setdefault((val, bound), {})[rest] = c
+        return groups
+
+    def expand(self, checked) -> LaurentSeries:
+        """Pass 2: the series of one entry that check() returned."""
+        var, order = self.schedule.limit_var, self.order
+        if type(checked) is not dict:
+            return laurent_expand(checked, var, order)
+        acc = {}
+        for (val, bound), rest in checked.items():
+            unbound = Laurent(rest)
+            for d, s in enumerate(self._product(bound)[:order - val + 1], val):
+                if s:
+                    acc[d] = acc.get(d, L_ZERO) + unbound * s
+        low = min((d for d, c in acc.items() if c), default=order + 1)
+        coeffs = tuple(acc.get(d, L_ZERO) for d in range(low, order + 1))
+        return LaurentSeries(var, low if coeffs else 0, coeffs, order)
+
+    def _product(self, bound: tuple) -> list:
+        """The power series of prod v^e over bound, through the precision."""
+        hit = self._series.get(bound)
+        if hit is None:
+            top = self.precision
+            (name, e), rest = bound[-1], bound[:-1]
+            if rest:
+                hit = series_mul(self._product(rest), self._product(bound[-1:]), top)
+            elif e == 1:
+                b, var = self.schedule.bindings[name], self.schedule.limit_var
+                hit = list(laurent_expand(b, var, self.valuations[name] + top).coeffs)
+            elif e == -1:
+                hit = series_inverse(self._product(((name, 1),)), top)
+            else:
+                step = 1 if e > 0 else -1
+                hit = series_mul(self._product(((name, e - step),)),
+                                 self._product(((name, step),)), top)
+            self._series[bound] = hit
+        return hit
 
 
 def _entries(tm: TensorMat, twist: list, schedule: Schedule, order: int):
@@ -128,11 +229,11 @@ def _entries(tm: TensorMat, twist: list, schedule: Schedule, order: int):
     twist under the schedule, row by row, each expanded in the limit
     variable through order."""
     conj = conjugate(tm, twist)
-    subbed = [[value.substitute_unreduced(schedule.bindings) for value in row]
-              for row in conj.rows]
-    for rp, row in zip(conj.basis, subbed):
-        for cp, pair in zip(conj.basis, row):
-            yield rp, cp, laurent_expand(pair, schedule.limit_var, order)
+    expansion = _Expansion(schedule, order)
+    checked = [[expansion.check(value) for value in row] for row in conj.rows]
+    for rp, row in zip(conj.basis, checked):
+        for cp, entry in zip(conj.basis, row):
+            yield rp, cp, expansion.expand(entry)
 
 
 def contract(tm: TensorMat, twist: list, schedule: Schedule) -> TensorMat:

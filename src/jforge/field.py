@@ -22,11 +22,12 @@ pint_normalize scales by 1/c, and is skipped when c is 1); several-term
 ones run pgcd's remainder sequence, long division and the content pass.
 
 Substitution works on the polynomials: each bound parameter's
-denominator is cleared to its top exponent, so RatFunc.substitute_unreduced
-returns the substituted numerator and denominator with no gcd pass, and
-substitute reduces that pair once.  The contraction entries skip the
-reduction: laurent_expand takes such a pair, since a common factor changes
-no coefficient of the series.
+denominator is cleared to its top exponent, so RatFunc._substituted
+builds the substituted numerator and denominator with no gcd pass, and
+substitute reduces that pair once.  laurent_expand expands one value of
+the tower; series_mul and series_inverse are the truncated power-series
+arithmetic it shares with the contraction, which expands each bound value
+of a schedule once and every entry term by term.
 
 No floating point appears anywhere; coefficients are Fractions of unbounded
 size.  Values are immutable and hashable.
@@ -222,17 +223,6 @@ class RatFunc:
         pieces = self._substituted(bindings)
         return self if pieces is None else RatFunc(*pieces)
 
-    def substitute_unreduced(self, bindings: dict) -> tuple:
-        """(numerator, denominator) polynomials of self.substitute(bindings),
-        with no gcd pass.
-
-        The pair is a fraction equal to the substituted value, not its
-        canonical form; laurent_expand takes it as it is.  Raises
-        DivisionByZero as substitute does.
-        """
-        pieces = self._substituted(bindings)
-        return (self.num, self.den) if pieces is None else pieces
-
     def _substituted(self, bindings: dict):
         """(N, D): polynomials with N / D equal to self with the bindings
         put in, or None when no bound parameter occurs.
@@ -348,38 +338,64 @@ class LaurentSeries(namedtuple("LaurentSeries",
         return out
 
 
+def series_mul(a: list, b: list, terms: int) -> list:
+    """Coefficients 0..terms of A*B for the power series A = sum a[i] x^i
+    and B likewise; a list may stop early, its missing coefficients zero,
+    and zero ones are skipped."""
+    from .laurent import L_ZERO  # laurent.py builds on RatFunc
+
+    out = []
+    for t in range(terms + 1):
+        acc = L_ZERO
+        for i in range(min(t, len(a) - 1) + 1):
+            if a[i] and t - i < len(b):
+                acc = acc + a[i] * b[t - i]
+        out.append(acc)
+    return out
+
+
+def series_inverse(a: list, terms: int) -> list:
+    """Coefficients 0..terms of 1/A for the power series A of series_mul,
+    a[0] nonzero: e_0 = 1/a_0 and e_t = -e_0 * sum_{j=1..t} a_j e_(t-j).
+    Every e_t is built from the exact a_0..a_t, so the inverse of a series
+    known through relative degree terms is known as far."""
+    from .laurent import L_ZERO
+
+    inv0 = a[0].inverse()
+    e = [inv0]
+    for t in range(1, terms + 1):
+        acc = L_ZERO
+        for j in range(1, min(t, len(a) - 1) + 1):
+            if a[j]:
+                acc = acc + a[j] * e[t - j]
+        e.append(-inv0 * acc)
+    return e
+
+
 def laurent_expand(f, var, order: int = None) -> LaurentSeries:
-    """Expand f as a Laurent series in var around 0, exact through order.
+    """Expand the tower value f as a Laurent series in var around 0, exact
+    through order.
 
-    f is a value of the tower or a (numerator, denominator) pair of
-    polynomials that need not be reduced: the series of p*h/(q*h) is that
-    of p/q, because the valuations in var add and every coefficient is
-    built by Laurent arithmetic (RatFunc past an inverse of several
-    terms), which returns canonical forms.  contraction's entry loop
-    passes the unreduced pairs of substitute_unreduced.
-
-    Only the numerator and denominator coefficients that reach degree
-    order are built, and the recurrence for 1/den runs only that far, so
-    a caller pays for exactly the degrees it reads.  With order None the
-    expansion runs through pole_order + 4.  When order cuts off below the
-    valuation, the result is the empty series: exact through the
-    truncation, no visible terms.  contraction's one entry loop passes
-    order 0 for contract (the limit reads the pole terms and the constant
-    term) and order -1 for the divergence probe (a record holds only pole
-    terms).  1/den is expanded from the inverse of its lowest nonzero
-    coefficient in var, so a nonzero f never divides by zero here.
+    The valuation is read exactly, from the lowest degrees in var of the
+    numerator and the denominator.  Only the numerator and denominator
+    coefficients that reach degree order are built (Laurent values, by
+    laurent.from_poly), and the recurrence for 1/den (series_inverse) runs
+    only that far, so a caller pays for exactly the degrees it reads.
+    With order None the expansion runs through pole_order + 4.  When order
+    cuts off below the valuation, the result is the empty series: exact
+    through the truncation, no visible terms.  1/den is expanded from the
+    inverse of its lowest nonzero coefficient in var, so a nonzero f never
+    divides by zero here.  contraction expands each bound value of a
+    schedule here, and a conjugated entry that is not a Laurent.
     """
-    from .laurent import L_ZERO, from_poly  # laurent.py builds on RatFunc
+    from .laurent import L_ZERO, from_poly
 
-    if not isinstance(f, tuple):
-        f = RatFunc._coerce(f)
-        f = f.num, f.den
-    num, den = f
-    if P.pis_zero(num):
+    f = RatFunc._coerce(f)
+    if f.is_zero():
         o = 4 if order is None else order
         return LaurentSeries(var, 0, (), o)
-    nu = P.as_univariate(num, var)
-    du = P.as_univariate(den, var)
+    nu = P.as_univariate(f.num, var)
+    du = P.as_univariate(f.den, var)
     a, b = min(nu), min(du)
     val = a - b
     if order is None:
@@ -389,25 +405,12 @@ def laurent_expand(f, var, order: int = None) -> LaurentSeries:
     # power series coefficients of num/den after factoring out the valuation;
     # those of degree above terms cannot reach the truncation order
     terms = order - val
-    nn = {i - a: from_poly(c) for i, c in nu.items() if i - a <= terms}
-    dd = {j - b: from_poly(c) for j, c in du.items() if j - b <= terms}
-    inv0 = dd[0].inverse()
-    e: list = [None] * (terms + 1)
-    e[0] = inv0
-    for t in range(1, terms + 1):
-        acc = L_ZERO
-        for j in range(1, t + 1):
-            cj = dd.get(j)
-            if cj is not None:
-                acc = acc + cj * e[t - j]
-        e[t] = -inv0 * acc
-    coeffs = []
-    for t in range(terms + 1):
-        acc = L_ZERO
-        for i, ci in nn.items():
-            if i <= t:
-                acc = acc + ci * e[t - i]
-        coeffs.append(acc)
+    nn, dd = [L_ZERO] * (terms + 1), [L_ZERO] * (terms + 1)
+    for series, u, low in ((nn, nu, a), (dd, du, b)):
+        for i, c in u.items():
+            if i - low <= terms:
+                series[i - low] = from_poly(c)
+    coeffs = series_mul(nn, series_inverse(dd, terms), terms)
     return LaurentSeries(var, val, tuple(coeffs), order)
 
 

@@ -35,9 +35,10 @@ coefficients of its numerator and denominator.
 Substitution is the one map that puts bound values into Laurent values:
 TensorMat.substitute, the read-off route of jforge.specialize and hopf's
 m = n collapse all use it.  RatFunc.substitute stays the map for RatFunc
-values (parsed text, the schedule).  The unreduced pair that contraction
-expands goes through to_rf(), and so does a Substitution whose bound
-factor is not a Laurent.
+values (parsed text, the schedule), and a Substitution whose bound factor
+is not a Laurent goes through to_rf() to it.  The contraction puts a
+schedule's series in place of the bound variables itself, one packed
+monomial at a time (split_monomial).
 """
 
 from __future__ import annotations
@@ -96,6 +97,18 @@ def _unpack(m: int) -> dict:
         m = (m - e) >> SLOT_BITS
         i += 1
     return out
+
+
+def split_monomial(m: int, names) -> tuple:
+    """([exponent of each of names in m], the packed m without them)."""
+    shifts = [SLOT_BITS * _slot(v) for v in names]  # registers before _BIAS is read
+    biased = m + _BIAS
+    exps = []
+    for shift in shifts:
+        e = ((biased >> shift) & _MASK) - _HALF
+        exps.append(e)
+        m -= e << shift
+    return exps, m
 
 
 def _coef(c):
@@ -275,11 +288,6 @@ class Laurent:
 
     def __str__(self):
         return str(self.to_rf())
-
-    # -- maps ---------------------------------------------------------------
-    def substitute_unreduced(self, bindings: dict) -> tuple:
-        """The (numerator, denominator) pair of RatFunc.substitute_unreduced."""
-        return self.to_rf().substitute_unreduced(bindings)
 
 
 L_ZERO = Laurent({})

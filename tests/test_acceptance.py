@@ -15,9 +15,9 @@ import random
 import time
 
 from jforge.contraction import (
+    bundled_schedule,
     contract,
     extract_sector,
-    standard_schedule,
 )
 from jforge.freealg import (
     RewriteRule,
@@ -106,7 +106,7 @@ def test_criterion_1_braid_consistency():
 
 def test_criterion_2_singular_limit_transport():
     start = time.perf_counter()
-    schedule = standard_schedule()
+    schedule = bundled_schedule()[0]
     result = contract(four_param_deformed_r3(), twist_3x3(), schedule)
     target = jordanian_r3()
     elapsed = time.perf_counter() - start

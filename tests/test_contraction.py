@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jforge import contraction
 from jforge import poly as P
@@ -19,10 +21,9 @@ from jforge.contraction import (
     extract_sector,
     probe_divergence,
     read_schedule,
-    standard_schedule,
 )
 from jforge.errors import DivisionByZero, PoleError, ScheduleError
-from jforge.field import RatFunc, laurent_expand
+from jforge.field import LaurentSeries, laurent_expand
 from jforge.grammar import parse, serialize
 from jforge.rmat import (
     TensorMat,
@@ -63,7 +64,7 @@ def test_schedule_validation():
 
 
 def test_schedule_roundtrip_and_digest():
-    sched = standard_schedule()
+    sched = bundled_schedule()[0]
     again = Schedule.from_dict({
         "limit_var": sched.limit_var,
         "bindings": {k: serialize(v) for k, v in sched.bindings.items()}})
@@ -75,7 +76,7 @@ def test_schedule_roundtrip_and_digest():
 
 def test_repo_and_packaged_schedules_agree():
     schedule, digest = read_schedule(REPO_SCHEDULE)
-    assert schedule.bindings == standard_schedule().bindings
+    assert schedule.bindings == bundled_schedule()[0].bindings
     # the digest contract reports carry is that of the file's bytes
     with open(REPO_SCHEDULE, "rb") as fh:
         assert digest == hashlib.sha256(fh.read()).hexdigest()
@@ -104,24 +105,24 @@ def test_the_digest_falls_back_to_hashlib():
 
 
 def test_contraction_hits_triangular_target_exactly():
-    result = contract(four_param_deformed_r3(), twist_3x3(), standard_schedule())
+    result = contract(four_param_deformed_r3(), twist_3x3(), bundled_schedule()[0])
     assert equal_matrices(result, jordanian_r3())
     assert result.params() == {"m", "n", "k", "p"}
 
 
 def test_contraction_matches_committed_fixture():
-    result = contract(four_param_deformed_r3(), twist_3x3(), standard_schedule())
+    result = contract(four_param_deformed_r3(), twist_3x3(), bundled_schedule()[0])
     with open(os.path.join(FIXTURES, "rj3_contracted.json")) as fh:
         assert result.to_dict() == json.load(fh)
 
 
 def test_two_dimensional_lane():
-    result = contract(two_param_deformed_r2(), twist_2x2(), standard_schedule())
+    result = contract(two_param_deformed_r2(), twist_2x2(), bundled_schedule()[0])
     assert equal_matrices(result, jordanian_r2())
 
 
 def test_block_sector_of_contracted_matrix():
-    result = contract(four_param_deformed_r3(), twist_3x3(), standard_schedule())
+    result = contract(four_param_deformed_r3(), twist_3x3(), bundled_schedule()[0])
     sector = extract_sector(result, (2, 3))
     assert equal_matrices(sector, jordanian_r2())
 
@@ -133,9 +134,9 @@ def test_sector_extraction_rejects_coupled_indices():
 
 def test_probe_twist_diverges_and_is_recorded():
     with pytest.raises(PoleError):
-        contract(four_param_deformed_r3(), twist_probe_3x3(), standard_schedule())
+        contract(four_param_deformed_r3(), twist_probe_3x3(), bundled_schedule()[0])
     records = probe_divergence(four_param_deformed_r3(), twist_probe_3x3(),
-                               standard_schedule())
+                               bundled_schedule()[0])
     assert records, "divergence must be witnessed entry by entry"
     assert all(r["pole_order"] >= 1 for r in records)
     with open(os.path.join(FIXTURES, "gprime_probe.json")) as fh:
@@ -144,7 +145,7 @@ def test_probe_twist_diverges_and_is_recorded():
 
 def test_wrong_slope_misses_target():
     # same pole structure, wrong finite part: limit exists, comparison fails
-    bad = with_bindings(standard_schedule(), {"r": parse("1 + (m + n)/2*eps")})
+    bad = with_bindings(bundled_schedule()[0], {"r": parse("1 + (m + n)/2*eps")})
     result, report = contraction_report(
         four_param_deformed_r3(), twist_3x3(), bad, jordanian_r3())
     assert result is not None
@@ -154,7 +155,7 @@ def test_wrong_slope_misses_target():
 
 def test_report_carries_reproducibility_metadata():
     _result, report = contraction_report(
-        four_param_deformed_r3(), twist_3x3(), standard_schedule(),
+        four_param_deformed_r3(), twist_3x3(), bundled_schedule()[0],
         jordanian_r3())
     assert report.passed
     assert report.metadata["limit_var"] == "eps"
@@ -191,10 +192,10 @@ def reference_entries(tm: TensorMat, twist: list, schedule: Schedule, order: int
 @pytest.mark.parametrize("c", [None, "7/3", "-2/5"])
 @pytest.mark.parametrize("lane", sorted(LANES))
 def test_truncated_expansions_match_untruncated_reference(monkeypatch, lane, c):
-    schedule = standard_schedule() if c is None else rescaled(standard_schedule(), c)
+    schedule = bundled_schedule()[0] if c is None else rescaled(bundled_schedule()[0], c)
     got = lane_outcome(lane, schedule)
     # the reference replaces the whole entry loop, so both the truncation
-    # and the unreduced expansion are checked against reduced, full series
+    # and the term-by-term expansion are checked against reduced, full series
     monkeypatch.setattr(contraction, "_entries", reference_entries)
     want = lane_outcome(lane, schedule)
     assert got == want
@@ -204,8 +205,65 @@ def test_truncated_expansions_match_untruncated_reference(monkeypatch, lane, c):
 ZERO_POLE = "substitution sends denominator to zero"
 
 
+def truncated(series: LaurentSeries, order: int) -> LaurentSeries:
+    """The series an expansion through order gives, read off a longer one."""
+    if series.is_zero() or series.min_degree > order:
+        return LaurentSeries(series.variable, 0, (), order)
+    keep = order - series.min_degree + 1
+    return LaurentSeries(series.variable, series.min_degree, series.coeffs[:keep], order)
+
+
+# -- random schedules: the series route against the reduced one -------------
+# slopes are rationals times 1 or a parameter; eta is a pole of order one or
+# two; a binding may have a several-term leading coefficient in the limit
+# variable, be free of it, or be 0; the limit variable may be the matrix
+# parameter p, which stays unbound.  A several-term denominator of a
+# binding is left to tools/diff_against.py: the reduced route takes seconds
+# to minutes per lane there
+
+slope = st.builds(lambda c, v: f"({c})*{v}",
+                  st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+                  st.sampled_from(("1", "m", "n", "k")))
+pole = st.builds(lambda c, e: f"({c})/eps^{e}",
+                 st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+                 st.sampled_from((1, 2)))
+
+
+def collapsing(start: str):
+    """Bindings that approach start, or do not, in the ways listed above."""
+    return st.one_of(
+        st.builds(lambda a: f"{start} + {a}*eps", slope),
+        st.builds(lambda a: f"({start} + m)*(1 + {a}*eps)", slope),
+        st.builds(lambda a: f"{start} + {a}", slope),
+        st.just("0"))
+
+
+@given(st.sampled_from(("eps", "p")), pole, collapsing("p"), collapsing("1"),
+       collapsing("1"))
+@settings(max_examples=40, deadline=None)
+def test_series_route_matches_the_reduced_route(time_limit, limit, eta, q, r, s):
+    texts = {"eta": eta, "q": q, "r": r, "s": s}
+    schedule = Schedule(limit, {name: parse(text.replace("eps", limit))
+                                for name, text in texts.items()})
+    with time_limit(60):
+        for lane, (source, twist, _target) in sorted(LANES.items()):
+            args = source(), twist(), schedule
+            try:
+                want = list(reference_entries(*args, None))
+            except DivisionByZero as exc:
+                assert str(exc) == ZERO_POLE
+                for order in (0, -1):
+                    with pytest.raises(DivisionByZero, match=ZERO_POLE):
+                        list(contraction._entries(*args, order))
+                continue
+            for order in (0, -1):
+                got = list(contraction._entries(*args, order))
+                assert got == [(rp, cp, truncated(series, order))
+                               for rp, cp, series in want]
+
+
 def test_a_pole_met_by_substitution_raises_before_any_entry_is_read():
-    schedule = with_bindings(standard_schedule(), {"s": parse("0")})
+    schedule = with_bindings(bundled_schedule()[0], {"s": parse("0")})
     with pytest.raises(DivisionByZero, match=ZERO_POLE):
         contract(four_param_deformed_r3(), twist_3x3(), schedule)
     with pytest.raises(DivisionByZero, match=ZERO_POLE):
@@ -214,24 +272,30 @@ def test_a_pole_met_by_substitution_raises_before_any_entry_is_read():
 
 def test_every_entry_is_substituted_before_any_is_expanded(monkeypatch):
     # the s = 0 schedule meets its pole after at most three probe records,
-    # so it cannot tell this order from a lazy one; count instead
-    substituted, seen = [], []
-    substitute_unreduced = RatFunc.substitute_unreduced
+    # so it cannot tell this order from a lazy one; count instead: no entry
+    # and no bound value is expanded before every entry is checked
+    checked, seen = [], []
+    check, expand = contraction._Expansion.check, contraction._Expansion.expand
 
-    def counting(self, bindings):
-        substituted.append(1)
-        return substitute_unreduced(self, bindings)
+    def counting(self, value):
+        checked.append(1)
+        return check(self, value)
 
-    def expand(pair, var, order=None):
-        seen.append(len(substituted))
-        return laurent_expand(pair, var, order)
+    def expanding(self, entry):
+        seen.append(len(checked))
+        return expand(self, entry)
 
-    monkeypatch.setattr(RatFunc, "substitute_unreduced", counting)
-    monkeypatch.setattr(contraction, "laurent_expand", expand)
+    def expand_binding(f, var, order=None):
+        seen.append(len(checked))
+        return laurent_expand(f, var, order)
+
+    monkeypatch.setattr(contraction._Expansion, "check", counting)
+    monkeypatch.setattr(contraction._Expansion, "expand", expanding)
+    monkeypatch.setattr(contraction, "laurent_expand", expand_binding)
     records = probe_divergence(four_param_deformed_r3(), twist_probe_3x3(),
-                               standard_schedule())
+                               bundled_schedule()[0])
     assert len(records) == 6
-    assert seen and set(seen) == {81}
+    assert len(seen) > 6 and set(seen) == {81}
 
 
 def test_contraction_entries_are_expanded_without_exact_division(monkeypatch):
@@ -243,6 +307,6 @@ def test_contraction_entries_are_expanded_without_exact_division(monkeypatch):
         return pdiv_exact(a, b)
 
     monkeypatch.setattr(P, "pdiv_exact", counting)
-    result = contract(four_param_deformed_r3(), twist_3x3(), standard_schedule())
+    result = contract(four_param_deformed_r3(), twist_3x3(), bundled_schedule()[0])
     assert equal_matrices(result, jordanian_r3())
     assert calls == []

@@ -275,33 +275,15 @@ def test_truncated_expansion_matches_default(time_limit, num, den):
                 cut.coefficient(order + 1)
 
 
-# -- unreduced input: a common factor does not change the expansion ---------
-# h is either several terms, with eps-valuation 0 or 1, or a power of eps
-
-common_factor = st.one_of(
-    poly(min_terms=2, variables=("eps", "m"), max_exp=1).filter(lambda h: len(h) >= 2),
-    st.builds(lambda k, c: P.pscale(P.pvar("eps", k), c),
-              st.integers(min_value=1, max_value=3), coeff.filter(bool)))
-
-
-@given(poly(min_terms=1, variables=("eps", "m"), max_exp=3), eps_denominator, common_factor)
-@settings(max_examples=120, deadline=None)
-def test_unreduced_pair_expands_like_reduced_fraction(time_limit, num, den, h):
-    with time_limit(10):
-        pair = (P.pmul(num, h), P.pmul(den, h))
-        f = RatFunc(num, den)
-        for order in (None, 0, -1):
-            assert laurent_expand(pair, "eps", order) == laurent_expand(f, "eps", order)
-
-
-def test_substitute_unreduced_is_a_fraction_of_substitute():
+def test_substituted_pair_is_a_fraction_of_substitute():
     f = parse("eta*(r - s)/(r + s)")
     binds = {"eta": parse("1/eps"), "r": parse("1 - m*eps"), "s": parse("1 + n*eps")}
-    num, den = f.substitute_unreduced(binds)
+    num, den = f._substituted(binds)
     assert RatFunc(num, den) == f.substitute(binds)
-    assert parse("m").substitute_unreduced(binds) == ({(("m", 1),): 1}, P.PONE)
+    m = parse("m")
+    assert m._substituted(binds) is None and m.substitute(binds) is m
     with pytest.raises(DivisionByZero, match="substitution sends denominator to zero"):
-        f.substitute_unreduced({"r": parse("-s")})
+        f.substitute({"r": parse("-s")})
 
 
 # -- substitution by fractions with several-term denominators ---------------
@@ -336,9 +318,9 @@ def test_substitution_by_fractions_matches_evaluation(time_limit, num, den, bind
             got = f.substitute(binds)
         except DivisionByZero:
             with pytest.raises(DivisionByZero):
-                f.substitute_unreduced(binds)
+                f._substituted(binds)
             return
-        pair = f.substitute_unreduced(binds)
+        pair = f._substituted(binds) or (f.num, f.den)
         assert RatFunc(*pair) == got
         for at in points:
             values = {v: evaluate(b.den, at) for v, b in binds.items()}
@@ -361,4 +343,4 @@ def test_terms_without_a_bound_variable_are_cleared_too():
     binds = {"m": parse("1/(1 + k)")}
     want = parse("(1 + q*(1 + k)^2)/((1 + k)*(2 + k))")
     assert f.substitute(binds) == want
-    assert RatFunc(*f.substitute_unreduced(binds)) == want
+    assert RatFunc(*f._substituted(binds)) == want

@@ -8,12 +8,16 @@ every ``ms`` key removed (the comparison of ``tools/report_diff.py``); a
 command whose stdout is not JSON, such as one that asks for ``--format
 text``, is compared byte for byte, with stderr.
 Commands that name a schedule as ``{rescaled}``, ``{wrong-slope}``,
-``{misplaced-pole}`` or ``{zero-pole}`` get one file derived from this
-tree's bundled schedule, written once to the temporary directory and
-passed to both trees: eps -> (7/3)*eps in every binding, r with the sign
-of its slope flipped (the limit exists and misses the target), eta =
-1/eps^2 (the twist pole is of the wrong order, so entries diverge), and
-s = 0 (the substitution itself meets a pole).  A command may start
+``{misplaced-pole}``, ``{zero-pole}``, ``{several-term-lead}`` or
+``{limit-is-param}`` get one file derived from this tree's bundled
+schedule, written once to the temporary directory and passed to both
+trees: eps -> (7/3)*eps in every binding, r with the sign of its slope
+flipped (the limit exists and misses the target), eta = 1/eps^2 (the
+twist pole is of the wrong order, so entries diverge), s = 0 (the
+substitution itself meets a pole), r = (m + n + eps)/(1 + eps) (a
+binding whose lowest coefficient in eps has several terms, so its
+inverse is no Laurent), and the matrix parameter p as the limit variable
+in place of eps.  A command may start
 with NAME=VALUE items, each set in that command's environment on both
 trees.  Each command runs once more on this tree, pinned to one usable CPU
 by os.sched_setaffinity in the launcher, so that its stages run in one
@@ -125,6 +129,15 @@ COMMANDS = (
     # poles met by substitution, before any entry is expanded
     ["contract", "--schedule", "{zero-pole}", "--contraction-matrix", "bigg"],
     ["contract", "--schedule", "{zero-pole}", "--contraction-matrix", "gprime"],
+    # the branches of the series route: a bound value inverted as a series
+    # with coefficients that are no Laurent, and a limit variable that the
+    # entries hold themselves
+    ["contract", "--schedule", "{several-term-lead}", "--contraction-matrix", "g"],
+    ["contract", "--schedule", "{several-term-lead}", "--contraction-matrix", "bigg"],
+    ["contract", "--schedule", "{several-term-lead}", "--contraction-matrix", "gprime"],
+    ["contract", "--schedule", "{limit-is-param}", "--contraction-matrix", "g"],
+    ["contract", "--schedule", "{limit-is-param}", "--contraction-matrix", "bigg"],
+    ["contract", "--schedule", "{limit-is-param}", "--contraction-matrix", "gprime"],
     ["contract", "--set", "p=0", "--contraction-matrix", "bigg"],
     ["contract", "--set", "p=0", "--contraction-matrix", "gprime"],
     # the entries are expanded unreduced: points that change which terms
@@ -205,13 +218,16 @@ def write_schedules(dest: Path) -> dict:
         "wrong-slope": dict(bindings, r="1 + (m + n)/2*eps"),
         "misplaced-pole": dict(bindings, eta="1/eps^2"),
         "zero-pole": dict(bindings, s="0"),
+        "several-term-lead": dict(bindings, r="(m + n + eps)/(1 + eps)"),
+        "limit-is-param": {k: EPS.sub("p", v) for k, v in bindings.items()},
     }
     dest.mkdir()
     paths = {}
     for name, variant in variants.items():
         path = dest / f"{name}.schedule"
-        path.write_text(json.dumps(dict(base, bindings=variant), indent=2, sort_keys=True)
-                        + "\n", encoding="utf-8")
+        limit_var = "p" if name == "limit-is-param" else base["limit_var"]
+        path.write_text(json.dumps(dict(base, bindings=variant, limit_var=limit_var),
+                                   indent=2, sort_keys=True) + "\n", encoding="utf-8")
         paths[name] = str(path)
     return paths
 

@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from jforge.contraction import contraction_report, probe_divergence, standard_schedule
+from jforge.contraction import bundled_schedule, contraction_report, probe_divergence
 from jforge.freealg import nc_str
 from jforge.rmat import (
     conjugate,
@@ -50,7 +50,7 @@ def main(argv=None):
     dump(out, "rq2_conjugated_by_g.json",
          conjugate(two_param_deformed_r2(), twist_2x2()).to_dict())
 
-    schedule = standard_schedule()
+    schedule = bundled_schedule()[0]
     result, report = contraction_report(
         four_param_deformed_r3(), twist_3x3(), schedule, jordanian_r3())
     assert report.passed, report.to_text()
