@@ -16,6 +16,11 @@ that is not an integer of at least 1 exits with status 2 before any stage
 runs.  It bounds the run that makes the report, so --set bindings take the
 same route under any bound (see specialize.derive).
 
+build_parser builds the parser once per process and main reuses it, so a
+caller that built it before its first main call (a benchmark child, the
+tests) does not pay for a second one; each call parses into a fresh
+namespace.
+
 Where os.fork exists and more than one CPU is usable, ``relations``,
 ``hopf`` and ``all`` overlap their independent stages in forked workers,
 through one stage runner, _spawn.  ``relations`` checks confluence in a
@@ -42,6 +47,7 @@ which stage.
 from __future__ import annotations
 
 import argparse
+import functools
 import marshal
 import os
 import sys
@@ -71,6 +77,7 @@ from .hopf import (
     hopf_ideal_check,
     qdet_checks,
 )
+from .laurent import Substitution
 from .report import CheckReport, CheckResult
 from .rmat import (
     four_param_deformed_r3,
@@ -194,20 +201,26 @@ def _contract_stage(args, bindings) -> tuple:
     """(limit matrix or None, report) of the --contraction-matrix lane.
 
     The one contraction stage of ``contract`` and ``all``; the report's
-    metadata carries the schedule digest.
+    metadata carries the schedule digest.  The bindings go into the twist
+    as into the matrices, so --set eta=1 leaves a constant twist that the
+    schedule's own eta no longer reaches.
     """
     schedule, digest = _load_schedule(args.schedule, bindings)
     source, twist, target = LANES[args.contraction_matrix]
     tm = source().substitute(bindings)
+    g = twist()
+    if bindings:
+        value = Substitution(bindings)
+        g = [[value(x) for x in row] for row in g]
     if target is None:
         # exploratory lane: record the limit behaviour, assert nothing
         result, report = None, CheckReport("contract")
-        records = probe_divergence(tm, twist(), schedule)
+        records = probe_divergence(tm, g, schedule)
         report.add("probe-recorded", True, note="no target asserted",
                    records=records)
     else:
         goal = target().substitute(bindings)
-        result, report = contraction_report(tm, twist(), schedule, goal)
+        result, report = contraction_report(tm, g, schedule, goal)
     report.metadata["schedule_sha256"] = digest
     return result, report
 
@@ -496,7 +509,10 @@ def _contractish(sub):
                      default="bigg", help="which twist lane to run")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The jforge parser, built on the first call and reused by every main
+    call after it; each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="jforge",
         description="Construct, contract and verify triangular "

@@ -2,7 +2,8 @@
 
 Two shapes of data move through here.  Dense matrices (lists of lists of
 field values) support products, inverses and equality; they stay small,
-at most 9x9.  Sparse rows (dicts keyed by arbitrary hashable column
+at most 9x9 (the Yang-Baxter residual on 27x27, mostly zero, is taken on
+sparse rows in rmat).  Sparse rows (dicts keyed by arbitrary hashable column
 labels) feed the Gauss-Jordan reduction used to turn large relation sets
 into a canonical reduced basis.  Entries are RatFunc or Laurent values
 (laurent.py): the routines only use is_zero, inverse, products and sums,
@@ -64,12 +65,6 @@ def mat_mul(a: list, b: list) -> list:
                 add_into(acc, j, ait * btj)
         out.append([acc.get(j, L_ZERO) for j in range(m)])
     return out
-
-
-def mat_sub(a: list, b: list) -> list:
-    if mat_shape(a) != mat_shape(b):
-        raise DimensionMismatch("shape mismatch in subtraction")
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_eq(a: list, b: list) -> bool:

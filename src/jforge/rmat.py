@@ -21,6 +21,11 @@ Constructors cover the two deformation families used throughout:
 Every entry they build is a Laurent value (laurent.py): the entries r,
 1/p, 1/q and r - 1/r lie in Q[params^±1], and so does everything conjugate
 and qybe_residual compute from them.
+
+qybe_residual is sparse: it lifts R to R12, R13 and R23 as rows {column:
+value} of their nonzero entries, multiplies them row by row through
+field.add_into and returns the nonzero entries of the residual, which are
+few (R12 R13 R23 has 58 to 60 nonzero entries of 729 for the 3x3 family).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import time
 
 from . import linalg as L
 from .errors import DimensionMismatch
-from .field import RatFunc
+from .field import RatFunc, add_into
 from .grammar import serialize
 from .laurent import L_ONE, L_ZERO, Laurent, Substitution
 from .report import CheckReport
@@ -245,35 +250,51 @@ def conjugate(rmat: TensorMat, g: list) -> TensorMat:
     return TensorMat.from_kron_order(rmat.dim, dense, rmat.basis)
 
 
-def _embed(dense: list, dim: int, slots: tuple) -> list:
-    """Lift an n^2 x n^2 matrix to n^3 x n^3, acting on two tensor slots."""
-    n3 = dim ** 3
-    out = [[L_ZERO] * n3 for _ in range(n3)]
+def _lifted(dense: list, dim: int, slots: tuple) -> list:
+    """The n^2 x n^2 matrix dense acting on two slots of the triple tensor
+    space, as n^3 sparse rows {column: value} of its nonzero entries."""
     strides = (dim * dim, dim, 1)
-    passive = ({0, 1, 2} - set(slots)).pop()
-    for ij in range(dim * dim):
+    a, b = strides[slots[0]], strides[slots[1]]
+    passive = strides[({0, 1, 2} - set(slots)).pop()]
+    rows = [{} for _ in range(dim ** 3)]
+    for ij, row in enumerate(dense):
         i, j = divmod(ij, dim)
-        for kl in range(dim * dim):
-            v = dense[ij][kl]
+        for kl, v in enumerate(row):
             if v.is_zero():
                 continue
             k, l = divmod(kl, dim)
             for t in range(dim):
-                ridx = i * strides[slots[0]] + j * strides[slots[1]] + t * strides[passive]
-                cidx = k * strides[slots[0]] + l * strides[slots[1]] + t * strides[passive]
-                out[ridx][cidx] = v
+                rows[i * a + j * b + t * passive][k * a + l * b + t * passive] = v
+    return rows
+
+
+def _times(rows: list, other: list) -> list:
+    """The sparse product rows * other, row by row."""
+    out = []
+    for row in rows:
+        acc = {}
+        for mid, x in row.items():
+            for col, y in other[mid].items():
+                add_into(acc, col, x * y)
+        out.append(acc)
     return out
 
 
-def qybe_residual(rmat: TensorMat) -> list:
-    """R12 R13 R23 - R23 R13 R12 on the triple tensor space."""
+def qybe_residual(rmat: TensorMat) -> dict:
+    """R12 R13 R23 - R23 R13 R12 on the triple tensor space, as its nonzero
+    entries {(row, column): value} in row-major (Kronecker) order."""
     dense = rmat.in_kron_order()
-    r12 = _embed(dense, rmat.dim, (0, 1))
-    r13 = _embed(dense, rmat.dim, (0, 2))
-    r23 = _embed(dense, rmat.dim, (1, 2))
-    left = L.mat_mul(L.mat_mul(r12, r13), r23)
-    right = L.mat_mul(L.mat_mul(r23, r13), r12)
-    return L.mat_sub(left, right)
+    r12, r13, r23 = (_lifted(dense, rmat.dim, slots)
+                     for slots in ((0, 1), (0, 2), (1, 2)))
+    left = _times(_times(r12, r13), r23)
+    right = _times(_times(r23, r13), r12)
+    out = {}
+    for i, (acc, sub) in enumerate(zip(left, right)):
+        for j, v in sub.items():
+            add_into(acc, j, -v)
+        for j in sorted(acc):
+            out[i, j] = acc[j]
+    return out
 
 
 def qybe_check(rmat: TensorMat, name: str = "") -> CheckReport:
@@ -282,15 +303,8 @@ def qybe_check(rmat: TensorMat, name: str = "") -> CheckReport:
     report = CheckReport("qybe")
     start = time.perf_counter()
     residual = qybe_residual(rmat)
-    bad = []
-    for i, row in enumerate(residual):
-        for j, v in enumerate(row):
-            if not v.is_zero():
-                bad.append({"row": i, "col": j, "value": serialize(v)})
-                if len(bad) >= 5:
-                    break
-        if len(bad) >= 5:
-            break
+    bad = [{"row": i, "col": j, "value": serialize(v)}
+           for (i, j), v in list(residual.items())[:5]]
     ms = (time.perf_counter() - start) * 1000.0
     report.add(label, not bad, ms=ms, dim=rmat.dim, nonzero_entries=bad)
     return report

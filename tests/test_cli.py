@@ -296,6 +296,51 @@ def test_hopf_no_braiding_negative_control(capsys):
     assert not data["checks"][0]["pass"]
 
 
+def test_main_reuses_the_one_parser(capsys, monkeypatch):
+    cli.build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "qybe", "--matrix", "rq2")[0] == 0
+    assert run(capsys, "contract", "--contraction-matrix", "g")[0] == 0
+    assert built == []
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_a_reused_parser_carries_no_bindings_over(capsys):
+    # p = 0 is a pole of rj3's 1/p
+    assert run(capsys, "qybe", "--matrix", "rj3", "--set", "p=0")[0] == 1
+    code, data, _ = run_json(capsys, "qybe", "--matrix", "rj3")
+    assert code == 0
+    assert data["pass"] is True
+
+
+def test_a_reused_parser_carries_no_check_groups_over(capsys):
+    code, data, _ = run_json(capsys, "hopf", "--check", "qdet")
+    assert len(data["checks"]) == 5
+    code, data, _ = run_json(capsys, "hopf")
+    assert code == 0
+    names = {c["name"] for c in data["checks"]}
+    # one check of each group
+    assert {"full:coassociativity", "co-ideal", "counit-of-antipode",
+            "determinant-inverse", "commutator:a", "plane-relation-covariant"} <= names
+    assert len(names) == 32
+
+
+def test_a_reused_parser_carries_no_braiding_flag_over(capsys):
+    code, data, _ = run_json(capsys, "hopf", "--check", "coaction", "--no-braiding")
+    assert code == 1
+    assert data["metadata"]["braiding"] is False
+    code, data, _ = run_json(capsys, "hopf", "--check", "coaction")
+    assert code == 0
+    assert data["metadata"]["braiding"] is True
+
+
 def test_all_aggregates_and_isolates_contract_failures(capsys, tmp_path):
     broken = tmp_path / "broken.schedule"
     broken.write_text("this is not json")
@@ -587,6 +632,24 @@ def test_contract_set_binds_the_schedule_too(capsys, lane):
     assert [c["pass"] for c in data["checks"]] == [True, True, True]
     if lane == "bigg":
         assert data["checks"][1]["details"]["parameters"] == ["k", "m", "n"]
+
+
+@pytest.mark.parametrize("lane", ["g", "bigg"])
+def test_contract_set_binds_the_twist_too(capsys, lane):
+    # eta = 1 makes the twist a constant, which the schedule's own
+    # eta = 1/eps no longer reaches: the limit is finite and misses the target
+    code, data, _ = run_json(capsys, "contract", "--contraction-matrix", lane,
+                             "--set", "eta=1")
+    assert code == 1
+    assert [(c["name"], c["pass"]) for c in data["checks"]] == [
+        ("finite-limit", True), ("surviving-parameters", True), ("matches-target", False)]
+
+
+def test_contract_probe_lane_with_a_bound_twist_records_nothing(capsys):
+    code, data, _ = run_json(capsys, "contract", "--contraction-matrix", "gprime",
+                             "--set", "eta=1")
+    assert code == 0
+    assert data["checks"][0]["details"]["records"] == []
 
 
 def test_set_clashing_with_the_schedule_is_usage_error(capsys):

@@ -13,16 +13,19 @@ from fractions import Fraction
 
 import pytest
 
+from jforge import linalg as L
 from jforge.errors import DivisionByZero
 from jforge.grammar import parse, serialize
-from jforge.laurent import coerce
+from jforge.laurent import L_ONE, L_ZERO, coerce
 from jforge.rmat import (
     TensorMat,
     conjugate,
     four_param_deformed_r3,
     jordanian_r2,
     jordanian_r3,
+    kron_order,
     qybe_check,
+    qybe_residual,
     twist_2x2,
     twist_3x3,
     two_param_deformed_r2,
@@ -43,6 +46,58 @@ def test_braid_consistency_symbolic(name):
     report = qybe_check(ALL_BUILDERS[name](), name=name)
     assert report.passed, report.to_text()
     assert report.checks[0].name == f"qybe:{name}"
+    assert qybe_residual(ALL_BUILDERS[name]()) == {}
+
+
+def dense_residual_entries(mat: TensorMat) -> list:
+    """The first five nonzero entries of R12 R13 R23 - R23 R13 R12 in
+    row-major order, from dense Kronecker products: the reference for the
+    sparse residual."""
+    dim = mat.dim
+    eye = L.mat_identity(dim)
+    r12 = L.kron(mat.in_kron_order(), eye)
+    r23 = L.kron(eye, mat.in_kron_order())
+    # R13 is R12 with the last two slots swapped on both sides
+    flip = {(a * dim + b) * dim + c: (a * dim + c) * dim + b
+            for a in range(dim) for b in range(dim) for c in range(dim)}
+    swap = [[L_ONE if flip[i] == j else L_ZERO for j in range(dim ** 3)]
+            for i in range(dim ** 3)]
+    r13 = L.mat_mul(swap, L.mat_mul(r12, swap))
+    left = L.mat_mul(L.mat_mul(r12, r13), r23)
+    right = L.mat_mul(L.mat_mul(r23, r13), r12)
+    out = []
+    for i, (row_l, row_r) in enumerate(zip(left, right)):
+        for j, (x, y) in enumerate(zip(row_l, row_r)):
+            if not (x - y).is_zero():
+                out.append({"row": i, "col": j, "value": serialize(x - y)})
+    return out[:5]
+
+
+def perturbed(mat: TensorMat, row: int, col: int, shift: str) -> TensorMat:
+    """mat with its Kronecker-order entry (row, col) shifted by shift."""
+    dense = mat.in_kron_order()
+    dense[row][col] = dense[row][col] + parse(shift)
+    return TensorMat.from_kron_order(mat.dim, dense, kron_order(mat.dim))
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BUILDERS))
+@pytest.mark.parametrize("where, shift", [((0, 1), "p"), ((-1, 0), "k"),
+                                          ((1, 1), "m"), ((-1, -2), "1/(1 + n)")])
+def test_sparse_residual_reports_as_the_dense_products(name, where, shift):
+    mat = ALL_BUILDERS[name]()
+    size = mat.dim * mat.dim
+    bad = perturbed(mat, where[0] % size, where[1] % size, shift)
+    report = qybe_check(bad, name=name)
+    want = dense_residual_entries(bad)
+    assert want and not report.passed
+    assert report.checks[0].details["nonzero_entries"] == want
+
+
+def test_sparse_residual_pins_a_failing_detail():
+    report = qybe_check(perturbed(four_param_deformed_r3(), 0, 0, "p"), name="rq3")
+    value = "(-p^2*r^3 - p*r^4 + p^2*r + p)/(r^2)"
+    assert report.checks[0].details == {"dim": 3, "nonzero_entries": [
+        {"row": 9, "col": 1, "value": value}, {"row": 18, "col": 2, "value": value}]}
 
 
 def random_point(mat: TensorMat, rng: random.Random) -> TensorMat:

@@ -140,6 +140,12 @@ COMMANDS = (
     ["contract", "--schedule", "{limit-is-param}", "--contraction-matrix", "gprime"],
     ["contract", "--set", "p=0", "--contraction-matrix", "bigg"],
     ["contract", "--set", "p=0", "--contraction-matrix", "gprime"],
+    # the bindings go into the twist as well: eta = 1 makes it a constant
+    # that the schedule's own eta = 1/eps no longer reaches
+    ["contract", "--set", "eta=1", "--contraction-matrix", "g"],
+    ["contract", "--set", "eta=1", "--contraction-matrix", "bigg"],
+    ["contract", "--set", "eta=1", "--contraction-matrix", "gprime"],
+    ["all", "--set", "eta=1"],
     # the entries are expanded unreduced: points that change which terms
     # the substituted entries keep, each compared with the reduced route
     ["contract", "--contraction-matrix", "bigg", "--set", "m=n"],
