@@ -67,7 +67,7 @@ from .errors import (
     UsageError,
 )
 from .freealg import step_bound
-from .grammar import parse
+from .grammar import parse, serialize
 from .hopf import (
     LAYOUT_Q,
     check_antipode_axiom,
@@ -203,7 +203,8 @@ def _contract_stage(args, bindings) -> tuple:
     The one contraction stage of ``contract`` and ``all``; the report's
     metadata carries the schedule digest.  The bindings go into the twist
     as into the matrices, so --set eta=1 leaves a constant twist that the
-    schedule's own eta no longer reaches.
+    schedule's own eta no longer reaches, and the report lists eta = 1
+    among the schedule's bindings.
     """
     schedule, digest = _load_schedule(args.schedule, bindings)
     source, twist, target = LANES[args.contraction_matrix]
@@ -221,6 +222,10 @@ def _contract_stage(args, bindings) -> tuple:
     else:
         goal = target().substitute(bindings)
         result, report = contraction_report(tm, g, schedule, goal)
+        # a schedule name that --set binds took the --set value
+        report.metadata["bindings"].update(
+            (name, serialize(value)) for name, value in bindings.items()
+            if name in schedule.bindings)
     report.metadata["schedule_sha256"] = digest
     return result, report
 

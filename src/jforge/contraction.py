@@ -53,7 +53,8 @@ from .errors import DivisionByZero, PoleError, ScheduleError
 from .field import (LaurentSeries, RatFunc, laurent_expand, limit_at_zero,
                     series_inverse, series_mul)
 from .grammar import GrammarError, parse, serialize
-from .laurent import L_ONE, L_ZERO, Laurent, split_monomial
+from .laurent import L_ONE, L_ZERO, Laurent
+from .poly import pexponents, split_monomial
 from .report import CheckReport
 from .rmat import KRON_ORDER_2, TensorMat, conjugate
 
@@ -136,8 +137,7 @@ def _valuation(f: RatFunc, var: str):
     """The exact valuation of f in var, None for f = 0."""
     if f.is_zero():
         return None
-    low = [min(dict(m).get(var, 0) for m in p) for p in (f.num, f.den)]
-    return low[0] - low[1]
+    return min(pexponents(f.num, var)) - min(pexponents(f.den, var))
 
 
 class _Expansion:

@@ -1,23 +1,26 @@
 """Field of exact multivariate rational functions, plus Laurent expansion.
 
-A RatFunc is a reduced fraction num/den of sparse polynomials (see poly.py).
-The canonical form is unique: gcd(num, den) = 1 and den is scaled to integer
-coefficients with content 1 and a positive leading coefficient.  Structural
-equality of canonical forms therefore decides mathematical equality, which is
-what every verification step in this project ultimately relies on.
+A RatFunc is a reduced fraction num/den of sparse polynomials on packed
+monomials with no negative exponent (see poly.py).  The canonical form is
+unique: gcd(num, den) = 1 and den is scaled to integer coefficients with
+content 1 and a positive leading coefficient; coefficients are ints when
+integral.  Structural equality of canonical forms therefore decides
+mathematical equality, which is what every verification step in this
+project ultimately relies on.
 
 RatFunc is the top of a two-type numeric tower.  Every value in
-Q[params^±1] is a laurent.Laurent (packed Laurent polynomials): the
-R-matrices and their products, the coefficients of a Laurent expansion
-and the algebra side of the rewriting.  RatFunc holds what leaves that
-ring (denominators of several terms, parsed text, --set values).
-_coerce accepts a Laurent through its cached to_rf(), so mixed operations
-land here.  add_into accumulates either type.
+Q[params^±1] is a laurent.Laurent, a dict of the same packed monomials
+with signed exponents: the R-matrices and their products, the
+coefficients of a Laurent expansion and the algebra side of the
+rewriting.  RatFunc holds what leaves that ring (denominators of several
+terms, parsed text, --set values).  _coerce accepts a Laurent through its
+cached to_rf(), so mixed operations land here.  add_into accumulates
+either type.
 
 One path reaches the canonical form, poly's: the constructors, the field
 operations and every product or sum run pgcd, pdiv_exact, then
 pint_normalize.  For a one-term operand these run no remainder sequence
-(pgcd returns the shared monomial, pdiv_exact subtracts exponents,
+(pgcd returns the shared monomial, pdiv_exact subtracts monomials,
 pint_normalize scales by 1/c, and is skipped when c is 1); several-term
 ones run pgcd's remainder sequence, long division and the content pass.
 
@@ -25,9 +28,11 @@ Substitution works on the polynomials: each bound parameter's
 denominator is cleared to its top exponent, so RatFunc._substituted
 builds the substituted numerator and denominator with no gcd pass, and
 substitute reduces that pair once.  laurent_expand expands one value of
-the tower; series_mul and series_inverse are the truncated power-series
-arithmetic it shares with the contraction, which expands each bound value
-of a schedule once and every entry term by term.
+the tower; its coefficients in the expansion variable are polynomials,
+so each is a Laurent as it stands.  series_mul and series_inverse are
+the truncated power-series arithmetic it shares with the contraction,
+which expands each bound value of a schedule once and every entry term
+by term.
 
 No floating point appears anywhere; coefficients are Fractions of unbounded
 size.  Values are immutable and hashable.
@@ -45,7 +50,7 @@ from .errors import DivisionByZero, NotExpandable, PoleError
 def _unit_sign(f) -> int:
     """1 or -1 when the RatFunc f is that constant, else 0."""
     if len(f.num) == 1 and f.den == P.PONE:
-        c = f.num.get(P.MONO_ONE)
+        c = f.num.get(0)
         if c == 1 or c == -1:
             return int(c)
     return 0
@@ -79,7 +84,7 @@ class RatFunc:
     # -- constructors ----------------------------------------------------
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(P.pconst(Fraction(c)), _reduced=True)
+        return RatFunc(P.pconst(c), _reduced=True)
 
     @staticmethod
     def var(name) -> "RatFunc":
@@ -233,11 +238,10 @@ class RatFunc:
         clears every denominator and leaves the fraction as it was.
         """
         top = {}
-        for p in (self.num, self.den):
-            for m in p:
-                for v, e in m:
-                    if v in bindings and e > top.get(v, 0):
-                        top[v] = e
+        for v in bindings:
+            high = max(P.pexponents(self.num, v) + P.pexponents(self.den, v))
+            if high:
+                top[v] = high
         if not top:
             return None
         factors = {}
@@ -258,13 +262,13 @@ def _poly_substitute(p: P.Poly, factors: dict) -> P.Poly:
     (a^e * b^(E - e), see RatFunc._substituted)."""
     out = {}
     for m, c in p.items():
-        exps = dict(m)
-        term = {tuple((v, e) for v, e in m if v not in factors): c}
-        for v, by_exp in factors.items():
-            term = P.pmul(term, by_exp[exps.get(v, 0)])
+        exps, rest = P.split_monomial(m, factors)
+        term = {rest: c}
+        for by_exp, e in zip(factors.values(), exps):
+            term = P.pmul(term, by_exp[e])
         for tm, tc in term.items():
             out[tm] = out.get(tm, 0) + tc
-    return {m: c for m, c in out.items() if c}
+    return {m: P._coef(c) for m, c in out.items() if c}
 
 
 RF_ZERO = RatFunc(P.pzero(), _reduced=True)
@@ -378,9 +382,9 @@ def laurent_expand(f, var, order: int = None) -> LaurentSeries:
 
     The valuation is read exactly, from the lowest degrees in var of the
     numerator and the denominator.  Only the numerator and denominator
-    coefficients that reach degree order are built (Laurent values, by
-    laurent.from_poly), and the recurrence for 1/den (series_inverse) runs
-    only that far, so a caller pays for exactly the degrees it reads.
+    coefficients that reach degree order are built (Laurent values), and
+    the recurrence for 1/den (series_inverse) runs only that far, so a
+    caller pays for exactly the degrees it reads.
     With order None the expansion runs through pole_order + 4.  When order
     cuts off below the valuation, the result is the empty series: exact
     through the truncation, no visible terms.  1/den is expanded from the
@@ -388,7 +392,7 @@ def laurent_expand(f, var, order: int = None) -> LaurentSeries:
     divides by zero here.  contraction expands each bound value of a
     schedule here, and a conjugated entry that is not a Laurent.
     """
-    from .laurent import L_ZERO, from_poly
+    from .laurent import L_ZERO, Laurent
 
     f = RatFunc._coerce(f)
     if f.is_zero():
@@ -409,7 +413,7 @@ def laurent_expand(f, var, order: int = None) -> LaurentSeries:
     for series, u, low in ((nn, nu, a), (dd, du, b)):
         for i, c in u.items():
             if i - low <= terms:
-                series[i - low] = from_poly(c)
+                series[i - low] = Laurent(c)
     coeffs = series_mul(nn, series_inverse(dd, terms), terms)
     return LaurentSeries(var, val, tuple(coeffs), order)
 

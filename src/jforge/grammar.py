@@ -158,10 +158,8 @@ def parse(text: str) -> RatFunc:
 
 
 def _is_bare_var(p: P.Poly) -> bool:
-    if len(p) != 1:
-        return False
-    (m, c), = p.items()
-    return c == 1 and len(m) == 1 and m[0][1] == 1
+    names = P.pvars(p)
+    return len(names) == 1 and p == P.pvar(*names)
 
 
 def serialize(f) -> str:

@@ -5,32 +5,23 @@ R-matrices and twists of rmat.py with everything linalg computes from them
 (conjugates, Yang-Baxter products, inverses of unipotent twists), the
 coefficients of field.laurent_expand, and every coefficient on the algebra
 side of the rewriting, in Q[m,n,k,p^±1].  A Laurent value holds one as a
-dict from a packed monomial to a nonzero coefficient:
-
-* the packed monomial is one int, sum of e_v * 2^(SLOT_BITS * slot(v)),
-  with signed exponents e_v in [-2^(SLOT_BITS-2), 2^(SLOT_BITS-2)); slots
-  come from a process-wide registry in first-use order, so a product of
-  monomials is one integer addition and no gcd is ever needed;
-* a coefficient is an int when it is integral and a Fraction otherwise.
-
-Overflow guard (Monagan and Pearce, "Sparse polynomial division using a
-heap", JSC 2011): adding the registered bias 2^(SLOT_BITS-2) to every
-slot maps an in-range exponent into [0, 2^(SLOT_BITS-1)), so the top bit
-of every slot is clear; the lowest slot that left the range, by a product
-or an inverse, has its top bit set.  One mask test after each monomial
-operation therefore decides the range exactly, and DegreeOverflow is
-raised instead of wrapping.
+dict of poly.py's packed monomials, signed here, to nonzero coefficients,
+ints when integral: the representation of RatFunc's numerator and
+denominator, so a product or sum runs poly's one product loop (pmul, after
+the unit and one-term products taken here) and its one sum loop (padd).
+Exponents lie in [-2^(SLOT_BITS-2), 2^(SLOT_BITS-2)), and one mask test
+after each product or inverse raises DegreeOverflow outside that range.
 
 Laurent and RatFunc form one numeric tower, as int and Fraction do, under
 one promotion rule: Laurent op Laurent stays Laurent (+, -, *, negation,
 inverse of a single term), and a Laurent with any other operand (RatFunc,
-int, Fraction) goes through the cached to_rf(), equality included.  The
+int, Fraction) goes through the cached to_rf(), equality included.  to_rf
+adds one monomial, the lowest exponents' negation, to every term.  The
 inverse of several terms is a RatFunc; hash(x) == hash(x.to_rf()).
 coerce() converts where a value enters the algebra: rtt._rf, rtt_entries,
 RewriteRule, nc_scale and Substitution.  A RatFunc with a one-term
-denominator becomes Laurent, any other stays a RatFunc.  from_poly
-converts a polynomial of poly.py, as laurent_expand does with the
-coefficients of its numerator and denominator.
+denominator becomes Laurent by subtracting that monomial from every term
+of its numerator, any other stays a RatFunc.
 
 Substitution is the one map that puts bound values into Laurent values:
 TensorMat.substitute, the read-off route of jforge.specialize and hopf's
@@ -38,84 +29,17 @@ m = n collapse all use it.  RatFunc.substitute stays the map for RatFunc
 values (parsed text, the schedule), and a Substitution whose bound factor
 is not a Laurent goes through to_rf() to it.  The contraction puts a
 schedule's series in place of the bound variables itself, one packed
-monomial at a time (split_monomial).
+monomial at a time (poly.split_monomial).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegreeOverflow, DivisionByZero
+from . import poly as P
+from .errors import DivisionByZero
 from .field import RatFunc
-
-SLOT_BITS = 16
-_HALF = 1 << (SLOT_BITS - 2)
-_MASK = (1 << SLOT_BITS) - 1
-
-_NAMES: list = []   # slot -> variable name
-_SLOTS: dict = {}   # variable name -> slot
-_BIAS = 0           # _HALF in every registered slot
-_GUARD = 0          # the top bit of every registered slot
-
-
-def _slot(name: str) -> int:
-    global _BIAS, _GUARD
-    i = _SLOTS.get(name)
-    if i is None:
-        i = _SLOTS[name] = len(_NAMES)
-        _NAMES.append(name)
-        _BIAS |= _HALF << (SLOT_BITS * i)
-        _GUARD |= (1 << (SLOT_BITS - 1)) << (SLOT_BITS * i)
-    return i
-
-
-def _overflow():
-    raise DegreeOverflow(
-        f"Laurent exponent outside the packed range [-{_HALF}, {_HALF})")
-
-
-def _pack(exps) -> int:
-    """The packed monomial of (name, exponent) pairs."""
-    m = 0
-    for v, e in exps:
-        if not -_HALF <= e < _HALF:
-            _overflow()
-        m += e << (SLOT_BITS * _slot(v))
-    return m
-
-
-def _unpack(m: int) -> dict:
-    """{name: exponent} of a packed monomial, zero exponents left out."""
-    out = {}
-    i = 0
-    while m:
-        e = m & _MASK
-        if e >= 1 << (SLOT_BITS - 1):
-            e -= 1 << SLOT_BITS
-        if e:
-            out[_NAMES[i]] = e
-        m = (m - e) >> SLOT_BITS
-        i += 1
-    return out
-
-
-def split_monomial(m: int, names) -> tuple:
-    """([exponent of each of names in m], the packed m without them)."""
-    shifts = [SLOT_BITS * _slot(v) for v in names]  # registers before _BIAS is read
-    biased = m + _BIAS
-    exps = []
-    for shift in shifts:
-        e = ((biased >> shift) & _MASK) - _HALF
-        exps.append(e)
-        m -= e << shift
-    return exps, m
-
-
-def _coef(c):
-    """A rational coefficient in canonical form: int when integral."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
+from .poly import _coef, _overflow
 
 
 class Laurent:
@@ -134,7 +58,7 @@ class Laurent:
 
     @staticmethod
     def var(name: str) -> "Laurent":
-        return Laurent({_pack(((name, 1),)): 1})
+        return Laurent(P.pvar(name))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -143,28 +67,19 @@ class Laurent:
         return bool(self.terms)
 
     def variables(self) -> set:
-        return {v for m in self.terms for v in _unpack(m)}
+        return P.pvars(self.terms)
 
     def to_rf(self) -> RatFunc:
         """The same value as a canonical RatFunc (computed once)."""
         rf = self._rf
         if rf is None:
-            terms = [(_unpack(m), c) for m, c in self.terms.items()]
-            names = {v for exps, _ in terms for v in exps}
-            shift = {}
-            for v in names:
-                low = min(exps.get(v, 0) for exps, _ in terms)
-                if low < 0:
-                    shift[v] = -low
-            num = {}
-            for exps, c in terms:
-                for v, s in shift.items():
-                    exps[v] = exps.get(v, 0) + s
-                num[tuple(sorted((v, e) for v, e in exps.items() if e))] = Fraction(c)
+            # the denominator x^shift lifts each negative lowest exponent to 0
+            terms = self.terms
+            shift = -P.pcommon_monomial([*terms, 0])
             # canonical as it stands: every shifted variable is missing from
             # some term of num, so num and the monomial share no factor
-            rf = self._rf = RatFunc(num, {tuple(sorted(shift.items())): Fraction(1)},
-                                    _reduced=True)
+            num = {m + shift: c for m, c in terms.items()} if shift else terms
+            rf = self._rf = RatFunc(num, {shift: 1}, _reduced=True)
         return rf
 
     # -- arithmetic -------------------------------------------------------
@@ -176,25 +91,13 @@ class Laurent:
             return self
         if not a:
             return other
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for m, c in b.items():
-            old = out.get(m)
-            if old is None:
-                out[m] = c
-            else:
-                c = old + c
-                if c:
-                    out[m] = _coef(c)
-                else:
-                    del out[m]
+        out = P.padd(a, b)
         return Laurent(out) if out else L_ZERO
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent({m: -c for m, c in self.terms.items()})
+        return Laurent(P.pneg(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -210,7 +113,7 @@ class Laurent:
             return L_ZERO
         if len(a) > len(b):
             a, b = b, a
-        bias, guard = _BIAS, _GUARD
+        bias = P._BIAS
         if len(a) == 1:
             # one term times b: the monomials stay distinct, nothing cancels
             (ma, ca), = a.items()
@@ -222,28 +125,16 @@ class Laurent:
                 (mb, cb), = b.items()
                 if mb == 0 and type(cb) is int and cb == 1:
                     return self if a is self.terms else other
+            guard = P._GUARD
             out = {}
             for mb, cb in b.items():
                 m = ma + mb
                 if (m + bias) & guard:
-                    _overflow()
+                    _overflow(True)
                 c = ca * cb
                 out[m] = c if type(c) is int else _coef(c)
             return Laurent(out)
-        out = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                if (m + bias) & guard:
-                    _overflow()
-                c = ca * cb
-                old = out.get(m)
-                if old is not None:
-                    c = old + c
-                    if not c:
-                        del out[m]
-                        continue
-                out[m] = c if type(c) is int else _coef(c)
+        out = P.pmul(a, b, bias)
         return Laurent(out) if out else L_ZERO
 
     __rmul__ = __mul__
@@ -257,8 +148,8 @@ class Laurent:
             return self.to_rf().inverse()
         (m, c), = terms.items()
         m = -m
-        if (m + _BIAS) & _GUARD:
-            _overflow()
+        if (m + P._BIAS) & P._GUARD:
+            _overflow(True)
         return Laurent({m: c if c == 1 or c == -1 else _coef(1 / Fraction(c))})
 
     def __pow__(self, e: int):
@@ -312,21 +203,19 @@ class Substitution:
         if self._point:
             values = {name: Fraction(v.terms.get(0, 0)) for name, v in values.items()}
         self.bindings = values
-        self._slots = [(SLOT_BITS * _slot(name), v) for name, v in values.items()]
         self._split = {}
 
     def _monomial(self, m: int) -> tuple:
         """(product of the bound factors, packed unbound rest) of m."""
         hit = self._split.get(m)
         if hit is None:
-            factor, rest, biased = Fraction(1) if self._point else L_ONE, m, m + _BIAS
-            for shift, value in self._slots:
-                e = ((biased >> shift) & _MASK) - _HALF
+            exps, rest = P.split_monomial(m, self.bindings)
+            factor = Fraction(1) if self._point else L_ONE
+            for e, value in zip(exps, self.bindings.values()):
                 if e:
                     if e < 0 and not value:
                         raise DivisionByZero("substitution sends denominator to zero")
                     factor *= value ** e
-                    rest -= e << shift
             hit = self._split[m] = (_coef(factor), rest)
         return hit
 
@@ -368,28 +257,17 @@ def coerce(x):
     """x as a Laurent where it is one, else as a RatFunc.
 
     Laurent values pass through; ints and Fractions become constants; a
-    RatFunc becomes Laurent exactly when its denominator is one term, and
-    any other RatFunc is returned unchanged.
+    RatFunc becomes Laurent exactly when its denominator is one term (monic
+    in canonical form), and any other RatFunc is returned unchanged.
     """
     if type(x) is Laurent:
         return x
     if isinstance(x, RatFunc):
         if len(x.den) != 1:
             return x
-        (dm, dc), = x.den.items()
-        return from_poly(x.num, dm, dc)
+        (dm, _), = x.den.items()
+        terms = P.pmul(x.num, {-dm: 1}, P._BIAS)
+        return Laurent(terms) if terms else L_ZERO
     if isinstance(x, (int, Fraction)):
         return Laurent.const(x)
     raise TypeError(f"cannot use {type(x).__name__} as a coefficient")
-
-
-def from_poly(p: dict, mono: tuple = (), c=1) -> Laurent:
-    """The Laurent value p / (c * x^mono) of a polynomial p of poly.py."""
-    inv = {v: -e for v, e in mono}
-    out = {}
-    for nm, nc in p.items():
-        exps = dict(inv)
-        for v, e in nm:
-            exps[v] = exps.get(v, 0) + e
-        out[_pack(exps.items())] = _coef(nc / c)
-    return Laurent(out) if out else L_ZERO

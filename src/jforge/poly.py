@@ -1,13 +1,33 @@
-"""Exact sparse multivariate polynomials over the rationals.
+"""Exact sparse multivariate polynomials over the rationals, on packed monomials.
 
 Representation:
 
-    Monomial = tuple[tuple[str, int], ...]   # ((var, exp), ...), sorted by var, exp >= 1
-    Poly     = dict[Monomial, Fraction]      # no zero coefficients, () is the unit monomial
+    Poly = dict[int, int | Fraction]   # packed monomial -> nonzero coefficient
 
-The zero polynomial is the empty dict.  All functions treat their inputs as
-immutable and return fresh dicts, so values can be shared freely and used as
-building blocks for hashable wrappers.
+The zero polynomial is the empty dict and 0 is the unit monomial.  A
+coefficient is an int when it is integral and a Fraction otherwise.  All
+functions treat their inputs as immutable and return fresh dicts, so values
+can be shared freely and used as building blocks for hashable wrappers.
+
+A packed monomial is one int, sum of e_v * 2^(SLOT_BITS * slot(v)).  Slots
+come from one process-wide registry in first-use order, so a product of
+monomials is one integer addition.  Two ranges share the encoding:
+
+* a polynomial here (a RatFunc numerator or denominator) has exponents in
+  [0, 2^(SLOT_BITS-1)): the top bit of every slot is clear;
+* a laurent.Laurent has signed exponents in [-2^(SLOT_BITS-2),
+  2^(SLOT_BITS-2)): adding the registered bias 2^(SLOT_BITS-2) to every
+  slot maps them into [0, 2^(SLOT_BITS-1)), the top bit clear again.
+
+Overflow guard (Monagan and Pearce, "Sparse polynomial division using a
+heap", JSC 2011): after a product or an inverse, the lowest slot that left
+its range, biased or not, has its top bit set.  One mask test therefore
+decides the range exactly, and DegreeOverflow is raised instead of
+wrapping.  Likewise one mask decides whether a monomial divides another.
+
+Nothing that reaches text or a gcd's sign depends on the registry's order:
+plt, pstr and pint_normalize order monomials by graded lex on the variable
+names (_glex), and pgcd picks its main variable by name.
 
 The only nontrivial algorithm here is pgcd.  It first bounds the gcd's
 degree in each variable by the gcd of images in GF(p)[v], every other
@@ -23,15 +43,67 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .errors import DivisionByZero
+from .errors import DegreeOverflow, DivisionByZero
 
-Monomial = tuple
 Poly = dict
 
-F0 = Fraction(0)
 F1 = Fraction(1)
 
-MONO_ONE: Monomial = ()
+SLOT_BITS = 16
+_HALF = 1 << (SLOT_BITS - 2)
+_TOP = 1 << (SLOT_BITS - 1)
+_MASK = (1 << SLOT_BITS) - 1
+
+_NAMES: list = []     # slot -> variable name
+_SLOTS: dict = {}     # variable name -> slot
+_BY_NAME: list = []   # (name, shift) of every registered variable, by name
+_BIAS = 0             # _HALF in every registered slot
+_GUARD = 0            # the top bit of every registered slot
+
+
+def _slot(name: str) -> int:
+    global _BIAS, _GUARD
+    i = _SLOTS.get(name)
+    if i is None:
+        i = _SLOTS[name] = len(_NAMES)
+        _NAMES.append(name)
+        _BIAS |= _HALF << (SLOT_BITS * i)
+        _GUARD |= _TOP << (SLOT_BITS * i)
+        _BY_NAME[:] = sorted((v, SLOT_BITS * j) for j, v in enumerate(_NAMES))
+    return i
+
+
+def _overflow(signed: bool):
+    if signed:
+        raise DegreeOverflow(
+            f"Laurent exponent outside the packed range [-{_HALF}, {_HALF})")
+    raise DegreeOverflow(f"polynomial exponent outside the packed range [0, {_TOP})")
+
+
+def split_monomial(m: int, names) -> tuple:
+    """([exponent of each of names in m], the packed m without them); the
+    exponents may be negative."""
+    shifts = [SLOT_BITS * _slot(v) for v in names]  # registers before _BIAS is read
+    biased = m + _BIAS
+    exps = []
+    for shift in shifts:
+        e = ((biased >> shift) & _MASK) - _HALF
+        exps.append(e)
+        m -= e << shift
+    return exps, m
+
+
+def _coef(c):
+    """A rational coefficient in canonical form: int when integral."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _glex(m: int) -> tuple:
+    """Graded lexicographic key of a monomial, variables ordered by name."""
+    exps = [(m >> s) & _MASK for _, s in _BY_NAME]
+    return sum(exps), exps
 
 
 def pzero() -> Poly:
@@ -39,19 +111,19 @@ def pzero() -> Poly:
 
 
 def pconst(c) -> Poly:
-    c = Fraction(c)
-    return {MONO_ONE: c} if c else {}
+    c = _coef(Fraction(c))
+    return {0: c} if c else {}
 
 
 def pvar(name: str, exp: int = 1) -> Poly:
     if exp < 0:
         raise ValueError("monomials carry nonnegative exponents only")
-    if exp == 0:
-        return pconst(1)
-    return {((name, exp),): F1}
+    if exp >= _TOP:
+        _overflow(False)
+    return {exp << (SLOT_BITS * _slot(name)): 1}
 
 
-PONE: Poly = {MONO_ONE: F1}
+PONE: Poly = {0: 1}
 
 
 def pis_zero(p: Poly) -> bool:
@@ -59,76 +131,41 @@ def pis_zero(p: Poly) -> bool:
 
 
 def pis_const(p: Poly) -> bool:
-    return not p or (len(p) == 1 and MONO_ONE in p)
+    return not p or (len(p) == 1 and 0 in p)
 
 
 def pvars(p: Poly) -> set:
-    out = set()
+    """The variables of p, negative exponents (a Laurent's) included."""
+    seen = 0
     for m in p:
-        for v, _ in m:
-            out.add(v)
-    return out
+        seen |= (m + _BIAS) ^ _BIAS
+    return {v for v, s in _BY_NAME if (seen >> s) & _MASK}
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
-
-
-def mono_div(m1: Monomial, m2: Monomial):
-    """m1 / m2, or None when m2 does not divide m1."""
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        r = d.get(v, 0) - e
-        if r < 0:
-            return None
-        if r == 0:
-            d.pop(v, None)
-        else:
-            d[v] = r
-    return tuple(sorted(d.items()))
-
-
-def mono_gcd(m1: Monomial, m2: Monomial) -> Monomial:
-    d2 = dict(m2)
-    out = []
-    for v, e in m1:
-        e2 = d2.get(v, 0)
-        if e2:
-            out.append((v, min(e, e2)))
-    return tuple(out)
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def mono_key(m: Monomial, varseq: tuple) -> tuple:
-    """Graded lexicographic key of a monomial relative to a variable order."""
-    exps = dict(m)
-    return (mono_degree(m), tuple(exps.get(v, 0) for v in varseq))
+def pexponents(p: Poly, v: str) -> list:
+    """The exponent of v in each monomial of p."""
+    i = _SLOTS.get(v)
+    if i is None:
+        return [0] * len(p)
+    s = SLOT_BITS * i
+    return [(m >> s) & _MASK for m in p]
 
 
 def padd(a: Poly, b: Poly) -> Poly:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
+    """a + b: the one sum loop, shared with Laurent.__add__."""
+    if len(a) < len(b):
+        a, b = b, a
     out = dict(a)
     for m, c in b.items():
-        nc = out.get(m, F0) + c
-        if nc:
-            out[m] = nc
+        old = out.get(m)
+        if old is None:
+            out[m] = c
         else:
-            out.pop(m, None)
+            c += old
+            if c:
+                out[m] = c if type(c) is int else _coef(c)
+            else:
+                del out[m]
     return out
 
 
@@ -137,39 +174,38 @@ def pneg(a: Poly) -> Poly:
 
 
 def psub(a: Poly, b: Poly) -> Poly:
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for m, c in b.items():
-        nc = out.get(m, F0) - c
-        if nc:
-            out[m] = nc
-        else:
-            out.pop(m, None)
-    return out
+    return padd(a, pneg(b))
 
 
-def pscale(a: Poly, c: Fraction) -> Poly:
+def pscale(a: Poly, c) -> Poly:
     if not c:
         return {}
-    return {m: cc * c for m, cc in a.items()}
+    return {m: _coef(cc * c) for m, cc in a.items()}
 
 
-def pmul(a: Poly, b: Poly) -> Poly:
+def pmul(a: Poly, b: Poly, bias: int = 0) -> Poly:
+    """a * b: the one product loop, shared with Laurent.__mul__, which
+    passes the registered bias for its signed exponents."""
     if not a or not b:
         return {}
     # multiply by the smaller operand for fewer dict passes
     if len(a) > len(b):
         a, b = b, a
+    guard = _GUARD
     out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = mono_mul(m1, m2)
-            nc = out.get(m, F0) + c1 * c2
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            if (m + bias) & guard:
+                _overflow(bool(bias))
+            c = ca * cb
+            old = out.get(m)
+            if old is not None:
+                c = old + c
+                if not c:
+                    del out[m]
+                    continue
+            out[m] = c if type(c) is int else _coef(c)
     return out
 
 
@@ -186,10 +222,15 @@ def ppow(a: Poly, n: int) -> Poly:
     return out
 
 
-def plt(p: Poly, varseq: tuple):
-    """Leading (monomial, coefficient) under graded lex for varseq."""
-    m = max(p, key=lambda mm: mono_key(mm, varseq))
+def plt(p: Poly):
+    """Leading (monomial, coefficient) under graded lex (_glex)."""
+    m = max(p, key=_glex)
     return m, p[m]
+
+
+def _divides(q: int) -> bool:
+    """The difference q of two monomials has no negative exponent."""
+    return (q + _GUARD) & _GUARD == _GUARD
 
 
 def pdiv_exact(a: Poly, b: Poly) -> Poly:
@@ -204,46 +245,41 @@ def pdiv_exact(a: Poly, b: Poly) -> Poly:
         return {}
     if len(b) == 1:
         (bm, bc), = b.items()
-        q = {}
-        for m, c in a.items():
-            qm = mono_div(m, bm)
-            if qm is None:
-                raise ValueError("inexact polynomial division")
-            q[qm] = c
+        q = {m - bm: c for m, c in a.items()}
+        if not all(map(_divides, q)):
+            raise ValueError("inexact polynomial division")
         return q if bc == 1 else pscale(q, F1 / bc)
-    varseq = tuple(sorted(pvars(a) | pvars(b)))
-    bm, bc = plt(b, varseq)
+    bm, bc = plt(b)
     q: Poly = {}
     r = dict(a)
     while r:
-        rm, rc = plt(r, varseq)
-        qm = mono_div(rm, bm)
-        if qm is None:
+        rm, rc = plt(r)
+        qm = rm - bm
+        if not _divides(qm):
             raise ValueError("inexact polynomial division")
-        qc = rc / bc
-        q[qm] = q.get(qm, F0) + qc
+        qc = Fraction(rc) / bc
+        q[qm] = q.get(qm, 0) + qc
         for m, c in b.items():
-            mm = mono_mul(m, qm)
-            nc = r.get(mm, F0) - qc * c
+            mm = m + qm
+            nc = r.get(mm, 0) - qc * c
             if nc:
                 r[mm] = nc
             else:
                 r.pop(mm, None)
-    return {m: c for m, c in q.items() if c}
+    return {m: _coef(c) for m, c in q.items() if c}
 
 
-def pcommon_monomial(p: Poly) -> Monomial:
-    """Largest monomial dividing every term of p (the monomial content)."""
-    it = iter(p)
-    out = next(it)
-    for m in it:
-        out = mono_gcd(out, m)
-        if not out:
-            break
+def pcommon_monomial(monomials) -> int:
+    """The lowest exponent of each variable over monomials (a Poly's keys,
+    or a list), negative ones included: the largest monomial dividing every
+    one of them, their monomial content."""
+    out = 0
+    for _, s in _BY_NAME:
+        out += (min(((m + _BIAS) >> s) & _MASK for m in monomials) - _HALF) << s
     return out
 
 
-def _content_scale(coeffs: Iterable) -> Fraction:
+def _content_scale(coeffs) -> Fraction:
     """Positive scale taking nonzero rationals to coprime integers."""
     num_gcd = 0
     den_lcm = 1
@@ -265,42 +301,27 @@ def pint_normalize(p: Poly) -> tuple:
         return {}, F1
     if len(p) == 1:
         (m, c), = p.items()
-        return {m: F1}, F1 / c
+        return {m: 1}, F1 / c
     scale = _content_scale(p.values())
-    varseq = tuple(sorted(pvars(p)))
-    _, lead = plt(p, varseq)
-    if lead < 0:
+    if plt(p)[1] < 0:
         scale = -scale
-    return {m: c * scale for m, c in p.items()}, scale
+    return {m: _coef(c * scale) for m, c in p.items()}, scale
 
 
 def as_univariate(p: Poly, v: str) -> dict:
     """View p as a univariate polynomial in v: {exp: coefficient Poly}."""
+    s = SLOT_BITS * _slot(v)
     out: dict = {}
     for m, c in p.items():
-        e = 0
-        rest = []
-        for vv, ee in m:
-            if vv == v:
-                e = ee
-            else:
-                rest.append((vv, ee))
-        coeff = out.setdefault(e, {})
-        coeff[tuple(rest)] = coeff.get(tuple(rest), F0) + c
-    res: dict = {}
-    for e, q in out.items():
-        qq = {m: c for m, c in q.items() if c}
-        if qq:
-            res[e] = qq
-    return res
+        e = (m >> s) & _MASK
+        out.setdefault(e, {})[m - (e << s)] = c
+    return out
 
 
 def from_univariate(u: dict, v: str) -> Poly:
-    out: Poly = {}
-    for e, coeff in u.items():
-        ve = pvar(v, e) if e else PONE
-        out = padd(out, pmul(ve, coeff))
-    return out
+    """The Poly of {exp: coefficient Poly free of v}."""
+    s = SLOT_BITS * _slot(v)
+    return {m + (e << s): c for e, coeff in u.items() for m, c in coeff.items()}
 
 
 def _uprem(f: dict, g: dict) -> dict:
@@ -329,7 +350,7 @@ def _uprem(f: dict, g: dict) -> dict:
     return r
 
 
-def _pgcd_list(polys: Iterable[Poly]) -> Poly:
+def _pgcd_list(polys) -> Poly:
     out: Poly = {}
     for p in polys:
         out = pgcd(out, p)
@@ -348,6 +369,8 @@ def _image_degree(a: Poly, b: Poly, v: str, point: dict):
     The gcd of a and b divides both, and its leading coefficient in v
     divides theirs, so its degree in v is at most this image's degree.
     """
+    s = SLOT_BITS * _slot(v)
+    others = [(SLOT_BITS * _slot(u), x) for u, x in point.items() if u != v]
     images = []
     for p in (a, b):
         u: dict = {}
@@ -355,12 +378,11 @@ def _image_degree(a: Poly, b: Poly, v: str, point: dict):
             if c.denominator % _PRIME == 0:
                 return None
             x = c.numerator * pow(c.denominator, -1, _PRIME)
-            e = 0
-            for vv, ee in m:
-                if vv == v:
-                    e = ee
-                else:
-                    x = x * pow(point[vv], ee, _PRIME)
+            for t, value in others:
+                e = (m >> t) & _MASK
+                if e:
+                    x = x * pow(value, e, _PRIME)
+            e = (m >> s) & _MASK
             u[e] = (u.get(e, 0) + x) % _PRIME
         top = max(u)
         if not u[top]:
@@ -409,28 +431,24 @@ def pgcd(a: Poly, b: Poly) -> Poly:
         return pint_normalize(a)[0]
     if pis_const(a) or pis_const(b):
         return dict(PONE)
+    mc = pcommon_monomial([*a, *b])
     if len(a) == 1 or len(b) == 1:
-        m = mono_gcd(pcommon_monomial(a), pcommon_monomial(b))
-        return {m: F1}
-    mc = mono_gcd(pcommon_monomial(a), pcommon_monomial(b))
+        return {mc: 1}
     if mc:
         # strip the shared monomial factor up front; it rejoins at the end
-        a = {mono_div(m, mc): c for m, c in a.items()}
-        b = {mono_div(m, mc): c for m, c in b.items()}
-        inner = pgcd(a, b)
-        return {mono_mul(m, mc): c for m, c in inner.items()}
+        inner = pgcd({m - mc: c for m, c in a.items()}, {m - mc: c for m, c in b.items()})
+        return {m + mc: c for m, c in inner.items()}
     live = _gcd_variables(a, b)
     if not live:
         return dict(PONE)
     if live != pvars(a) | pvars(b):
         # the gcd lies in Q[live], so it is the gcd of the coefficients of
         # a and b as polynomials in the other variables
+        keep = sum(_MASK << (SLOT_BITS * _slot(v)) for v in live)
         parts: dict = {}
         for i, p in enumerate((a, b)):
             for m, c in p.items():
-                key = (i, tuple(ve for ve in m if ve[0] not in live))
-                part = parts.setdefault(key, {})
-                part[tuple(ve for ve in m if ve[0] in live)] = c
+                parts.setdefault((i, m & ~keep), {})[m & keep] = c
         return _pgcd_list(parts.values())
     v = min(live)
     au = as_univariate(a, v)
@@ -465,16 +483,17 @@ def pstr(p: Poly) -> str:
     """Canonical text for a polynomial: terms sorted, explicit operators."""
     if not p:
         return "0"
-    varseq = tuple(sorted(pvars(p)))
-    items = sorted(p.items(), key=lambda mc: mono_key(mc[0], varseq), reverse=True)
     parts = []
-    for m, c in items:
+    for m in sorted(p, key=_glex, reverse=True):
+        c = p[m]
         factors = []
         if abs(c) != 1 or not m:
             num = str(abs(c.numerator)) if c.denominator == 1 else f"{abs(c.numerator)}/{c.denominator}"
             factors.append(num)
-        for v, e in m:
-            factors.append(v if e == 1 else f"{v}^{e}")
+        for v, s in _BY_NAME:
+            e = (m >> s) & _MASK
+            if e:
+                factors.append(v if e == 1 else f"{v}^{e}")
         body = "*".join(factors)
         if not parts:
             parts.append(body if c > 0 else "-" + body)

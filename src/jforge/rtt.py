@@ -176,7 +176,7 @@ def _denominators(rmat: TensorMat):
         for x in row:
             den = (x.to_rf() if type(x) is Laurent else x).den
             if den != RF_ONE.num:
-                yield RatFunc(dict(den), _reduced=True)
+                yield RatFunc(den, _reduced=True)
 
 
 # -- adjoined inverses ---------------------------------------------------------

@@ -652,6 +652,43 @@ def test_contract_probe_lane_with_a_bound_twist_records_nothing(capsys):
     assert data["checks"][0]["details"]["records"] == []
 
 
+@pytest.mark.parametrize("lane", ["g", "bigg"])
+def test_contract_lists_the_set_value_of_eta(capsys, lane):
+    # the run used eta = 1, not the schedule's eta = 1/eps; every other
+    # binding listed is the schedule's own
+    _, plain, _ = run_json(capsys, "contract", "--contraction-matrix", lane)
+    code, data, _ = run_json(capsys, "contract", "--contraction-matrix", lane,
+                             "--set", "eta=1")
+    assert code == 1
+    assert plain["metadata"]["bindings"]["eta"] == "1/eps"
+    assert data["metadata"]["bindings"] == dict(plain["metadata"]["bindings"], eta="1")
+
+
+def test_contract_lists_the_set_value_of_r(capsys):
+    # r = 2 reaches the matrices before the schedule does, so its slope is
+    # gone and the limit diverges; the report lists r = 2
+    code, data, _ = run_json(capsys, "contract", "--contraction-matrix", "g",
+                             "--set", "r=2")
+    assert code == 1
+    assert [(c["name"], c["pass"]) for c in data["checks"]] == [("finite-limit", False)]
+    assert data["metadata"]["bindings"] == {
+        "eta": "1/eps", "q": "eps*k + p", "r": "2", "s": "1/2*eps*m - 1/2*eps*n + 1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["qybe", "--matrix", "rq2", "--set", "p=m^20000"],
+    ["contract", "--contraction-matrix", "g", "--set", "m=k^20000"],
+    ["relations", "--set", "m=k^20000"],
+])
+def test_an_exponent_past_the_packed_range_is_a_verification_error(capsys, argv):
+    # k^20000 fits a polynomial's slot but not a Laurent value's; wherever
+    # the range is met, the run ends with one line and no traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "jforge: Laurent exponent outside the packed range [-16384, 16384)"
+
+
 def test_set_clashing_with_the_schedule_is_usage_error(capsys):
     # r is bound by the schedule, so m=r would leave r inside r's binding;
     # eps is the schedule's limit variable, so eps=1 leaves no limit
@@ -690,7 +727,7 @@ def test_set_promotes_coefficients_past_laurent(capsys):
 
 _REGISTRY_RUN = """
 import json, sys
-from jforge import laurent
+from jforge import laurent, poly
 from jforge.cli import main
 from jforge.grammar import parse
 if sys.argv[1] == "qybe-first":
@@ -698,7 +735,7 @@ if sys.argv[1] == "qybe-first":
     # register the algebra's own parameters in the reverse order as well
     laurent.coerce(parse("eps*s*r*q*p*n*m*k"))
 main(["relations", "--format", "json", "--output", sys.argv[2]])
-print(json.dumps(laurent._NAMES))
+print(json.dumps(poly._NAMES))
 """
 
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from jforge.errors import DegreeOverflow, DivisionByZero
 from jforge.field import RatFunc
 from jforge.grammar import parse, serialize
-from jforge.laurent import SLOT_BITS, L_ONE, L_ZERO, Laurent, Substitution, coerce
+from jforge.laurent import L_ONE, L_ZERO, Laurent, Substitution, coerce
+from jforge.poly import SLOT_BITS
 
 VARS = ("m", "n", "k", "p")
 LIMIT = 1 << (SLOT_BITS - 2)

@@ -1,13 +1,22 @@
 """Polynomial core: arithmetic, exact division, gcd, canonical text."""
 
+import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jforge import poly as P
+from jforge.errors import DegreeOverflow
 from jforge.grammar import parse
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def build(terms):
@@ -101,10 +110,32 @@ def test_univariate_roundtrip():
     assert P.from_univariate(u, "x") == p
 
 
+def test_a_polynomial_slot_holds_exponents_below_32768():
+    # a Laurent slot holds [-16384, 16384); a RatFunc's polynomials hold
+    # twice that, so a Laurent's denominator and a parsed m^20000 fit
+    assert P.pexponents(parse("m^32767").num, "m") == [32767]
+    assert P.pexponents(parse("1/m^16384").den, "m") == [16384]
+    with pytest.raises(DegreeOverflow):
+        parse("m^32768")
+    with pytest.raises(DegreeOverflow):
+        parse("(m^20000 + 1)*(k + m^20000)")
+    with pytest.raises(DegreeOverflow):
+        P.pvar("m", 32768)
+
+
 @st.composite
 def rand_monomial(draw):
-    exps = {v: draw(st.integers(min_value=0, max_value=2)) for v in ("x", "y", "z")}
-    return tuple((v, e) for v, e in exps.items() if e)
+    out = P.PONE
+    for v in ("x", "y", "z"):
+        out = P.pmul(out, P.pvar(v, draw(st.integers(min_value=0, max_value=2))))
+    (m,) = out
+    return m
+
+
+def divides(bm, m) -> bool:
+    """Each of x, y, z has no higher exponent in the monomial bm than in m."""
+    return all(P.pexponents({bm: 1}, v)[0] <= P.pexponents({m: 1}, v)[0]
+               for v in ("x", "y", "z"))
 
 
 nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
@@ -122,7 +153,7 @@ def rand_mpoly(draw):
 @settings(max_examples=150, deadline=None)
 def test_one_term_division_is_exact_or_raises(a, bm, bc):
     b = {bm: bc}
-    if all(P.mono_div(m, bm) is not None for m in a):
+    if all(divides(bm, m) for m in a):
         q = P.pdiv_exact(a, b)
         assert P.pmul(q, b) == a
         assert P.pdiv_exact(P.pmul(a, b), b) == a
@@ -166,3 +197,93 @@ def test_gcd_is_the_greatest_common_divisor(a, b, h):
     # pdiv_exact raises ValueError on an inexact division
     P.pdiv_exact(g, h)
     assert P.pgcd(P.pdiv_exact(ah, g), P.pdiv_exact(bh, g)) == P.PONE
+
+
+# -- an independent reference: sympy's gcd ----------------------------------
+
+@st.composite
+def planted_pair(draw):
+    """(a*h, b*h, the variables) over two or three variables."""
+    names = draw(st.sampled_from([("x", "y"), ("x", "y", "z")]))
+    parts = []
+    for _ in range(3):
+        out = P.pzero()
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            term = P.pconst(draw(nonzero))
+            for v in names:
+                term = P.pmul(term, P.pvar(v, draw(st.integers(min_value=0, max_value=2))))
+            out = P.padd(out, term)
+        parts.append(out)
+    a, b, h = parts
+    return P.pmul(a, h), P.pmul(b, h), names
+
+
+@given(planted_pair())
+@settings(max_examples=80, deadline=None)
+def test_gcd_agrees_with_sympy(time_limit, pair):
+    sympy = pytest.importorskip("sympy")
+    ah, bh, names = pair
+    if not (ah and bh):
+        return
+    gens = sympy.symbols(names)  # sorted by name: graded lex as in pstr
+    with time_limit(10):
+        g = P.pgcd(ah, bh)
+        want = sympy.gcd(sympy.sympify(P.pstr(ah)), sympy.sympify(P.pstr(bh)))
+    got = sympy.sympify(P.pstr(g))
+    ratio = sympy.cancel(got / want)
+    assert ratio.is_Rational and ratio != 0
+    coeffs = [Fraction(c) for c in g.values()]
+    assert all(c.denominator == 1 for c in coeffs)
+    assert math.gcd(*(c.numerator for c in coeffs)) == 1
+    assert sympy.Poly(got, *gens).LC(order="grlex") > 0
+
+
+# -- the slot registry's order never reaches the output ---------------------
+
+_REGISTRY_ORDER = """
+import json, sys
+from jforge import laurent, poly as P
+if sys.argv[1] == "reversed":
+    for name in ("p", "n", "m", "k"):
+        laurent.Laurent.var(name)
+from jforge.grammar import parse, serialize
+texts = ["(k - m^2*p)/(n^2 - 3*k*p + 1)", "-(m + 2*n)/(p - k)",
+         "k/p^3 - m^2/n", "(1/2)*p^(-3) - k", "-3*m*n^2*k + 5/7*p^4 - n",
+         "(m - n)^3/(k*p + n^2)^2", "-1/(m*n^2*p)"]
+out = [serialize(parse(t)) for t in texts]
+out += [serialize(laurent.coerce(parse(t))) for t in texts[2:4]]
+h = parse("-(m - 2*n + 3)*(k*p - n^2)").num
+for left, right in (("k + p", "n - m*k"), ("(m + k)*p", "3*n^2 - k")):
+    a, b = parse(left).num, parse(right).num
+    out.append(P.pstr(P.pgcd(P.pmul(a, h), P.pmul(b, h))))
+for text in ("-(3/2)*p^2*k + 6*m*n - 9/4", "2/3*n - 4*k*m^2 + 8/3*p"):
+    q, scale = P.pint_normalize(parse(text).num)
+    out.append([P.pstr(q), str(scale)])
+print(json.dumps([P._NAMES, out]))
+"""
+
+
+def test_registry_order_does_not_reach_text_gcd_or_normal_form():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = {}
+    for mode in ("default", "reversed"):
+        proc = subprocess.run([sys.executable, "-c", _REGISTRY_ORDER, mode],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, check=True)
+        runs[mode] = json.loads(proc.stdout)
+    (names, out), (names_reversed, out_reversed) = runs["default"], runs["reversed"]
+    assert names == ["k", "m", "p", "n"] and names_reversed == ["p", "n", "m", "k"]
+    assert out == out_reversed == _ORDERED_BY_NAME
+
+
+# the same values as rendered by the tuple-keyed polynomials that kept each
+# monomial's variables sorted by name
+_ORDERED_BY_NAME = [
+    "(m^2*p - k)/(3*k*p - n^2 - 1)", "(m + 2*n)/(k - p)", "(-m^2*p^3 + k*n)/(n*p^3)",
+    "(-k*p^3 + 1/2)/(p^3)", "-3*k*m*n^2 + 5/7*p^4 - n",
+    "(m^3 - 3*m^2*n + 3*m*n^2 - n^3)/(k^2*p^2 + 2*k*n^2*p + n^4)", "-1/(m*n^2*p)",
+    "(-m^2*p^3 + k*n)/(n*p^3)", "(-k*p^3 + 1/2)/(p^3)",
+    "k*m*p - 2*k*n*p - m*n^2 + 2*n^3 + 3*k*p - 3*n^2",
+    "k*m*p - 2*k*n*p - m*n^2 + 2*n^3 + 3*k*p - 3*n^2",
+    ["2*k*p^2 - 8*m*n + 3", "-4/3"], ["6*k*m^2 - n - 4*p", "-3/2"],
+]

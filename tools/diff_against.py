@@ -146,6 +146,8 @@ COMMANDS = (
     ["contract", "--set", "eta=1", "--contraction-matrix", "bigg"],
     ["contract", "--set", "eta=1", "--contraction-matrix", "gprime"],
     ["all", "--set", "eta=1"],
+    # a schedule name that --set binds is listed with the --set value
+    ["contract", "--contraction-matrix", "g", "--set", "r=2"],
     # the entries are expanded unreduced: points that change which terms
     # the substituted entries keep, each compared with the reduced route
     ["contract", "--contraction-matrix", "bigg", "--set", "m=n"],
