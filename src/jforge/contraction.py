@@ -195,7 +195,7 @@ class _Expansion:
             return laurent_expand(checked, var, order)
         acc = {}
         for (val, bound), rest in checked.items():
-            unbound = Laurent(rest)
+            unbound = Laurent.of(rest)
             for d, s in enumerate(self._product(bound)[:order - val + 1], val):
                 if s:
                     acc[d] = acc.get(d, L_ZERO) + unbound * s

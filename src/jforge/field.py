@@ -14,7 +14,7 @@ with signed exponents: the R-matrices and their products, the
 coefficients of a Laurent expansion and the algebra side of the
 rewriting.  RatFunc holds what leaves that ring (denominators of several
 terms, parsed text, --set values).  _coerce accepts a Laurent through its
-cached to_rf(), so mixed operations land here.  add_into accumulates
+cached to_rf(), so mixed operations land here.  add_terms accumulates
 either type.
 
 One path reaches the canonical form, poly's: the constructors, the field
@@ -275,25 +275,32 @@ RF_ZERO = RatFunc(P.pzero(), _reduced=True)
 RF_ONE = RatFunc(dict(P.PONE), _reduced=True)
 
 
-def add_into(out: dict, key, value) -> None:
-    """out[key] += value in a dict of nonzero coefficients.
+def add_terms(out: dict, terms, scale=None) -> None:
+    """out[key] += scale * value for each (key, value) of terms, in a dict
+    of nonzero coefficients: a key whose sum is zero is dropped.
 
-    The key is dropped when the sum is zero, so the dict keeps holding only
-    nonzero values; every sparse element (free-algebra polynomials, tensor
-    elements, elimination rows) is accumulated through here.  Any
-    coefficient type of the tower works: a missing key stores the value
+    The one accumulate-and-drop-zero helper: every sparse element
+    (free-algebra polynomials, tensor elements, matrix and elimination
+    rows) is accumulated through it, one call per piece.  No product by
+    laurent.L_ONE is taken: a scale that is L_ONE, or None, adds the
+    values as they are, and a value that is L_ONE adds the scale.  Any
+    coefficient type of the tower works; a missing key stores the value
     itself, so its type is kept.
     """
-    old = out.get(key)
-    if old is None:
+    one = _laurent.L_ONE
+    if scale is one:
+        scale = None
+    get = out.get
+    for key, value in terms:
+        if scale is not None:
+            value = scale if value is one else value * scale
+        old = get(key)
+        if old is not None:
+            value = old + value
         if not value.is_zero():
             out[key] = value
-        return
-    acc = old + value
-    if acc.is_zero():
-        del out[key]
-    else:
-        out[key] = acc
+        elif old is not None:
+            del out[key]
 
 
 class LaurentSeries(namedtuple("LaurentSeries",
@@ -413,7 +420,7 @@ def laurent_expand(f, var, order: int = None) -> LaurentSeries:
     for series, u, low in ((nn, nu, a), (dd, du, b)):
         for i, c in u.items():
             if i - low <= terms:
-                series[i - low] = Laurent(c)
+                series[i - low] = Laurent.of(c)
     coeffs = series_mul(nn, series_inverse(dd, terms), terms)
     return LaurentSeries(var, val, tuple(coeffs), order)
 
@@ -434,3 +441,8 @@ def limit_at_zero(series: LaurentSeries) -> RatFunc:
         raise PoleError(f"pole of order {series.pole_order()} in {series.variable}",
                         diagnostics=poles)
     return series.coefficient(0)
+
+
+# laurent.py builds on RatFunc, so it comes last; add_terms reads L_ONE
+# when called.
+from . import laurent as _laurent  # noqa: E402

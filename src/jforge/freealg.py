@@ -8,8 +8,9 @@ factor and RewriteRule.  Elements of the tensor square are the same kind
 of dict keyed by pairs of words, so nc_add, nc_scale, nc_zero and
 nc_is_zero serve them unchanged; only the operations that look inside a
 key (t_simple, t_mul, tensor_normal_form, t_str) are tensor-specific.
-Every sum of coefficients goes through field.add_into, which drops keys
-whose coefficient cancels to zero.
+Every sum of coefficients goes through field.add_terms, one call per
+piece added (a word's normal form, one factor's terms), which drops keys
+whose coefficient cancels to zero and takes no product by L_ONE.
 
 A RewriteSystem holds oriented rules lhs -> rhs where the lhs is a single
 word and every rhs word is strictly smaller in the graded lexicographic
@@ -33,6 +34,12 @@ rewritten.  The word cache keeps each word's steps beside its normal form
 and charges them again on every hit, so a normal form costs the size of
 its rewrite tree, counted as if nothing were cached: the budget depends on
 the input alone, not on what was normalized before.
+
+word_normal_form hands out the cached normal form of one word itself,
+charged as normal_form of that word; tensor_normal_form, and with it
+hopf._rule_images, reads its legs through it.  That dict is read-only:
+changing it would change every later normal form of the word.
+normal_form always returns a new dict.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from __future__ import annotations
 import os
 
 from .errors import DegreeOverflow, NonTerminating, OrientationFailure, UsageError
-from .field import add_into
+from .field import add_terms
 from .grammar import serialize
 from .laurent import L_ONE, coerce
 from .report import CheckReport
@@ -89,8 +96,7 @@ def nc_is_zero(p: NCPoly) -> bool:
 
 def nc_add(a: NCPoly, b: NCPoly) -> NCPoly:
     out = dict(a)
-    for w, c in b.items():
-        add_into(out, w, c)
+    add_terms(out, b.items())
     return out
 
 
@@ -112,8 +118,7 @@ def nc_scale(a: NCPoly, c) -> NCPoly:
 def nc_mul(a: NCPoly, b: NCPoly) -> NCPoly:
     out: NCPoly = {}
     for wa, ca in a.items():
-        for wb, cb in b.items():
-            add_into(out, wa + wb, ca * cb)
+        add_terms(out, ((wa + wb, cb) for wb, cb in b.items()), ca)
     return out
 
 
@@ -274,7 +279,7 @@ class RewriteSystem:
         """(normal form, steps) of word, where steps is the size of its
         rewrite tree; the cache keeps the same pair, so a hit costs what
         the rewriting did.  Raises once its own rewrites overrun left; the
-        caller checks the steps of a hit (see normal_form)."""
+        caller checks the steps of a hit (see _charged)."""
         entry = self._cache.get(word)
         if entry is not None:
             return entry
@@ -293,39 +298,54 @@ class RewriteSystem:
                     raise self._exceeded()
                 piece, n = self._nf_word(head + rw + tail, left - steps)
                 steps += n
-                for w, c in piece.items():
-                    add_into(acc, w, c if rc is L_ONE else c * rc)
+                add_terms(acc, piece.items(), rc)
             entry = (acc, steps)
         self._cache[word] = entry
         return entry
 
-    def normal_form(self, poly: NCPoly) -> NCPoly:
-        """The normal form of poly, within max_steps steps.
-
-        The steps of a cached word count again, so a bound is exceeded
-        exactly when the rewrite trees of poly's words, as if nothing were
-        cached, have more than max_steps edges together.  _nf_word checks
-        only its own rewrites; the steps a hit adds are checked at the next
-        rewrite of its caller, or here.
-        """
-        left = self.max_steps
-        out: NCPoly = {}
-        for word, coeff in poly.items():
-            if coeff.is_zero():
-                continue
+    def _charged(self, word: Word, left: int) -> tuple:
+        """_nf_word(word, left), its steps checked against left."""
+        entry = self._cache.get(word)
+        if entry is None:
             try:
-                piece, steps = self._nf_word(tuple(word), left)
+                entry = self._nf_word(word, left)
             except RecursionError:
                 # _nf_word recurses once per rewrite along a word; _cache
                 # only holds finished words, so nothing half-built remains
                 raise DegreeOverflow(
                     f"word of length {len(word)} is too deep to rewrite"
                 ) from None
+        if entry[1] > left:
+            raise self._exceeded()
+        return entry
+
+    def word_normal_form(self, word: Word) -> NCPoly:
+        """The normal form of one word, within max_steps steps: the word
+        cache's dict itself, read-only.  It is charged what
+        normal_form({word: L_ONE}) is, so both stop at the same bound."""
+        return self._charged(tuple(word), self.max_steps)[0]
+
+    def normal_form(self, poly: NCPoly) -> NCPoly:
+        """The normal form of poly, within max_steps steps, as a new dict.
+
+        The steps of a cached word count again, so a bound is exceeded
+        exactly when the rewrite trees of poly's words, as if nothing were
+        cached, have more than max_steps edges together.  _nf_word checks
+        only its own rewrites; the steps a hit adds are checked at the next
+        rewrite of its caller, or by _charged.
+        """
+        if len(poly) == 1:
+            (word, coeff), = poly.items()
+            if coeff is L_ONE:
+                return dict(self.word_normal_form(word))
+        left = self.max_steps
+        out: NCPoly = {}
+        for word, coeff in poly.items():
+            if coeff.is_zero():
+                continue
+            piece, steps = self._charged(tuple(word), left)
             left -= steps
-            if left < 0:
-                raise self._exceeded()
-            for w, c in piece.items():
-                add_into(out, w, c if coeff is L_ONE else c * coeff)
+            add_terms(out, piece.items(), coeff)
         return out
 
     def reduces_to_zero(self, poly: NCPoly) -> bool:
@@ -463,8 +483,7 @@ def t_simple(left: NCPoly, right: NCPoly) -> dict:
     """The elementary tensor of two algebra elements, expanded bilinearly."""
     out: dict = {}
     for wl, cl in left.items():
-        for wr, cr in right.items():
-            add_into(out, (wl, wr), cl * cr)
+        add_terms(out, (((wl, wr), cr) for wr, cr in right.items()), cl)
     return out
 
 
@@ -472,8 +491,7 @@ def t_mul(a: dict, b: dict) -> dict:
     """Componentwise product in the tensor square algebra."""
     out: dict = {}
     for (la, ra), ca in a.items():
-        for (lb, rb), cb in b.items():
-            add_into(out, (la + lb, ra + rb), ca * cb)
+        add_terms(out, (((la + lb, ra + rb), cb) for (lb, rb), cb in b.items()), ca)
     return out
 
 
@@ -482,21 +500,26 @@ def tensor_normal_form(elem: dict, system: RewriteSystem) -> dict:
 
     Terms are grouped by their left word: each distinct left word is
     reduced once, the right legs sharing it are reduced together as one
-    polynomial carrying their coefficients, and each (left, right) pair of
-    normal words costs one product.  The legs are reduced by the system's
-    reducer() and the sum is read at its point once, at the end.
+    polynomial carrying their coefficients (read from the word cache when
+    it is one word with coefficient L_ONE, as in a coproduct image), and
+    each (left, right) pair of normal words costs one product.  The legs
+    are reduced by the system's reducer() and the sum is read at its point
+    once, at the end.
     """
-    reduce = system.reducer().normal_form
+    reducer = system.reducer()
     groups: dict = {}
     for (wl, wr), c in elem.items():
         groups.setdefault(tuple(wl), {})[tuple(wr)] = c
     out: dict = {}
     for wl, rights in groups.items():
-        left = reduce({wl: L_ONE})
-        right = reduce(rights)
+        left = reducer.word_normal_form(wl)
+        wr, c = next(iter(rights.items()))
+        if len(rights) == 1 and c is L_ONE:
+            right = reducer.word_normal_form(wr)
+        else:
+            right = reducer.normal_form(rights)
         for ll, cl in left.items():
-            for rr, cr in right.items():
-                add_into(out, (ll, rr), cl * cr)
+            add_terms(out, (((ll, rr), cr) for rr, cr in right.items()), cl)
     return system.evaluate(out)
 
 

@@ -18,7 +18,7 @@ on generators, which hold by the shape of the matrix coproduct.
 from __future__ import annotations
 
 from .errors import MissingInverse
-from .field import add_into
+from .field import add_terms
 from .freealg import (
     NCPoly,
     RewriteRule,
@@ -142,8 +142,7 @@ def _rule_images(system: RewriteSystem, layout):
         for w, c in residual.items():
             if w not in images:
                 images[w] = tensor_normal_form(_word_coproduct(w, deltas), reducer)
-            for key, v in images[w].items():
-                add_into(total, key, v if c is L_ONE else v * c)
+            add_terms(total, images[w].items(), c)
         yield rule, residual, system.evaluate(total)
 
 

@@ -23,6 +23,13 @@ RewriteRule, nc_scale and Substitution.  A RatFunc with a one-term
 denominator becomes Laurent by subtracting that monomial from every term
 of its numerator, any other stays a RatFunc.
 
+L_ONE is the one unit the tower hands out: Laurent.const(1),
+Laurent.of({0: 1}), coerce of a value equal to 1, and a one-term
+product, inverse or negation equal to 1 return it.  So a product by it
+is skipped on `is L_ONE`, in __mul__ and in field.add_terms.  A
+Laurent({0: 1}) built directly is equal to it and only multiplies like
+any other value.
+
 Substitution is the one map that puts bound values into Laurent values:
 TensorMat.substitute, the read-off route of jforge.specialize and hopf's
 m = n collapse all use it.  RatFunc.substitute stays the map for RatFunc
@@ -54,11 +61,18 @@ class Laurent:
     @staticmethod
     def const(c) -> "Laurent":
         c = _coef(c)
-        return Laurent({0: c}) if c else L_ZERO
+        return Laurent.of({0: c}) if c else L_ZERO
 
     @staticmethod
     def var(name: str) -> "Laurent":
         return Laurent(P.pvar(name))
+
+    @staticmethod
+    def of(terms: dict) -> "Laurent":
+        """The value with these terms: L_ZERO, L_ONE or a new Laurent."""
+        if not terms:
+            return L_ZERO
+        return L_ONE if terms == L_ONE.terms else Laurent(terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -97,7 +111,7 @@ class Laurent:
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent(P.pneg(self.terms))
+        return Laurent.of(P.pneg(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -108,6 +122,11 @@ class Laurent:
     def __mul__(self, other):
         if type(other) is not Laurent:
             return self.to_rf() * other
+        # a product by the unit is no product (see L_ONE)
+        if other is L_ONE:
+            return self
+        if self is L_ONE:
+            return other
         a, b = self.terms, other.terms
         if not a or not b:
             return L_ZERO
@@ -117,14 +136,6 @@ class Laurent:
         if len(a) == 1:
             # one term times b: the monomials stay distinct, nothing cancels
             (ma, ca), = a.items()
-            # the unit's coefficient is the int 1 (coefficients are int
-            # when integral), so no Fraction comparison runs here
-            if ma == 0 and type(ca) is int and ca == 1:
-                return self if b is self.terms else other
-            if len(b) == 1:
-                (mb, cb), = b.items()
-                if mb == 0 and type(cb) is int and cb == 1:
-                    return self if a is self.terms else other
             guard = P._GUARD
             out = {}
             for mb, cb in b.items():
@@ -133,7 +144,8 @@ class Laurent:
                     _overflow(True)
                 c = ca * cb
                 out[m] = c if type(c) is int else _coef(c)
-            return Laurent(out)
+            # Laurent.of(out), testing the last monomial first
+            return L_ONE if m == 0 and out == L_ONE.terms else Laurent(out)
         out = P.pmul(a, b, bias)
         return Laurent(out) if out else L_ZERO
 
@@ -150,7 +162,7 @@ class Laurent:
         m = -m
         if (m + P._BIAS) & P._GUARD:
             _overflow(True)
-        return Laurent({m: c if c == 1 or c == -1 else _coef(1 / Fraction(c))})
+        return Laurent.of({m: c if c == 1 or c == -1 else _coef(1 / Fraction(c))})
 
     def __pow__(self, e: int):
         """self^e; a negative power of several terms is a RatFunc."""
@@ -266,8 +278,7 @@ def coerce(x):
         if len(x.den) != 1:
             return x
         (dm, _), = x.den.items()
-        terms = P.pmul(x.num, {-dm: 1}, P._BIAS)
-        return Laurent(terms) if terms else L_ZERO
+        return Laurent.of(P.pmul(x.num, {-dm: 1}, P._BIAS))
     if isinstance(x, (int, Fraction)):
         return Laurent.const(x)
     raise TypeError(f"cannot use {type(x).__name__} as a coefficient")

@@ -21,7 +21,7 @@ pivot is whatever is structurally nonzero.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, SingularMatrix
-from .field import add_into
+from .field import add_terms
 from .laurent import L_ONE, L_ZERO
 
 
@@ -59,10 +59,8 @@ def mat_mul(a: list, b: list) -> list:
     for row in a:
         acc = {}
         for ait, b_row in zip(row, b_rows):
-            if ait.is_zero():
-                continue
-            for j, btj in b_row:
-                add_into(acc, j, ait * btj)
+            if not ait.is_zero():
+                add_terms(acc, b_row, ait)
         out.append([acc.get(j, L_ZERO) for j in range(m)])
     return out
 
@@ -187,16 +185,15 @@ def rref_sparse(rows: list, column_order: list, locus: list = None) -> tuple:
         if locus is not None:
             add_to_locus(locus, (hit[col],))
         inv = hit[col].inverse()
-        hit = {c: v * inv for c, v in hit.items()}
+        if inv is not L_ONE:
+            hit = {c: v * inv for c, v in hit.items()}
         for bucket in (live, reduced):
             for i, row in enumerate(bucket):
                 factor = row.get(col)
                 if factor is None:
                     continue
-                factor = -factor
                 new = dict(row)
-                for c, v in hit.items():
-                    add_into(new, c, factor * v)
+                add_terms(new, hit.items(), -factor)
                 bucket[i] = new
         reduced.append(hit)
         pivot_cols.append(col)

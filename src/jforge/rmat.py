@@ -24,7 +24,7 @@ and qybe_residual compute from them.
 
 qybe_residual is sparse: it lifts R to R12, R13 and R23 as rows {column:
 value} of their nonzero entries, multiplies them row by row through
-field.add_into and returns the nonzero entries of the residual, which are
+field.add_terms and returns the nonzero entries of the residual, which are
 few (R12 R13 R23 has 58 to 60 nonzero entries of 729 for the 3x3 family).
 """
 
@@ -34,7 +34,7 @@ import time
 
 from . import linalg as L
 from .errors import DimensionMismatch
-from .field import RatFunc, add_into
+from .field import RatFunc, add_terms
 from .grammar import serialize
 from .laurent import L_ONE, L_ZERO, Laurent, Substitution
 from .report import CheckReport
@@ -274,8 +274,7 @@ def _times(rows: list, other: list) -> list:
     for row in rows:
         acc = {}
         for mid, x in row.items():
-            for col, y in other[mid].items():
-                add_into(acc, col, x * y)
+            add_terms(acc, other[mid].items(), x)
         out.append(acc)
     return out
 
@@ -290,8 +289,7 @@ def qybe_residual(rmat: TensorMat) -> dict:
     right = _times(_times(r23, r13), r12)
     out = {}
     for i, (acc, sub) in enumerate(zip(left, right)):
-        for j, v in sub.items():
-            add_into(acc, j, -v)
+        add_terms(acc, ((j, -v) for j, v in sub.items()))
         for j in sorted(acc):
             out[i, j] = acc[j]
     return out

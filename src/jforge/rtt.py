@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import MissingInverse, OrientationFailure
-from .field import RF_ONE, RatFunc, add_into
+from .field import RF_ONE, RatFunc, add_terms
 from .freealg import (
     NCPoly,
     RewriteRule,
@@ -119,14 +119,16 @@ def rtt_entries(rmat: TensorMat, convention: str = "plain") -> dict:
     out = {}
     for (i, j) in basis:
         for (k, l) in basis:
-            acc: NCPoly = {}
+            terms = []
             for (u, v) in basis:
                 c1 = coeff((i, j), (u, v))
                 if not c1.is_zero():
-                    add_into(acc, (LAYOUT_3[u - 1][k - 1], LAYOUT_3[v - 1][l - 1]), c1)
+                    terms.append(((LAYOUT_3[u - 1][k - 1], LAYOUT_3[v - 1][l - 1]), c1))
                 c2 = coeff((u, v), (k, l))
                 if not c2.is_zero():
-                    add_into(acc, (LAYOUT_3[j - 1][v - 1], LAYOUT_3[i - 1][u - 1]), -c2)
+                    terms.append(((LAYOUT_3[j - 1][v - 1], LAYOUT_3[i - 1][u - 1]), -c2))
+            acc: NCPoly = {}
+            add_terms(acc, terms)
             out[((i, j), (k, l))] = acc
     return out
 

@@ -120,6 +120,9 @@ class SpecializedSystem(RewriteSystem):
     def normal_form(self, poly: NCPoly) -> NCPoly:
         return self.evaluate(self.symbolic.normal_form(poly))
 
+    def word_normal_form(self, word) -> NCPoly:
+        return self.evaluate(self.symbolic.word_normal_form(word))
+
     def _verdict(self, word, p1, r1, p2, r2):
         split = self.symbolic._verdict(word, p1, r1, p2, r2)
         if split is not None:

@@ -1,6 +1,7 @@
 """Noncommutative rewriting: normal forms, critical pairs, tensor layer."""
 
 import contextlib
+import copy
 import io
 import json
 import random
@@ -30,11 +31,22 @@ from jforge.freealg import (
     tensor_normal_form,
     word_touches,
 )
+from jforge.field import RatFunc
 from jforge.grammar import parse
-from jforge.hopf import LAYOUT_Q, coproduct_poly
-from jforge.laurent import L_ONE, L_ZERO, Substitution
+from jforge.hopf import (
+    LAYOUT_Q,
+    check_antipode_axiom,
+    check_bialgebra,
+    coaction_covariance,
+    coproduct_poly,
+    delta_centrality,
+    hopf_ideal_check,
+    qdet_checks,
+)
+from jforge.laurent import L_ONE, L_ZERO, Laurent, Substitution
 from jforge.rmat import four_param_deformed_r3
 from jforge.rtt import LAYOUT_3, DerivedAlgebra, inverse_record
+from jforge.specialize import derive
 
 
 def weyl_like() -> RewriteSystem:
@@ -438,3 +450,164 @@ def test_tensor_normal_form_matches_naive_expansion(alg, quotient):
 def test_nc_str_orders_terms_deterministically():
     p = nc_add(nc_word(("y", "y")), nc_word(("x",), parse("2")))
     assert nc_str(p, ("x", "y")) == "y*y + 2*x"
+
+
+# -- the word cache against a slow reference --------------------------------
+
+def _reference_add(out, key, value):
+    """out[key] += value, dropping a zero sum: one term at a time."""
+    value = out.pop(key, L_ZERO) + value
+    if not value.is_zero():
+        out[key] = value
+
+
+def _reference_word(system, word):
+    """The normal form of word by plain recursion: no cache, no unit skip."""
+    hit = system.find_redex(word)
+    if hit is None:
+        return {word: L_ONE}
+    pos, rule = hit
+    head, tail = word[:pos], word[pos + len(rule.lhs):]
+    out = {}
+    for rw, rc in rule.rhs.items():
+        for w, c in _reference_word(system, head + rw + tail).items():
+            _reference_add(out, w, c * rc)
+    return out
+
+
+def _reference_normal_form(system, poly):
+    out = {}
+    for word, coeff in poly.items():
+        for w, c in _reference_word(system, word).items():
+            _reference_add(out, w, c * coeff)
+    return out
+
+
+def _reference_tensor_normal_form(elem, system):
+    out = {}
+    for (wl, wr), coeff in elem.items():
+        for ll, cl in _reference_word(system, wl).items():
+            for rr, cr in _reference_word(system, wr).items():
+                _reference_add(out, (ll, rr), cl * cr * coeff)
+    return out
+
+
+@pytest.fixture(scope="module")
+def locus_system():
+    """The system derived at the locus point m = 0, p = 1/(1+n), whose
+    rules carry RatFunc coefficients."""
+    point = {"m": parse("0"), "p": parse("1/(1+n)")}
+    return derive("plain", point).system.reducer()
+
+
+@pytest.fixture(scope="module", params=["symbolic", "locus"])
+def system(request, alg, locus_system):
+    """The plain system of DerivedAlgebra(), then locus_system."""
+    return alg.system if request.param == "symbolic" else locus_system
+
+
+def test_the_locus_system_rewrites_with_ratfunc_coefficients(locus_system):
+    coeffs = [c for rule in locus_system.rule_list() for c in rule.rhs.values()]
+    assert len(coeffs) == 141
+    assert sum(type(c) is RatFunc for c in coeffs) == 29
+
+
+def test_a_specialized_word_lookup_is_read_at_the_point():
+    system = derive("plain", {"m": parse("3/2"), "p": parse("1/(1+n)")}).system
+    for word in (("c", "c", "theta"), ("y", "f"), ("d", "a")):
+        nf = system.word_normal_form(word)
+        assert nf == system.normal_form({word: L_ONE})
+        assert nf == system.evaluate(system.reducer().word_normal_form(word))
+
+
+def _coefficients():
+    m, n, p = Laurent.var("m"), Laurent.var("n"), Laurent.var("p")
+    return st.sampled_from([
+        L_ONE,
+        Laurent({0: 1}),                # a unit that is not L_ONE
+        Laurent.const(-1),
+        m * p.inverse(),                # monomials
+        Laurent.const(3) * n * n,
+        m + n * p.inverse(),            # several terms
+        Laurent.const(2) - m * n,
+        parse("1/(1+k)"),               # RatFunc values
+        parse("(m - n)/(k^2 + p)"),
+    ])
+
+
+@st.composite
+def _polynomials(draw, generators, legs=1):
+    """Up to four terms: a word of at most 4 letters (a pair of words of at
+    most 4 letters together for legs=2) with one of _coefficients."""
+    out = {}
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(0, 4))
+        word = tuple(draw(st.lists(st.sampled_from(generators),
+                                   min_size=length, max_size=length)))
+        if legs == 2:
+            cut = draw(st.integers(0, length))
+            word = (word[:cut], word[cut:])
+        out[word] = draw(_coefficients())
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_normal_forms_match_the_reference(system, data):
+    poly = data.draw(_polynomials(system.generators))
+    want = _reference_normal_form(system, poly)
+    assert system.normal_form(poly) == want
+    for word in poly:
+        assert system.word_normal_form(word) == _reference_word(system, word)
+        assert system.normal_form({word: L_ONE}) == _reference_word(system, word)
+    elem = data.draw(_polynomials(system.generators, legs=2))
+    assert tensor_normal_form(elem, system) == _reference_tensor_normal_form(elem, system)
+
+
+def test_a_returned_normal_form_is_the_callers_to_change():
+    system = DerivedAlgebra().system
+    word = ("c", "c", "theta")
+    want = _reference_word(system, word)
+    for poly in ({word: L_ONE}, {word: Laurent.const(2)}, {word: L_ONE, ("x",): L_ONE}):
+        nf = system.normal_form(poly)
+        nf.clear()
+        nf[("x",)] = Laurent.var("m")
+        assert system.normal_form({word: L_ONE}) == want
+        assert system.word_normal_form(word) == want
+
+
+def test_running_every_hopf_group_changes_no_cached_normal_form():
+    alg = DerivedAlgebra()
+    quotient = alg.quotient()
+    systems = (alg.system, quotient.system)
+    for _ in range(2):
+        before = [copy.deepcopy(system._cache) for system in systems]
+        check_bialgebra(alg.system, LAYOUT_3)
+        check_bialgebra(quotient.system, LAYOUT_Q)
+        hopf_ideal_check(alg)
+        check_antipode_axiom(quotient)
+        qdet_checks(quotient)
+        delta_centrality(alg)
+        coaction_covariance(quotient, braiding=True)
+        coaction_covariance(quotient, braiding=False)
+        for system, cache in zip(systems, before):
+            assert {w: system._cache[w] for w in cache} == cache
+    # the second round started from the words the first one cached
+    assert all(before)
+
+
+def test_the_word_lookup_stops_at_the_bound_of_normal_form():
+    # c c d y rewrites through a tree of 4604 steps, not a chain
+    word = ("c", "c", "d", "y")
+    system = DerivedAlgebra().system
+    steps = 4604
+    lookup = lambda: system.word_normal_form(word)  # noqa: E731
+    single = lambda: system.normal_form({word: L_ONE})  # noqa: E731
+    for work in (lookup, single, lookup, single):
+        assert not under_bound(system, steps - 1, work)
+        assert under_bound(system, steps, work)
+    # from an empty cache too, the lookup first
+    system = DerivedAlgebra().system
+    assert not under_bound(system, steps - 1, lookup)
+    assert under_bound(system, steps, lookup)
+    assert not under_bound(system, steps - 1, single)
