@@ -27,18 +27,25 @@ through one stage runner, _spawn.  ``relations`` checks confluence in a
 worker while the parent checks the recorded relations and the exchange
 entries and renders the table.  ``hopf`` runs the full bialgebra checks in
 a worker while the parent builds the quotient and runs the other groups,
-and forks nothing when --check leaves out bialgebra.  ``all`` runs the
-qybe and contract stages in a worker while the parent derives the
-algebra, and the hopf checks, forked once the algebra is derived, while
-the parent runs the relations.  A worker never forks, so ``all``'s hopf
+and forks nothing when --check leaves out bialgebra.  ``all`` forks one
+worker, once the algebra is derived, for the hopf checks, while the parent
+runs the qybe and contract stages and then the relations.  On a 2-vCPU
+KVM guest a fork pays only for about 10 ms or more of offloaded work: for
+some 15 ms after it, parent and child both run about 30% slower while
+their shared pages are copied on write, so the 3.6 ms of qybe and
+contract stay in the parent.  A worker never forks, so ``all``'s hopf
 worker runs its stages in one process, and a stage whose fork fails runs
 in process.  Each worker sends back its report with marshal, or its
-exception pickled, over a pipe, and leaves with os._exit.  The report
-is the one of the in-process order, which runs on one CPU, and so are
-the errors: an error of the parent kills the worker when it comes before
-the worker's stage in that order, and waits for it when it comes after,
-so the worker's error wins.  Every worker is reaped before ``main``
-returns, on every path, and one that exits without a payload is a
+exception pickled, over a pipe, and leaves with os._exit.  The report is
+the one of the in-process order, which runs on one CPU, and so are the
+errors, in the order qybe, contract, derivation, relations, hopf for
+``all``: an error of the parent kills the worker when it comes before the
+worker's stage in that order, and waits for it when it comes after, so
+the worker's error wins; a derivation error runs the qybe and contract
+stages before it is raised.  A worker whose report is in is reaped by
+``main`` once the report is out, so its exit overlaps the rendering;
+every worker is reaped before ``main`` returns, on every path, and one
+that exits without a payload that loads is reaped at once and is a
 JforgeError naming its stage.  The step bound counts each normal form's
 rewrite tree (see freealg), so it does not depend on which process ran
 which stage.
@@ -356,15 +363,16 @@ def _qybe_and_contract(args, bindings) -> CheckReport:
 def cmd_all(args) -> int:
     bindings = _bindings(args.set)
     braiding = not args.no_braiding
-    front = _spawn("qybe and contract", _qybe_and_contract, args, bindings)
     try:
         alg = _algebra(args, bindings)
-    finally:
+    except Exception:
         # the qybe and contract stages come first, so an error of theirs
         # replaces the derivation's
-        report = front.result()
+        _qybe_and_contract(args, bindings)
+        raise
     hopf = _spawn("hopf", _hopf_report, alg, HOPF_GROUPS, braiding)
     try:
+        report = _qybe_and_contract(args, bindings)
         relations = _relations_stage(alg, args.max_degree)
     except BaseException:
         hopf.stop(kill=True)
@@ -436,22 +444,36 @@ class _Worker:
         self.stage, self.pid, self.pipe = stage, pid, open(read, "rb")
 
     def result(self) -> CheckReport:
-        """The report of work, or the exception it raised, raised here."""
+        """The report of work, or the exception it raised, raised here.
+
+        A payload that loads leaves the worker to _reap, so its exit
+        overlaps what the caller does next; one that does not load, empty
+        or cut short, reaps it at once and is an error naming its stage.
+        """
         try:
             payload = self.pipe.read()
         except BaseException:
             self.stop(kill=True)
             raise
-        status = self.stop()
-        if status or not payload:
-            raise JforgeError(f"the {self.stage} worker exited with status "
-                              f"{status} before it sent its report")
-        if payload[:1] == b"P":
-            import pickle
+        self.pipe.close()
+        try:
+            if payload[:1] == b"P":
+                import pickle
 
-            raise pickle.loads(payload[1:])
-        tool, checks, metadata = marshal.loads(payload[1:])
-        return CheckReport(tool, [CheckResult(*c) for c in checks], metadata)
+                outcome = pickle.loads(payload[1:])
+            else:
+                tool, checks, metadata = marshal.loads(payload[1:])
+                outcome = CheckReport(tool, [CheckResult(*c) for c in checks], metadata)
+        except Exception as exc:
+            status = self.stop()
+            detail = ("and sent a report that does not load" if payload
+                      else "before it sent its report")
+            raise JforgeError(f"the {self.stage} worker exited with status "
+                              f"{status} {detail}") from exc
+        _REPORTED.append(self.pid)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def stop(self, kill: bool = False) -> int:
         """Reap the worker, killed first if kill is set; its exit status."""
@@ -461,6 +483,18 @@ class _Worker:
 
             os.kill(self.pid, signal.SIGKILL)
         return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+# the pids of workers whose report is in, for _reap; kept per process, as
+# the children are, and emptied by every main
+_REPORTED = []
+
+
+def _reap() -> None:
+    """Reap every worker whose report is in; main calls it once the report
+    is out, so a worker's exit overlaps the rendering."""
+    while _REPORTED:
+        os.waitpid(_REPORTED.pop(), 0)
 
 
 class _InProcess:
@@ -572,6 +606,8 @@ def main(argv=None) -> int:
     except JforgeError as exc:
         print(f"jforge: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _reap()
 
 
 if __name__ == "__main__":

@@ -4,10 +4,12 @@ import argparse
 import errno
 import hashlib
 import json
+import marshal
 import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -383,6 +385,16 @@ def test_all_default_run(capsys):
     assert data["metadata"]["schedule_sha256"].startswith("a2051b1ba8981de7")
 
 
+def hangs(*args, **kwargs):
+    time.sleep(600)
+
+
+def fails(message):
+    def raises(*args, **kwargs):
+        raise JforgeError(message)
+    return raises
+
+
 # -- the stages of all in forked workers ---------------------------------------
 
 K_ZERO = ["--set", "m=3/2", "--set", "n=-2/3", "--set", "k=0", "--set", "p=7/4"]
@@ -393,8 +405,8 @@ K_ZERO = ["--set", "m=3/2", "--set", "n=-2/3", "--set", "k=0", "--set", "p=7/4"]
 ], ids=["default", "k-zero", "expression", "no-braiding", "gprime"])
 def test_all_in_workers_reports_as_in_process(capsys, monkeypatch, time_limit, argv):
     runs = []
-    # two workers with two usable CPUs; with one, os.fork is never called
-    for cpus, workers in ((2, 2), (1, 0)):
+    # the hopf worker with two usable CPUs; with one, os.fork is never called
+    for cpus, workers in ((2, 1), (1, 0)):
         forks = usable_cpus(monkeypatch, cpus)
         with time_limit(120):
             code, out, err = run(capsys, "all", *argv, "--format", "json")
@@ -405,59 +417,58 @@ def test_all_in_workers_reports_as_in_process(capsys, monkeypatch, time_limit, a
     no_children_left()
 
 
-def test_an_error_of_the_first_worker_wins_over_the_derivation(capsys, monkeypatch,
-                                                               time_limit):
+def test_a_qybe_error_wins_over_the_derivation_with_no_fork(capsys, monkeypatch, time_limit):
     forks = usable_cpus(monkeypatch, 2)
-
-    def qybe_fails(*args, **kwargs):
-        raise JforgeError("qybe failed in the worker")
-
-    def derivation_fails(*args, **kwargs):
-        raise JforgeError("the derivation failed")
-
-    monkeypatch.setattr(cli, "qybe_check", qybe_fails)
-    monkeypatch.setattr(cli, "_algebra", derivation_fails)
+    monkeypatch.setattr(cli, "qybe_check", fails("qybe failed"))
+    monkeypatch.setattr(cli, "_algebra", fails("the derivation failed"))
     with time_limit(60):
-        assert run(capsys, "all") == (1, "", "jforge: qybe failed in the worker\n")
-    assert len(forks) == 1
+        assert run(capsys, "all") == (1, "", "jforge: qybe failed\n")
+    assert forks == []
     no_children_left()
 
 
-def test_a_derivation_error_reaps_the_first_worker(capsys, monkeypatch, time_limit):
+def test_a_derivation_error_runs_qybe_and_contract_first(capsys, monkeypatch, time_limit):
     forks = usable_cpus(monkeypatch, 2)
-    qybe_check = cli.qybe_check
+    ran = []
+    qybe_and_contract = cli._qybe_and_contract
 
-    def slow_qybe(*args, **kwargs):
-        time.sleep(0.05)  # still running when the derivation gives up
-        return qybe_check(*args, **kwargs)
+    def recorded(*args):
+        ran.append(os.getpid())
+        return qybe_and_contract(*args)
 
-    monkeypatch.setattr(cli, "qybe_check", slow_qybe)
+    monkeypatch.setattr(cli, "_qybe_and_contract", recorded)
     monkeypatch.setenv("JFORGE_MAX_STEPS", "50")
     with time_limit(60):
         assert run(capsys, "all") == (1, "", "jforge: rewriting exceeded 50 steps\n")
-    assert len(forks) == 1
+    assert (forks, ran) == ([], [os.getpid()])
+    no_children_left()
+
+
+def test_a_contract_error_kills_the_hopf_worker_and_wins_over_its_error(capsys, monkeypatch,
+                                                                        time_limit):
+    # the hopf worker fails by itself; the parent meets its contract error
+    # once the worker is forked, and contract comes before hopf
+    monkeypatch.setattr(cli, "_hopf_report", fails("the hopf checks failed"))
+    monkeypatch.setattr(cli, "_contract_stage", fails("the contract stage failed"))
+    for cpus in (2, 1):
+        forks = usable_cpus(monkeypatch, cpus)
+        with time_limit(60):
+            assert run(capsys, "all") == (1, "", "jforge: the contract stage failed\n")
+        assert len(forks) == cpus - 1
     no_children_left()
 
 
 def test_a_relations_error_kills_the_hopf_worker(capsys, monkeypatch, time_limit):
     forks = usable_cpus(monkeypatch, 2)
-
-    def hangs(*args, **kwargs):
-        time.sleep(5)
-
-    def relations_fail(*args, **kwargs):
-        raise JforgeError("the relations failed")
-
     monkeypatch.setattr(cli, "_hopf_report", hangs)
-    monkeypatch.setattr(cli, "_relations_stage", relations_fail)
+    monkeypatch.setattr(cli, "_relations_stage", fails("the relations failed"))
     with time_limit(60):
         assert run(capsys, "all") == (1, "", "jforge: the relations failed\n")
-    assert len(forks) == 2
+    assert len(forks) == 1
     no_children_left()
 
 
 @pytest.mark.parametrize("target, stage", [
-    ("qybe_check", "qybe and contract"),
     ("_hopf_report", "hopf"),
 ])
 def test_a_worker_that_dies_is_an_error_that_names_its_stage(capsys, monkeypatch,
@@ -507,16 +518,6 @@ def test_relations_and_hopf_in_workers_report_as_in_process(capsys, monkeypatch,
         runs.append((code, out, err))
     assert runs[0] == runs[1]
     no_children_left()
-
-
-def hangs(*args, **kwargs):
-    time.sleep(600)
-
-
-def fails(message):
-    def raises(*args, **kwargs):
-        raise JforgeError(message)
-    return raises
 
 
 def test_a_reference_error_kills_the_confluence_worker(capsys, monkeypatch, time_limit):
@@ -593,12 +594,66 @@ def test_a_relations_or_hopf_worker_that_dies_names_its_stage(capsys, monkeypatc
     no_children_left()
 
 
+@pytest.mark.parametrize("command, stage", [
+    ("relations", "confluence"), ("hopf", "full bialgebra"), ("all", "hopf"),
+])
+def test_a_worker_report_that_does_not_load_names_its_stage(capsys, monkeypatch, time_limit,
+                                                            command, stage):
+    # the worker writes half its report and exits with status 0
+    forks = usable_cpus(monkeypatch, 2)
+    dumps = marshal.dumps
+
+    def half(value):
+        data = dumps(value)
+        return data[:len(data) // 2]
+
+    monkeypatch.setattr(cli, "marshal", types.SimpleNamespace(dumps=half, loads=marshal.loads))
+    with time_limit(60):
+        assert run(capsys, command) == (1, "", f"jforge: the {stage} worker exited with status 0 "
+                                                "and sent a report that does not load\n")
+    assert len(forks) == 1
+    no_children_left()
+
+
+@pytest.mark.parametrize("command", ["relations", "hopf", "all"])
+def test_workers_are_reaped_after_the_report_is_printed(capsys, monkeypatch, time_limit,
+                                                        command):
+    forks = usable_cpus(monkeypatch, 2)
+    events = []
+    emit, waitpid = cli._emit, os.waitpid
+
+    def emitted(*args):
+        code = emit(*args)
+        events.append("printed")
+        return code
+
+    def reaped(pid, options):
+        events.append("waitpid")
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(cli, "_emit", emitted)
+    monkeypatch.setattr(os, "waitpid", reaped)
+    with time_limit(120):
+        code, out, _ = run(capsys, command, "--format", "json")
+    assert json.loads(out)["checks"]
+    assert (events, len(forks)) == (["printed", "waitpid"], 1)
+    no_children_left()
+
+
+@pytest.mark.parametrize("command", ["qybe", "contract"])
+def test_qybe_and_contract_fork_nothing(capsys, monkeypatch, command):
+    forks = usable_cpus(monkeypatch, 2)
+    assert run(capsys, command)[0] == 0
+    assert forks == []
+    no_children_left()
+
+
 def open_fds() -> list:
     return sorted(os.listdir("/proc/self/fd"))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-@pytest.mark.parametrize("command, attempts", [("relations", 1), ("hopf", 1), ("all", 3)])
+@pytest.mark.parametrize("command, attempts", [("relations", 1), ("hopf", 1), ("all", 2)])
 def test_a_failed_fork_runs_the_stage_in_process(capsys, monkeypatch, time_limit,
                                                  command, attempts):
     runs = []

@@ -146,6 +146,12 @@ COMMANDS = (
     ["contract", "--set", "eta=1", "--contraction-matrix", "bigg"],
     ["contract", "--set", "eta=1", "--contraction-matrix", "gprime"],
     ["all", "--set", "eta=1"],
+    # contract failures that all reports as failed checks and runs past,
+    # met in the parent while the hopf worker runs: a pole met by
+    # substitution, entries that diverge, a schedule that --set unloads
+    ["all", "--schedule", "{zero-pole}"],
+    ["all", "--schedule", "{misplaced-pole}"],
+    ["all", "--set", "eps=1"],
     # a schedule name that --set binds is listed with the --set value
     ["contract", "--contraction-matrix", "g", "--set", "r=2"],
     # the entries are expanded unreduced: points that change which terms
@@ -197,9 +203,10 @@ COMMANDS = (
     # a rational point in some of the parameters, Laurent in the rest
     ["qybe", "--matrix", "rj3", "--set", "m=3/2", "--set", "p=7/4"],
     # the stages that may run in forked workers: only the qybe stage of all
-    # raises (q is no parameter of the algebra); all stops at bound 1463 and
-    # reports at 1464; the text renderings, and hopf with and without its
-    # full bialgebra worker
+    # raises, in the parent once the hopf worker is forked (q is no
+    # parameter of the algebra); all stops at bound 1463 and reports at
+    # 1464; the text renderings, and hopf with and without its full
+    # bialgebra worker
     ["all", "--set", "q=0"],
     ["JFORGE_MAX_STEPS=1463", "all"],
     ["JFORGE_MAX_STEPS=1464", "all"],
