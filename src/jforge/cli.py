@@ -22,31 +22,30 @@ tests) does not pay for a second one; each call parses into a fresh
 namespace.
 
 Where os.fork exists and more than one CPU is usable, ``relations``,
-``hopf`` and ``all`` overlap their independent stages in forked workers,
-through one stage runner, _spawn.  ``relations`` checks confluence in a
-worker while the parent checks the recorded relations and the exchange
-entries and renders the table.  ``hopf`` runs the full bialgebra checks in
-a worker while the parent builds the quotient and runs the other groups,
-and forks nothing when --check leaves out bialgebra.  ``all`` forks one
-worker, once the algebra is derived, for the hopf checks, while the parent
-runs the qybe and contract stages and then the relations.  On a 2-vCPU
-KVM guest a fork pays only for about 10 ms or more of offloaded work: for
-some 15 ms after it, parent and child both run about 30% slower while
-their shared pages are copied on write, so the 3.6 ms of qybe and
-contract stay in the parent.  A worker never forks, so ``all``'s hopf
-worker runs its stages in one process, and a stage whose fork fails runs
-in process.  Each worker sends back its report with marshal, or its
-exception pickled, over a pipe, and leaves with os._exit.  The report is
-the one of the in-process order, which runs on one CPU, and so are the
-errors, in the order qybe, contract, derivation, relations, hopf for
-``all``: an error of the parent kills the worker when it comes before the
-worker's stage in that order, and waits for it when it comes after, so
-the worker's error wins; a derivation error runs the qybe and contract
-stages before it is raised.  A worker whose report is in is reaped by
-``main`` once the report is out, so its exit overlaps the rendering;
-every worker is reaped before ``main`` returns, on every path, and one
-that exits without a payload that loads is reaped at once and is a
-JforgeError naming its stage.  The step bound counts each normal form's
+``hopf`` and ``all`` fork one worker by one rule, through one stage
+runner, _run: once the graded table is derived, and before any inverse
+is adjoined, the grid worker is forked for the stages whose input words
+are grid words (see GRID), which it runs on the graded table, while the
+parent adjoins the inverses and runs the rest.  The contract stage of
+``all`` holds no algebra words, and runs in the parent, before the
+adjunction: of the layouts measured, that one was the fastest for
+``all``.  On a 2-vCPU KVM guest a
+fork pays only for about 10 ms or more of offloaded work: for some 15 ms
+after it, parent and child both run about 30% slower while their shared
+pages are copied on write.  The worker sends back its results with
+marshal, and its error pickled, over a pipe, and leaves with os._exit.
+With one usable CPU, or where the fork fails, its stages run in process
+at the same point, on the graded table.  The report is the same on one
+CPU and on two, and so is the error: the first in stage order, which is
+derivation, recorded relations, exchange entries, critical pairs, table
+for ``relations``; derivation, quotient, full bialgebra, the other groups
+for ``hopf``; and qybe, contract, derivation, relations, hopf for
+``all``.  A derivation error of ``all`` before the fork runs the qybe and
+contract stages before it is raised.  A worker whose report is in is
+reaped by ``main`` once the report is out, so its exit overlaps the
+rendering; every worker is reaped before ``main`` returns, on every path,
+and one that exits without a payload that loads is reaped at once and is
+a JforgeError naming it.  The step bound counts each normal form's
 rewrite tree (see freealg), so it does not depend on which process ran
 which stage.
 """
@@ -96,7 +95,15 @@ from .rmat import (
     twist_probe_3x3,
     two_param_deformed_r2,
 )
-from .rtt import LAYOUT_3, DerivedAlgebra, resolve_convention, rtt_zero_report, verify_reference
+from .rtt import (
+    LAYOUT_3,
+    LETTERS,
+    DerivedAlgebra,
+    QuotientAlgebra,
+    resolve_convention,
+    rtt_zero_report,
+    verify_reference,
+)
 from .specialize import derive
 
 MATRICES = {
@@ -179,19 +186,18 @@ def _emit(report: CheckReport, args) -> int:
     return 0 if report.passed else 1
 
 
-def _algebra(args, bindings) -> DerivedAlgebra:
-    """The algebra under bindings, which may be read off the symbolic
-    derivation (specialize.derive)."""
+def _graded(args, bindings) -> DerivedAlgebra:
+    """The graded table (extend=False) under bindings, which may be read off
+    the symbolic derivation (specialize.derive), carrying the convention
+    scores in resolution_scores (None unless --convention auto)."""
     convention = args.convention
-    scores = alg = None
+    scores = graded = None
     if convention == "auto":
-        convention, scores, alg = resolve_convention(bindings=bindings)
-    if alg is None:
-        alg = derive(convention=convention, bindings=bindings)
-    else:
-        alg = alg.extended()
-    alg.resolution_scores = scores
-    return alg
+        convention, scores, graded = resolve_convention(bindings=bindings)
+    if graded is None:
+        graded = derive(convention=convention, bindings=bindings, extend=False)
+    graded.resolution_scores = scores
+    return graded
 
 
 # -- subcommands -------------------------------------------------------------
@@ -245,83 +251,81 @@ def cmd_contract(args) -> int:
     return _emit(report, args)
 
 
-def _confluence(alg: DerivedAlgebra, max_degree: int) -> CheckReport:
-    """The critical pairs of alg's rules up to max_degree letters.
+def _derivation(graded: DerivedAlgebra) -> tuple:
+    """The stage that adjoins the inverses to the graded table: "algebra"."""
+    return ("algebra", False, lambda done: graded.extended())
+
+
+def _relations_stages(graded: DerivedAlgebra, max_degree: int) -> list:
+    """The recorded relations, the exchange entries and the critical pairs
+    up to max_degree letters: those on grid words on the grid, the others,
+    each with an adjoined inverse in its word, in the parent.
 
     Degree 3 covers all ambiguities among the quadratic rules and the
     adjoined commutation rules.  Longer collapse patterns only overlap at
     degree 4 and beyond, where localized words are deliberately left stuck
     rather than completed (the presentation stays finite).
     """
-    return alg.system.confluence_report(max_degree=max_degree)
+    return [
+        ("reference", True, lambda: verify_reference(graded)),
+        ("entries", True, lambda: rtt_zero_report(graded)),
+        ("grid pairs", True, lambda: graded.system.unresolved(max_degree, _on_grid)),
+        ("inverse pairs", False, lambda done: done["algebra"].system.unresolved(
+            max_degree, lambda word: not _on_grid(word))),
+    ]
 
 
-def _relations_stage(alg: DerivedAlgebra, max_degree: int) -> tuple:
-    """The recorded relations, the exchange entries and confluence, in one
-    process: the relations stage of all."""
-    return (verify_reference(alg), rtt_zero_report(alg), _confluence(alg, max_degree))
+def _relations_reports(done: dict, max_degree: int) -> tuple:
+    """The reports of the relations stages, the critical pairs of both
+    sides merged in their order."""
+    parts = [done["grid pairs"], done["inverse pairs"]]
+    return (done["reference"], done["entries"],
+            done["algebra"].system.confluence_report(max_degree, parts))
 
 
 def cmd_relations(args) -> int:
     bindings = _bindings(args.set)
-    alg = _algebra(args, bindings)
-    confluence = _spawn("confluence", _confluence, alg, args.max_degree)
-    try:
-        stages = [verify_reference(alg), rtt_zero_report(alg)]
-    except BaseException:
-        confluence.stop(kill=True)
-        raise
-    try:
-        table = alg.to_dict()
-    finally:
-        # confluence comes before the table, so an error of its worker
-        # replaces the table's
-        stages.append(confluence.result())
+    graded = _graded(args, bindings)
+    done = _run([_derivation(graded), *_relations_stages(graded, args.max_degree),
+                 ("table", False, lambda done: done["algebra"].to_dict())])
     report = CheckReport("relations")
-    for stage in stages:
+    for stage in _relations_reports(done, args.max_degree):
         report.extend(stage)
-    report.metadata["convention"] = alg.convention
-    if alg.resolution_scores:
+    report.metadata["convention"] = graded.convention
+    if graded.resolution_scores:
         report.metadata["convention_scores"] = {
-            k: v["score"] for k, v in alg.resolution_scores.items()}
-    report.metadata["table"] = table
+            k: v["score"] for k, v in graded.resolution_scores.items()}
+    report.metadata["table"] = done["table"]
     return _emit(report, args)
 
 
-def _hopf_report(alg: DerivedAlgebra, groups, braiding: bool) -> CheckReport:
-    """The checks of groups, in the order of HOPF_GROUPS.  The full
-    bialgebra check runs in a worker while the quotient is built and the
-    other groups run; errors surface in the order quotient, full
-    bialgebra, the rest."""
-    full = None
+def _hopf_stages(graded: DerivedAlgebra, groups, braiding: bool) -> list:
+    """The quotient and the checks of groups, in the order of HOPF_GROUPS
+    after the full bialgebra check; the quotient's bialgebra check and the
+    coaction run on the graded table's quotient by theta and phi (see
+    GRID)."""
+    grid_quotient = functools.cache(lambda: graded.system.quotient(QuotientAlgebra.KILLED))
+    stages = [("quotient", False, lambda done: done["algebra"].quotient())]
     if "bialgebra" in groups:
-        full = _spawn("full bialgebra", check_bialgebra, alg.system, LAYOUT_3)
-    try:
-        q = alg.quotient()
-    except BaseException:
-        if full is not None:
-            full.stop(kill=True)
-        raise
+        stages += [("full bialgebra", True, lambda: check_bialgebra(graded.system, LAYOUT_3)),
+                   ("bialgebra", True, lambda: check_bialgebra(grid_quotient(), LAYOUT_Q))]
+    checks = {
+        "hopf-ideal": (False, lambda done: hopf_ideal_check(done["algebra"])),
+        "antipode": (False, lambda done: check_antipode_axiom(done["quotient"])),
+        "qdet": (False, lambda done: qdet_checks(done["quotient"])),
+        "delta-centrality": (True, lambda: delta_centrality(graded)),
+        "coaction": (True, lambda: coaction_covariance(grid_quotient(), braiding=braiding)),
+    }
+    return stages + [(group, *checks[group]) for group in checks if group in groups]
+
+
+def _hopf_report(done: dict) -> CheckReport:
     report = CheckReport("hopf")
-    rest = []
-    try:
-        if "bialgebra" in groups:
-            rest.append(check_bialgebra(q.system, LAYOUT_Q))
-        if "hopf-ideal" in groups:
-            rest.append(hopf_ideal_check(alg))
-        if "antipode" in groups:
-            rest.append(check_antipode_axiom(q))
-        if "qdet" in groups:
-            rest.append(qdet_checks(q))
-        if "delta-centrality" in groups:
-            rest.append(delta_centrality(alg))
-        if "coaction" in groups:
-            rest.append(coaction_covariance(q, braiding=braiding))
-    finally:
-        if full is not None:
-            report.extend(full.result(), "full:")
-    for stage in rest:
-        report.extend(stage)
+    if "full bialgebra" in done:
+        report.extend(done["full bialgebra"], "full:")
+    for group in HOPF_GROUPS:
+        if group in done:
+            report.extend(done[group])
     return report
 
 
@@ -332,21 +336,30 @@ def cmd_hopf(args) -> int:
     if unknown:
         raise UsageError(f"unknown --check group(s): {sorted(unknown)}; "
                          f"choose from {list(HOPF_GROUPS)}")
-    alg = _algebra(args, bindings)
-    report = _hopf_report(alg, groups, braiding=not args.no_braiding)
-    report.metadata["convention"] = alg.convention
-    report.metadata["braiding"] = not args.no_braiding
+    braiding = not args.no_braiding
+    graded = _graded(args, bindings)
+    report = _hopf_report(_run([_derivation(graded),
+                                *_hopf_stages(graded, groups, braiding)]))
+    report.metadata["convention"] = graded.convention
+    report.metadata["braiding"] = braiding
     return _emit(report, args)
 
 
-def _qybe_and_contract(args, bindings) -> CheckReport:
-    """The qybe checks of the four matrices and the contract stage of all."""
-    report = CheckReport("all")
+def _qybe_checks(bindings) -> CheckReport:
+    """The qybe checks of the four matrices: the qybe stage of all."""
+    report = CheckReport("qybe")
     for name in ("rq2", "rq3", "rj2", "rj3"):
         rmat = MATRICES[name]().substitute(bindings)
         report.extend(qybe_check(rmat, name=name))
+    return report
 
-    # contract stage failures must not block the later stages
+
+def _contract_checks(args, bindings) -> CheckReport:
+    """The contract stage of all, the schedule digest in its metadata.
+
+    Its failures are failed checks, so they do not block the later stages.
+    """
+    report = CheckReport("contract")
     try:
         _result, stage = _contract_stage(args, bindings)
     except (UsageError, ScheduleError) as exc:
@@ -362,51 +375,131 @@ def _qybe_and_contract(args, bindings) -> CheckReport:
 
 def cmd_all(args) -> int:
     bindings = _bindings(args.set)
-    braiding = not args.no_braiding
     try:
-        alg = _algebra(args, bindings)
+        graded = _graded(args, bindings)
     except Exception:
         # the qybe and contract stages come first, so an error of theirs
         # replaces the derivation's
-        _qybe_and_contract(args, bindings)
+        _qybe_checks(bindings)
+        _contract_checks(args, bindings)
         raise
-    hopf = _spawn("hopf", _hopf_report, alg, HOPF_GROUPS, braiding)
-    try:
-        report = _qybe_and_contract(args, bindings)
-        relations = _relations_stage(alg, args.max_degree)
-    except BaseException:
-        hopf.stop(kill=True)
-        raise
-    for stage in relations:
+    done = _run([("qybe", True, lambda: _qybe_checks(bindings)),
+                 ("contract", False, lambda done: _contract_checks(args, bindings)),
+                 _derivation(graded), *_relations_stages(graded, args.max_degree),
+                 *_hopf_stages(graded, HOPF_GROUPS, not args.no_braiding)])
+    report = CheckReport("all", metadata=done["contract"].metadata)
+    report.extend(done["qybe"])
+    report.extend(done["contract"])
+    for stage in _relations_reports(done, args.max_degree):
         report.extend(stage, "relations:")
-    report.metadata["convention"] = alg.convention
-    report.extend(hopf.result(), "hopf:")
+    report.metadata["convention"] = graded.convention
+    report.extend(_hopf_report(done), "hopf:")
     return _emit(report, args)
 
 
-# -- stages in forked workers ------------------------------------------------
+# -- the grid worker -----------------------------------------------------------
 
-_FORKED = False  # set in a worker, which runs its stages in one process
+# The nine grid letters.  A word on them is rewritten by table rules alone,
+# since every other rule has an adjoined inverse in its lhs, and to words
+# on them again.  So its normal form is the same in the graded table and in
+# the algebra with the inverses adjoined, and, for the letters of LAYOUT_Q,
+# in the table's quotient by theta and phi and in the quotient.
+GRID = frozenset(LETTERS)
+
+
+def _on_grid(word) -> bool:
+    return GRID.issuperset(word)
+
+
+def _run(stages) -> dict:
+    """{name: result} of stages, a command's (name, on_grid, work) stages in
+    its error order.
+
+    The grid stages run in one worker forked here (see _spawn), each as
+    work() on the graded table, in their order.  The others run here, each
+    as work(done), done holding the results of the earlier ones.  The error
+    raised is the first in stage order, on one CPU and on two: an error
+    here kills the worker when every grid stage comes after it, and else
+    waits for it, and the worker's error wins when its stage came first.
+    """
+    grid = [i for i, (_, on_grid, _) in enumerate(stages) if on_grid]
+    worker = None
+    if grid:
+        worker = _spawn("grid", _run_grid, [stages[i][2] for i in grid])
+    done = {}
+    for i, (name, on_grid, work) in enumerate(stages):
+        if on_grid:
+            continue
+        try:
+            done[name] = work(done)
+        except Exception:
+            if worker is None:
+                raise
+            if grid[0] > i:
+                worker.stop(kill=True)
+                raise
+            results, error = worker.result()
+            if error is not None and grid[len(results)] < i:
+                raise error from None
+            raise
+        except BaseException:
+            if worker is not None:
+                worker.stop(kill=True)
+            raise
+    if worker is not None:
+        results, error = worker.result()
+        if error is not None:
+            raise error
+        done.update((stages[i][0], result) for i, result in zip(grid, results))
+    return done
+
+
+def _run_grid(works) -> tuple:
+    """(results, error): the results of works, called in order up to the
+    first that raised, and that error, None when none did."""
+    results = []
+    for work in works:
+        try:
+            results.append(work())
+        except Exception as exc:
+            return results, exc
+    return results, None
 
 
 def _overlaps() -> bool:
-    """Whether stages run in forked workers: not inside a worker, and not
-    on one usable CPU, where the workers would only take turns and forking
-    costs more than it saves."""
-    if _FORKED or not hasattr(os, "fork"):
+    """Whether the grid stages run in a forked worker: not on one usable
+    CPU, where the two processes would only take turns and forking costs
+    more than it saves."""
+    if not hasattr(os, "fork"):
         return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
     return (os.cpu_count() or 1) > 1
 
 
-class _Worker:
-    """work(*args), a CheckReport, run in a forked child.
+def _pack(result):
+    if isinstance(result, CheckReport):
+        return ("report", result.tool,
+                [(c.name, c.passed, c.details, c.ms) for c in result.checks], result.metadata)
+    return ("value", result)
 
-    The report comes back over a pipe with marshal, as (tool, [(name,
-    passed, details, ms), ...], metadata): details are JSON-ready, and
-    marshal keeps tuples and lists apart.  An exception comes back
-    pickled, and only that path imports pickle.
+
+def _unpack(item):
+    if item[0] == "report":
+        _kind, tool, checks, metadata = item
+        return CheckReport(tool, [CheckResult(*c) for c in checks], metadata)
+    return item[1]
+
+
+class _Worker:
+    """work(*args), a (results, error) pair, run in a forked child.
+
+    The pair comes back over a pipe with marshal: each CheckReport result
+    as (tool, [(name, passed, details, ms), ...], metadata), any other as it
+    is (details and the other results are marshal-ready, and marshal keeps
+    tuples and lists apart), and the error pickled, so only a worker with
+    an error imports pickle.  An exception that escapes work comes back as
+    the error of a worker with no results.
     """
 
     def __init__(self, stage: str, work, *args):
@@ -420,21 +513,18 @@ class _Worker:
         if pid == 0:
             # never return into the caller's frames, and leave stdout's
             # buffer, a copy of the parent's, unflushed
-            global _FORKED
-            _FORKED = True
             code = 1
             try:
                 os.close(read)
                 try:
-                    report = work(*args)
-                    payload = b"M" + marshal.dumps((
-                        report.tool,
-                        [(c.name, c.passed, c.details, c.ms) for c in report.checks],
-                        report.metadata))
+                    results, error = work(*args)
                 except BaseException as exc:
+                    results, error = [], exc
+                if error is not None:
                     import pickle
 
-                    payload = b"P" + pickle.dumps(exc)
+                    error = pickle.dumps(error)
+                payload = marshal.dumps(([_pack(r) for r in results], error))
                 with open(write, "wb") as pipe:
                     pipe.write(payload)
                 code = 0
@@ -443,8 +533,8 @@ class _Worker:
         os.close(write)
         self.stage, self.pid, self.pipe = stage, pid, open(read, "rb")
 
-    def result(self) -> CheckReport:
-        """The report of work, or the exception it raised, raised here.
+    def result(self) -> tuple:
+        """The (results, error) pair of work.
 
         A payload that loads leaves the worker to _reap, so its exit
         overlaps what the caller does next; one that does not load, empty
@@ -457,13 +547,12 @@ class _Worker:
             raise
         self.pipe.close()
         try:
-            if payload[:1] == b"P":
+            packed, error = marshal.loads(payload)
+            results = [_unpack(item) for item in packed]
+            if error is not None:
                 import pickle
 
-                outcome = pickle.loads(payload[1:])
-            else:
-                tool, checks, metadata = marshal.loads(payload[1:])
-                outcome = CheckReport(tool, [CheckResult(*c) for c in checks], metadata)
+                error = pickle.loads(error)
         except Exception as exc:
             status = self.stop()
             detail = ("and sent a report that does not load" if payload
@@ -471,9 +560,7 @@ class _Worker:
             raise JforgeError(f"the {self.stage} worker exited with status "
                               f"{status} {detail}") from exc
         _REPORTED.append(self.pid)
-        if isinstance(outcome, BaseException):
-            raise outcome
-        return outcome
+        return results, error
 
     def stop(self, kill: bool = False) -> int:
         """Reap the worker, killed first if kill is set; its exit status."""
@@ -499,22 +586,21 @@ def _reap() -> None:
 
 class _InProcess:
     """The stand-in for a _Worker where stages do not overlap: work(*args)
-    runs here when its result is asked for, and never if it is stopped."""
+    runs here at once, on the state a worker forked now would see."""
 
     def __init__(self, stage: str, work, *args):
-        self.work, self.args = work, args
+        self.outcome = work(*args)
 
-    def result(self) -> CheckReport:
-        return self.work(*self.args)
+    def result(self) -> tuple:
+        return self.outcome
 
     def stop(self, kill: bool = False) -> int:
         return 0
 
 
 def _spawn(stage: str, work, *args):
-    """work(*args) as a stage beside the caller's own: in a forked _Worker
-    where _overlaps() holds and the fork succeeds, else run in process by
-    result(), in the one-CPU order."""
+    """work(*args) beside the caller's own stages: in a forked _Worker where
+    _overlaps() holds and the fork succeeds, else at once, in process."""
     if _overlaps():
         try:
             return _Worker(stage, work, *args)

@@ -101,8 +101,14 @@ class Schedule:
             bindings = data["bindings"]
         except KeyError as exc:
             raise ScheduleError(f"schedule is missing {exc}") from exc
+        if not isinstance(limit_var, str):
+            raise ScheduleError(f"limit_var must be a string, got {json.dumps(limit_var)}")
         if not isinstance(bindings, dict):
             raise ScheduleError("bindings must be an object")
+        for name, expr in bindings.items():
+            if not isinstance(expr, str):
+                raise ScheduleError(f"binding {name!r} must be an expression string, "
+                                    f"got {json.dumps(expr)}")
         try:
             return cls(limit_var, bindings, data.get("description", ""))
         except GrammarError as exc:

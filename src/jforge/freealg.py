@@ -370,11 +370,24 @@ class RewriteSystem:
         of rule1's, and an inclusion puts all of rule2's lhs inside it, so
         either way rule2's first letter occurs in rule1's lhs.
         """
+        for _place, pair in self._placed_pairs():
+            yield pair
+
+    def _placed_pairs(self):
+        """(place, pair) for each pair of critical_pairs(), in its order.
+
+        place is (word_key of lhs1, word_key of lhs2, the pair's index
+        among the ambiguities of the two rules): places sort the pairs in
+        this order and depend only on the two rules and the generator
+        order, so pairs found in systems that share both merge in it.
+        """
         rules = self.rule_list()
         partners = _partners(rules)
+        keys = {rule.lhs: self.word_key(rule.lhs) for rule in rules}
         for r1 in rules:
             for r2 in partners(r1):
-                yield from _ambiguities(r1, r2)
+                for i, pair in enumerate(_ambiguities(r1, r2)):
+                    yield (keys[r1.lhs], keys[r2.lhs], i), pair
 
     def new_pairs_unresolved(self, rules, max_degree: int = None) -> list:
         """The (nf1, nf2) splits of the critical pairs involving one of
@@ -405,30 +418,53 @@ class RewriteSystem:
             self._verdicts[key] = None if nf1 == nf2 else (nf1, nf2)
         return self._verdicts[key]
 
-    def confluence_report(self, max_degree: int = None) -> CheckReport:
+    def _failure(self, pair):
+        """The record of a critical pair that does not resolve, else None."""
+        split = self._verdict(*pair)
+        if split is None:
+            return None
+        return {"word": list(pair[0]),
+                "first": nc_str(split[0], self.generators),
+                "second": nc_str(split[1], self.generators)}
+
+    def unresolved(self, max_degree: int = None, keep=None) -> tuple:
+        """(candidates, {place: record}) over the critical pairs with at
+        most max_degree letters whose word keep(word) accepts (every pair
+        when keep is None): their number, and a record, as confluence_report
+        lists it, for each that does not resolve, keyed by the pair's place
+        (see _placed_pairs).
+        """
+        candidates = 0
+        records = {}
+        for place, pair in self._placed_pairs():
+            if max_degree is not None and len(pair[0]) > max_degree:
+                continue
+            if keep is not None and not keep(pair[0]):
+                continue
+            candidates += 1
+            failure = self._failure(pair)
+            if failure is not None:
+                records[place] = failure
+        return candidates, records
+
+    def confluence_report(self, max_degree: int = None, parts: list = None) -> CheckReport:
         """Resolve every critical pair whose word has at most max_degree letters.
 
         Each pair's verdict is computed once per rule set (shared with
-        new_pairs_unresolved).
+        new_pairs_unresolved).  parts, when given, are unresolved() results
+        that together take each of those pairs once, from systems that each
+        reduce its words as this one does and share its generator order;
+        they are merged here, in critical_pairs() order.
         """
+        if parts is None:
+            parts = [self.unresolved(max_degree)]
+        failures = [record for _place, record in
+                    sorted(item for _n, records in parts for item in records.items())]
         report = CheckReport("confluence")
-        candidates = 0
-        failures = []
-        for pair in self.critical_pairs():
-            if max_degree is not None and len(pair[0]) > max_degree:
-                continue
-            candidates += 1
-            split = self._verdict(*pair)
-            if split is not None:
-                failures.append({
-                    "word": list(pair[0]),
-                    "first": nc_str(split[0], self.generators),
-                    "second": nc_str(split[1], self.generators),
-                })
         report.add(
             "critical-pairs-resolve",
             not failures,
-            candidates=candidates,
+            candidates=sum(n for n, _records in parts),
             max_degree=max_degree,
             unresolved=failures[:5],
         )

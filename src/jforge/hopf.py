@@ -416,10 +416,12 @@ def _unbraided(system: RewriteSystem) -> RewriteSystem:
     return out
 
 
-def coaction_covariance(q: QuotientAlgebra, braiding: bool = True) -> CheckReport:
+def coaction_covariance(system: RewriteSystem, braiding: bool = True) -> CheckReport:
     """The coaction preserves the plane relation iff the braiding is kept.
 
-    The coordinate images x' and y' are the coproducts, living in the
+    system is that of the quotient (QuotientAlgebra.system), or any system
+    that rewrites the words on the letters of LAYOUT_Q as it does.  The
+    coordinate images x' and y' are the coproducts, living in the
     tensor square.  Each tensor leg mixes plane coordinates with block
     and scale letters (the scale lands in the right leg of x', the block
     in the left), so reducing a leg to normal form exercises the cross
@@ -434,9 +436,9 @@ def coaction_covariance(q: QuotientAlgebra, braiding: bool = True) -> CheckRepor
     expr = nc_add(nc_sub(t_mul(xp, yp), t_mul(yp, xp)),
                   nc_scale(t_mul(xp, xp), m))
     if braiding:
-        residual = tensor_normal_form(expr, q.system)
+        residual = tensor_normal_form(expr, system)
     else:
-        residual = q.system.evaluate(tensor_normal_form(expr, _unbraided(q.system)))
+        residual = system.evaluate(tensor_normal_form(expr, _unbraided(system)))
     report = CheckReport("coaction")
     report.add("plane-relation-covariant", nc_is_zero(residual),
                braiding=braiding,

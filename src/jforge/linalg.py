@@ -160,43 +160,55 @@ def rref_sparse(rows: list, column_order: list, locus: list = None) -> tuple:
     which label counts as leading (earlier = more significant).  Returns
     (reduced, pivot labels), with reduced rows monic in their pivot, fully
     inter-reduced, zero rows dropped, and ordered by pivot position.  The
-    result is unique for a fixed column order.  With locus given, each pivot value is
+    result is unique for a fixed column order.  Each pivot row is the
+    earliest remaining row, in input order, that holds the pivot column,
+    found through a column -> rows index, so a pivot is eliminated only
+    from the rows that hold it.  With locus given, each pivot value is
     added to it as a one-value tuple before it is inverted: wherever
     every entry is defined and every such value nonzero, the same steps
     reduce the specialized rows, so the reduced form specializes (see
     jforge.specialize).
     """
     col_index = {c: i for i, c in enumerate(column_order)}
-    live = []
+    rows_at = []  # the rows by their input position, updated in place
     for row in rows:
         cleaned = {c: v for c, v in row.items() if not v.is_zero()}
         if cleaned:
             unknown = set(cleaned) - set(col_index)
             if unknown:
                 raise DimensionMismatch(f"labels outside column order: {sorted(map(str, unknown))[:3]}")
-            live.append(cleaned)
-    reduced = []
+            rows_at.append(cleaned)
+    # column -> the positions of the rows, live or reduced, that hold it
+    holders = {}
+    for n, row in enumerate(rows_at):
+        for c in row:
+            holders.setdefault(c, set()).add(n)
+    live = set(range(len(rows_at)))
+    pivot_rows = []
     pivot_cols = []
     for col in column_order:
-        hit = next((r for r in live if col in r), None)
+        # the earliest live row that holds col, as a scan would find it
+        hit = min((n for n in holders.get(col, ()) if n in live), default=None)
         if hit is None:
             continue
-        live.remove(hit)
+        live.discard(hit)
+        row = rows_at[hit]
         if locus is not None:
-            add_to_locus(locus, (hit[col],))
-        inv = hit[col].inverse()
+            add_to_locus(locus, (row[col],))
+        inv = row[col].inverse()
         if inv is not L_ONE:
-            hit = {c: v * inv for c, v in hit.items()}
-        for bucket in (live, reduced):
-            for i, row in enumerate(bucket):
-                factor = row.get(col)
-                if factor is None:
-                    continue
-                new = dict(row)
-                add_terms(new, hit.items(), -factor)
-                bucket[i] = new
-        reduced.append(hit)
+            row = rows_at[hit] = {c: v * inv for c, v in row.items()}
+        for n in sorted(holders[col] - {hit}):
+            new = dict(rows_at[n])
+            add_terms(new, row.items(), -new[col])
+            for c in row:
+                if c in new:
+                    holders.setdefault(c, set()).add(n)
+                else:
+                    holders[c].discard(n)
+            rows_at[n] = new
+        pivot_rows.append(hit)
         pivot_cols.append(col)
         if not live:
             break
-    return reduced, pivot_cols
+    return [rows_at[n] for n in pivot_rows], pivot_cols

@@ -101,34 +101,39 @@ def rtt_entries(rmat: TensorMat, convention: str = "plain") -> dict:
     free algebra supported on two-letter words.  With convention
     "transposed" the transpose of R is used instead, which is the competing
     reading of the identity resolved empirically by resolve_convention.
-    Each R entry goes through coerce once, when first read, so the words'
-    coefficients are Laurent unless an entry has a several-term denominator.
+    Only the nonzero entries of R are read, each through coerce once, so
+    the words' coefficients are Laurent unless an entry has a several-term
+    denominator.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     basis = rmat.basis
-    seen = {}
-
-    def coeff(rp, cp):
-        key = (rp, cp) if convention == "plain" else (cp, rp)
-        c = seen.get(key)
-        if c is None:
-            c = seen[key] = coerce(rmat.entry(*key))
-        return c
+    # the nonzero coefficients of the matrix read (R, or its transpose), by
+    # row and by column: by_row[a] holds (b, x) and by_col[b] holds (a, x)
+    # for each x = R[a][b] that is not zero, b (resp. a) a basis pair
+    by_row = {p: [] for p in basis}
+    by_col = {p: [] for p in basis}
+    for a, row in zip(basis, rmat.rows):
+        for b, x in zip(basis, row):
+            if not x.is_zero():
+                x = coerce(x)
+                r, c = (a, b) if convention == "plain" else (b, a)
+                by_row[r].append((c, x))
+                by_col[c].append((r, x))
+    order = {p: n for n, p in enumerate(basis)}
 
     out = {}
     for (i, j) in basis:
         for (k, l) in basis:
-            terms = []
-            for (u, v) in basis:
-                c1 = coeff((i, j), (u, v))
-                if not c1.is_zero():
-                    terms.append(((LAYOUT_3[u - 1][k - 1], LAYOUT_3[v - 1][l - 1]), c1))
-                c2 = coeff((u, v), (k, l))
-                if not c2.is_zero():
-                    terms.append(((LAYOUT_3[j - 1][v - 1], LAYOUT_3[i - 1][u - 1]), -c2))
+            # ordered by the middle pair (u, v), the R[ij][uv] term before
+            # the R[uv][kl] one, as a sum over every (u, v) would give them
+            terms = sorted(
+                [(order[u, v], 0, (LAYOUT_3[u - 1][k - 1], LAYOUT_3[v - 1][l - 1]), c)
+                 for (u, v), c in by_row[i, j]]
+                + [(order[u, v], 1, (LAYOUT_3[j - 1][v - 1], LAYOUT_3[i - 1][u - 1]), -c)
+                   for (u, v), c in by_col[k, l]])
             acc: NCPoly = {}
-            add_terms(acc, terms)
+            add_terms(acc, ((word, c) for _n, _side, word, c in terms))
             out[((i, j), (k, l))] = acc
     return out
 

@@ -91,7 +91,8 @@ class SpecializedSystem(RewriteSystem):
 
     The wrapped system, here called symbolic, is the symbolic one, or on
     the locus the one derived at the point (see SpecializedAlgebra).  value,
-    a Substitution, maps a symbolic coefficient to its value at the point.  The system shares the symbolic system's rules, so rule_list(),
+    a Substitution, maps a symbolic coefficient to its value at the point.
+    The system shares the symbolic system's rules, so rule_list(),
     find_redex and the critical pairs are the symbolic ones, and rewriting
     runs in the symbolic system and its word cache.  What leaves the system
     is read at the point: normal_form (and with it reduces_to_zero),
@@ -113,6 +114,11 @@ class SpecializedSystem(RewriteSystem):
 
     def evaluate(self, elem: dict) -> dict:
         return nc_evaluate(elem, self.value)
+
+    def quotient(self, killed) -> "SpecializedSystem":
+        """The symbolic system's quotient (see RewriteSystem.quotient), read
+        at the same point; erasing words commutes with evaluation."""
+        return SpecializedSystem(self.symbolic.quotient(killed), self.value)
 
     def reducer(self) -> RewriteSystem:
         return self.symbolic

@@ -301,8 +301,8 @@ def test_criterion_7_determinant_structure(alg, quotient):
 
 
 def test_criterion_8_coaction_braiding(quotient):
-    braided = coaction_covariance(quotient, braiding=True)
-    naive = coaction_covariance(quotient, braiding=False)
+    braided = coaction_covariance(quotient.system, braiding=True)
+    naive = coaction_covariance(quotient.system, braiding=False)
     ok = braided.passed and not naive.passed
     _line(8, ok, "the coacted plane relation vanishes with the braiding "
                  "and survives without it")

@@ -310,6 +310,28 @@ def test_pair_enumeration_matches_every_ordered_pair(case):
     assert rs.new_pairs_unresolved(new_rules, max_degree) == want
 
 
+@given(lhs_systems())
+@settings(max_examples=150, deadline=None)
+def test_pairs_decided_in_two_systems_merge_in_enumeration_order(case):
+    # every pair fails, with a record naming it; the pairs on words over
+    # x, y alone are decided in the system of the rules on those letters
+    words, _new, max_degree = case
+    every, on_xy = RewriteSystem(("x", "y", "z")), RewriteSystem(("x", "y", "z"))
+    for w in words:
+        every.add_rule(RewriteRule(w, {}, "".join(w)))
+        if "z" not in w:
+            on_xy.add_rule(RewriteRule(w, {}, "".join(w)))
+
+    def fails(word, p1, r1, p2, r2):
+        return {word: L_ONE}, {(f"{p1}{r1.tag}-{p2}{r2.tag}",): L_ONE}
+
+    every._verdict = on_xy._verdict = fails
+    xy = on_xy.unresolved(max_degree, lambda word: "z" not in word)
+    rest = every.unresolved(max_degree, lambda word: "z" in word)
+    assert (every.confluence_report(max_degree, [xy, rest]).to_dict()
+            == every.confluence_report(max_degree).to_dict())
+
+
 def test_derived_systems_pair_every_rule_as_before(alg, quotient):
     graded_rq3 = DerivedAlgebra(four_param_deformed_r3()).system
     for system in (alg.system, quotient.system, graded_rq3):
@@ -588,8 +610,8 @@ def test_running_every_hopf_group_changes_no_cached_normal_form():
         check_antipode_axiom(quotient)
         qdet_checks(quotient)
         delta_centrality(alg)
-        coaction_covariance(quotient, braiding=True)
-        coaction_covariance(quotient, braiding=False)
+        coaction_covariance(quotient.system, braiding=True)
+        coaction_covariance(quotient.system, braiding=False)
         for system, cache in zip(systems, before):
             assert {w: system._cache[w] for w in cache} == cache
     # the second round started from the words the first one cached

@@ -226,13 +226,13 @@ def test_block_determinant_centrality_profile(alg):
 
 
 def test_coaction_preserves_plane_relation(quotient):
-    report = coaction_covariance(quotient)
+    report = coaction_covariance(quotient.system)
     assert report.passed
     assert report.checks[0].details["residual_terms"] == 0
 
 
 def test_coaction_fails_without_braiding(quotient):
-    report = coaction_covariance(quotient, braiding=False)
+    report = coaction_covariance(quotient.system, braiding=False)
     assert not report.passed
     details = report.checks[0].details
     assert details["residual_terms"] == 2
@@ -242,5 +242,5 @@ def test_coaction_fails_without_braiding(quotient):
 def test_coaction_needs_no_braiding_on_undeformed_plane():
     classical_plane = derive(bindings={"m": parse("0")})
     quotient = classical_plane.quotient()
-    assert coaction_covariance(quotient).passed
-    assert coaction_covariance(quotient, braiding=False).passed
+    assert coaction_covariance(quotient.system).passed
+    assert coaction_covariance(quotient.system, braiding=False).passed

@@ -3,7 +3,8 @@
 Hand-sized systems pin the contracts (inconsistency, free variables, shape
 errors, singularity); a hypothesis test compares each target of one
 solve_dense call with sympy's reduced row echelon form of [A | b] on small
-rational systems.
+rational systems, and another compares rref_sparse, row by row and
+locus entry by locus entry, with the scan it replaced.
 """
 
 from fractions import Fraction
@@ -13,10 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jforge.errors import DimensionMismatch, SingularMatrix
-from jforge.field import RF_ONE, RF_ZERO, RatFunc
+from jforge.field import RF_ONE, RF_ZERO, RatFunc, add_terms
 from jforge.grammar import parse
 from jforge.laurent import coerce
-from jforge.linalg import mat_identity, mat_inverse, mat_mul, rref_sparse, solve_dense
+from jforge.linalg import (
+    add_to_locus,
+    mat_identity,
+    mat_inverse,
+    mat_mul,
+    rref_sparse,
+    solve_dense,
+)
 
 
 def rf_matrix(rows):
@@ -138,3 +146,47 @@ def test_solve_dense_matches_sympy_rref(system):
                 want[col] = Fraction(int(value.p), int(value.q))
         assert sol is not None
         assert sol == want
+
+
+def rref_by_scan(rows, column_order, locus):
+    """The reference elimination: each pivot row found by scanning the live
+    rows in input order, each pivot eliminated from every row that holds it."""
+    live = [{c: v for c, v in row.items() if not v.is_zero()} for row in rows]
+    live = [row for row in live if row]
+    reduced, pivots = [], []
+    for col in column_order:
+        hit = next((r for r in live if col in r), None)
+        if hit is None:
+            continue
+        live.remove(hit)
+        add_to_locus(locus, (hit[col],))
+        inv = hit[col].inverse()
+        hit = {c: v * inv for c, v in hit.items()}
+        for bucket in (live, reduced):
+            for i, row in enumerate(bucket):
+                if col in row:
+                    new = dict(row)
+                    add_terms(new, hit.items(), -row[col])
+                    bucket[i] = new
+        reduced.append(hit)
+        pivots.append(col)
+    return reduced, pivots
+
+
+symbolic_entry = st.sampled_from(["0", "0", "0", "1", "-1", "2", "m", "m + 1", "1/2*m", "n - m"])
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(symbolic_entry, min_size=5, max_size=5), min_size=1, max_size=n)),
+    st.permutations(range(5)))
+@settings(max_examples=100, deadline=None)
+def test_rref_sparse_picks_the_rows_a_scan_picks(rows, order):
+    # the same pivot rows, so the same reduced rows, pivots and locus, in
+    # the same order, as the scan over the live rows
+    sparse = [{j: coerce(parse(x)) for j, x in enumerate(row)} for row in rows]
+    want_locus, got_locus = [], []
+    want = rref_by_scan(sparse, list(order), want_locus)
+    got = rref_sparse(sparse, list(order), got_locus)
+    assert [list(r.items()) for r in got[0]] == [list(r.items()) for r in want[0]]
+    assert got[1] == want[1]
+    assert got_locus == want_locus

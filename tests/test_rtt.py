@@ -22,12 +22,14 @@ from jforge.freealg import (
     nc_sub,
     nc_word,
 )
+from jforge.field import add_terms
 from jforge.grammar import parse
 from jforge.laurent import Laurent, coerce
 from jforge.linalg import rref_sparse, solve_dense
 from jforge.rmat import four_param_deformed_r3, jordanian_r3
 from jforge.rtt import (
     GEN_ORDER,
+    LAYOUT_3,
     DerivedAlgebra,
     block_determinant,
     derive_relation_table,
@@ -103,6 +105,41 @@ def test_every_rtt_entry_reduces_to_zero(alg):
 def test_rtt_entries_count_positions(alg):
     entries = rtt_entries(alg.rmat, alg.convention)
     assert len(entries) == 81
+
+
+def rtt_entries_by_sum(rmat, convention):
+    """The reference for rtt_entries: the sum over every middle pair (u, v),
+    the R T1 T2 term before the T2 T1 R one, all 81 coefficients read."""
+    def coeff(rp, cp):
+        return coerce(rmat.entry(*((rp, cp) if convention == "plain" else (cp, rp))))
+
+    out = {}
+    for (i, j) in rmat.basis:
+        for (k, l) in rmat.basis:
+            terms = []
+            for (u, v) in rmat.basis:
+                c1, c2 = coeff((i, j), (u, v)), coeff((u, v), (k, l))
+                if not c1.is_zero():
+                    terms.append(((LAYOUT_3[u - 1][k - 1], LAYOUT_3[v - 1][l - 1]), c1))
+                if not c2.is_zero():
+                    terms.append(((LAYOUT_3[j - 1][v - 1], LAYOUT_3[i - 1][u - 1]), -c2))
+            acc = {}
+            add_terms(acc, terms)
+            out[((i, j), (k, l))] = acc
+    return out
+
+
+@pytest.mark.parametrize("convention", ["plain", "transposed"])
+@pytest.mark.parametrize("make, bindings", [
+    (jordanian_r3, {}), (jordanian_r3, {"m": "3/2", "p": "7/4"}), (jordanian_r3, {"p": "1+m"}),
+    (four_param_deformed_r3, {}),
+])
+def test_rtt_entries_read_only_the_nonzero_entries_and_keep_the_term_order(
+        make, bindings, convention):
+    rmat = make().substitute({k: parse(v) for k, v in bindings.items()})
+    got, want = rtt_entries(rmat, convention), rtt_entries_by_sum(rmat, convention)
+    assert list(got) == list(want)
+    assert [list(e.items()) for e in got.values()] == [list(e.items()) for e in want.values()]
 
 
 def test_table_spans_the_exchange_ideal(alg):

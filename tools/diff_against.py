@@ -147,8 +147,9 @@ COMMANDS = (
     ["contract", "--set", "eta=1", "--contraction-matrix", "gprime"],
     ["all", "--set", "eta=1"],
     # contract failures that all reports as failed checks and runs past,
-    # met in the parent while the hopf worker runs: a pole met by
-    # substitution, entries that diverge, a schedule that --set unloads
+    # met in the grid worker while the parent adjoins the inverses: a pole
+    # met by substitution, entries that diverge, a schedule that --set
+    # unloads
     ["all", "--schedule", "{zero-pole}"],
     ["all", "--schedule", "{misplaced-pole}"],
     ["all", "--set", "eps=1"],
@@ -202,11 +203,10 @@ COMMANDS = (
     ["hopf", "--set", "m=0", "--set", "p=1+k"],
     # a rational point in some of the parameters, Laurent in the rest
     ["qybe", "--matrix", "rj3", "--set", "m=3/2", "--set", "p=7/4"],
-    # the stages that may run in forked workers: only the qybe stage of all
-    # raises, in the parent once the hopf worker is forked (q is no
-    # parameter of the algebra); all stops at bound 1463 and reports at
-    # 1464; the text renderings, and hopf with and without its full
-    # bialgebra worker
+    # the stages that may run in the grid worker: only the qybe stage of
+    # all raises, in the worker while the parent adjoins the inverses (q is
+    # no parameter of the algebra); all stops at bound 1463 and reports at
+    # 1464; the text renderings, and hopf with and without grid stages
     ["all", "--set", "q=0"],
     ["JFORGE_MAX_STEPS=1463", "all"],
     ["JFORGE_MAX_STEPS=1464", "all"],
@@ -214,6 +214,15 @@ COMMANDS = (
     ["relations", "--format", "text"],
     ["hopf", "--check", "bialgebra"],
     ["hopf", "--check", "antipode", "--format", "text"],
+    # reports merged from both processes: the critical pairs of degree 4,
+    # four of which do not resolve, listed from the worker's half and the
+    # parent's in one order, and each grid group of hopf on its own
+    ["all", "--max-degree", "4"],
+    ["relations", "--max-degree", "4", "--convention", "auto", *POINT],
+    ["hopf", "--check", "delta-centrality"],
+    ["hopf", "--check", "coaction", "--no-braiding"],
+    ["hopf", "--check", "hopf-ideal"],
+    ["hopf", "--check", "qdet"],
     # rewriting with RatFunc rule coefficients: m = 0 is on the locus, so
     # the rules are derived at the bindings, and p = 1/(1 + n) leaves 29 of
     # their 141 coefficients RatFunc; no command above rewrites with one.
